@@ -7,9 +7,8 @@ backend plus the numpy-over-reference speedup, as JSON
 (``BENCH_engine.json`` by default) so the performance trajectory is
 tracked from PR to PR.
 
-``--backends`` widens the comparison to any registered backend (for
-example ``numba`` when the ``compiled`` extra is installed): the legacy
-``results`` rows keep their exact reference+numpy shape, and a
+``--backends`` widens the comparison to any registered backend: the
+legacy ``results`` rows keep their exact reference+numpy shape, and a
 ``backends`` list adds one row per (ports, backend) with throughput and
 speedup over reference. The reference backend is always timed — it is
 the denominator — whether or not it is listed.
@@ -20,7 +19,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_engine_speedup.py \
         --accesses 1000000 --ports 1 2 4 --out results/BENCH_engine.json
     PYTHONPATH=src python benchmarks/bench_engine_speedup.py \
-        --backends numpy numba
+        --backends numpy reference
 
 The acceptance bar of the engine PR: >= 10x accesses/sec on a
 100k-access trace (single port); the script exits non-zero below

@@ -9,9 +9,9 @@ path — its row is gated at ``--max-overhead`` (default 1.05x) of the
 clean time. Live-fault rows pay for the vectorized post-pass and are
 gated at ``--min-ratio`` (default 0.25x) of clean throughput. Every
 faulted row is also cross-checked bit-identical across the reference
-and numpy backends (and numba when the ``compiled`` extra is
-installed) — the determinism contract, enforced where the perf numbers
-are produced.
+and numpy backends — the determinism contract, enforced where the perf
+numbers are produced. The output records the core count and, in its
+``gates`` block, whether the gates passed.
 
 Usage::
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -31,7 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.engine import FaultModel, ShiftRequest, get_backend
-from repro.engine.numba_backend import NUMBA_AVAILABLE, NumbaBackend, warmup
 
 
 def make_arrays(accesses: int, num_dbcs: int, domains: int, seed: int):
@@ -93,9 +93,6 @@ def main(argv=None) -> int:
 
     reference = get_backend("reference")
     vectorized = get_backend("numpy")
-    compiled = NumbaBackend() if NUMBA_AVAILABLE else None
-    if compiled is not None:
-        warmup()  # compile both clean and fault kernels off the clock
 
     dbc, slot = make_arrays(args.accesses, args.dbcs, args.domains, args.seed)
     rows = []
@@ -130,8 +127,6 @@ def main(argv=None) -> int:
                                    ports, fault)
             expected = vectorized.run(request)
             same = reference.run(request) == expected
-            if compiled is not None:
-                same = same and compiled.run(request) == expected
             identical = identical and same
             t_fault = time_call(lambda: vectorized.run(request), args.repeats)
             ratio = t_clean / t_fault
@@ -145,10 +140,6 @@ def main(argv=None) -> int:
                 "misaligned": expected.faults.misaligned,
                 "identical": same,
             }
-            if compiled is not None:
-                t_nb = time_call(lambda: compiled.run(request), args.repeats)
-                frow["numba_s"] = t_nb
-                frow["numba_accesses_per_s"] = args.accesses / t_nb
             print(f"  rate={rate:g}: numpy faulted "
                   f"{frow['numpy_accesses_per_s']:,.0f} acc/s "
                   f"({ratio:.2f}x clean, {frow['injected']} injected, "
@@ -157,9 +148,24 @@ def main(argv=None) -> int:
         row["faulted"] = faulted_rows
         rows.append(row)
 
+    failures = []
+    if args.max_overhead:
+        if not identical:
+            failures.append("faulted results diverge across backends")
+        if worst_overhead > args.max_overhead:
+            failures.append(
+                f"rate-0 overhead {worst_overhead:.3f}x clean "
+                f"> ceiling {args.max_overhead}x"
+            )
+        if worst_faulted < args.min_ratio:
+            failures.append(
+                f"faulted throughput fell to {worst_faulted:.2f}x clean "
+                f"< floor {args.min_ratio}x"
+            )
+    status = ("fail" if failures else "pass") if args.max_overhead else "disabled"
     payload = {
         "benchmark": "fault_overhead",
-        "numba_available": NUMBA_AVAILABLE,
+        "nproc": os.cpu_count() or 1,
         "accesses": args.accesses,
         "dbcs": args.dbcs,
         "domains": args.domains,
@@ -171,28 +177,14 @@ def main(argv=None) -> int:
             "worst_rate0_overhead_x": worst_overhead,
             "worst_faulted_vs_clean_x": worst_faulted,
             "identical": identical,
+            "status": status,
+            "failures": failures,
         },
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")
-
-    if not args.max_overhead:
-        return 0
-    failures = []
-    if not identical:
-        failures.append("faulted results diverge across backends")
-    if worst_overhead > args.max_overhead:
-        failures.append(
-            f"rate-0 overhead {worst_overhead:.3f}x clean "
-            f"> ceiling {args.max_overhead}x"
-        )
-    if worst_faulted < args.min_ratio:
-        failures.append(
-            f"faulted throughput fell to {worst_faulted:.2f}x clean "
-            f"< floor {args.min_ratio}x"
-        )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -165,7 +165,7 @@ def run_shards(profile, store_path, tmp: Path) -> float:
 
 def big_cells_per_shard(profile) -> list[int]:
     """The deterministic digest assignment of the 4 big cells."""
-    from repro.eval.runner import _cell_key, _in_shard, load_suite, policy_specs
+    from repro.eval.runner import CellRecipe, _in_shard, load_suite, policy_specs
     from repro.util.rng import ensure_rng, spawn_seeds
 
     programs = load_suite(profile)
@@ -176,7 +176,7 @@ def big_cells_per_shard(profile) -> list[int]:
     i = 0
     for program in programs:
         for spec in specs:
-            key = _cell_key(program, spec, CONFIG, seeds[i], True, "numpy")
+            key = CellRecipe(spec, CONFIG, seeds[i], "numpy").key(program)
             i += 1
             if program.name == big_name:
                 for shard in range(FAN_OUT):

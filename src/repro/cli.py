@@ -21,8 +21,8 @@ from dataclasses import replace
 
 from repro.core.cost import per_dbc_shift_costs
 from repro.core.policies import available_policies, get_policy
-from repro.engine import AUTO_BACKEND, backend_choices, describe_backends
-from repro.errors import ExperimentError, SimulationError, WorkloadError
+from repro.engine import available_backends, describe_backends
+from repro.errors import ExperimentError, WorkloadError
 from repro.eval import experiments as exp
 from repro.eval.profiles import profile_from_env
 from repro.eval.reporting import render_experiment, save_experiment
@@ -34,25 +34,6 @@ from repro.trace.generators.offsetstone import (
 )
 from repro.trace.io import read_traces
 from repro.util.tables import format_table
-
-
-def _check_backend_arg(parser: argparse.ArgumentParser, name) -> None:
-    """Fail argparse-style when ``--backend`` names an uninstalled backend.
-
-    ``backend_choices()`` deliberately accepts known optional backends
-    (e.g. ``numba`` without the ``compiled`` extra) so the user sees the
-    engine's pointed install hint here instead of argparse's generic
-    "invalid choice". ``auto`` always resolves, so its calibration is
-    deferred to first real use.
-    """
-    if name is None or name == AUTO_BACKEND:
-        return
-    from repro.engine import get_backend
-
-    try:
-        get_backend(name)
-    except SimulationError as exc:
-        parser.error(str(exc))
 
 
 def _add_device_args(parser: argparse.ArgumentParser) -> None:
@@ -67,10 +48,9 @@ def _add_device_args(parser: argparse.ArgumentParser) -> None:
                         help="placement policy (default DMA-SR)")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     parser.add_argument("--backend", default=None,
-                        choices=backend_choices(),
+                        choices=available_backends(),
                         help="shift-engine backend (default: numpy, or "
-                             "REPRO_BACKEND; 'auto' picks the fastest "
-                             "available)")
+                             "REPRO_BACKEND)")
 
 
 def main_place(argv: Sequence[str] | None = None) -> int:
@@ -85,7 +65,6 @@ def main_place(argv: Sequence[str] | None = None) -> int:
         help="fuse all traces into one program and emit a single layout",
     )
     args = parser.parse_args(argv)
-    _check_backend_arg(parser, args.backend)
     policy = get_policy(args.policy)
     traces = read_traces(args.trace_file)
     if args.program:
@@ -130,7 +109,6 @@ def main_sim(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--cold-start", action="store_true",
                         help="charge the initial alignment shifts")
     args = parser.parse_args(argv)
-    _check_backend_arg(parser, args.backend)
     config = RTMConfig(dbcs=args.dbcs, domains_per_track=args.domains,
                        ports_per_track=args.ports)
     policy = get_policy(args.policy)
@@ -212,13 +190,10 @@ def _list_workloads() -> int:
 
 
 def _list_backends() -> int:
-    """Print every known shift-engine backend and its availability."""
-    rows = [
-        [name, "yes" if available else "no", note]
-        for name, available, note in describe_backends()
-    ]
+    """Print the registered shift-engine backends."""
+    rows = [[name, note] for name, note in describe_backends()]
     print(format_table(
-        ["Backend", "Available", "Notes"], rows,
+        ["Backend", "Notes"], rows,
         title="shift-engine backends (docs/engine.md)",
     ))
     return 0
@@ -241,17 +216,15 @@ def main_experiment(argv: Sequence[str] | None = None) -> int:
                         help="print the workload sources/transforms "
                              "registry and exit")
     parser.add_argument("--list-backends", action="store_true",
-                        help="print the shift-engine backends (including "
-                             "uninstalled optional ones) and exit")
+                        help="print the shift-engine backends and exit")
     parser.add_argument("--save", metavar="DIR", default=None,
                         help="also write the report (.txt + .json) under DIR")
     parser.add_argument("--max-rows", type=int, default=None,
                         help="truncate the table for display")
     parser.add_argument("--backend", default=None,
-                        choices=backend_choices(),
+                        choices=available_backends(),
                         help="shift-engine backend (default: profile / "
-                             "REPRO_BACKEND; 'auto' picks the fastest "
-                             "available)")
+                             "REPRO_BACKEND)")
     parser.add_argument("--workers", type=int, default=None,
                         help="matrix-runner processes (default: profile / "
                              "REPRO_WORKERS; 0 = all cores)")
@@ -304,7 +277,6 @@ def main_experiment(argv: Sequence[str] | None = None) -> int:
         return _list_workloads()
     if args.list_backends:
         return _list_backends()
-    _check_backend_arg(parser, args.backend)
     if (args.experiment is None and args.workloads
             and args.workloads[-1] in _EXPERIMENTS):
         # `--workloads spec... fig6`: the greedy nargs='+' swallowed the

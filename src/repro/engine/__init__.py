@@ -9,12 +9,7 @@ interchangeable *backends* execute whole batches of accesses:
 
 * ``reference`` — the per-access Python loop, kept as the oracle;
 * ``numpy``     — batched vectorized execution (the default), an order
-  of magnitude faster on realistic traces;
-* ``numba``     — optional JIT-compiled fused loops
-  (:mod:`repro.engine.numba_backend`), registered only when the
-  ``compiled`` extra is installed;
-* ``auto``      — not a backend but an alias: resolves to the fastest
-  *available* backend through a one-shot cached micro-calibration.
+  of magnitude faster on realistic traces.
 
 Backends implement ``run(ShiftRequest) -> ShiftResult`` and are
 guaranteed to produce identical counters (enforced by the cross-backend
@@ -35,7 +30,6 @@ from __future__ import annotations
 
 import os
 
-from repro.engine import numba_backend as _numba_backend
 from repro.engine.batch import (
     DeltaCost,
     evaluate_batch,
@@ -51,7 +45,6 @@ from repro.engine.compile import (
 )
 from repro.engine.cursor import ShiftCursor
 from repro.engine.faults import FaultModel, FaultObservation
-from repro.engine.numba_backend import NumbaBackend
 from repro.engine.numpy_backend import NumpyBackend, single_port_warm_total
 from repro.engine.reference import ReferenceBackend
 from repro.engine.semantics import PortPolicy, port_positions, select_port, step
@@ -59,37 +52,17 @@ from repro.engine.types import ShiftRequest, ShiftResult
 from repro.errors import SimulationError
 
 #: Registry of interchangeable backends (stateless, shared instances).
-#: Optional backends join only when their import gate passed — with the
-#: ``compiled`` extra absent, the registry is exactly the core pair.
 _BACKENDS = {
     ReferenceBackend.name: ReferenceBackend(),
     NumpyBackend.name: NumpyBackend(),
 }
-if _numba_backend.NUMBA_AVAILABLE:  # pragma: no cover - needs the extra
-    _BACKENDS[NumbaBackend.name] = NumbaBackend()
 
 DEFAULT_BACKEND = NumpyBackend.name
-
-#: The calibrating alias accepted wherever a backend name is (not a
-#: registered backend itself: it always resolves to one).
-AUTO_BACKEND = "auto"
-
-#: Optional backends the project knows about: name -> the extra that
-#: installs them. Used for pointed errors and ``--list-backends`` even
-#: when the backend is absent from the registry.
-OPTIONAL_BACKEND_EXTRAS = {NumbaBackend.name: "compiled"}
-
-_DIST_NAME = "repro-rtm-placement"
 
 _BACKEND_NOTES = {
     ReferenceBackend.name: "per-access Python oracle",
     NumpyBackend.name: "vectorized monoid-scan replay (default)",
-    NumbaBackend.name: "JIT-compiled fused replay loops",
 }
-
-
-def _install_hint(name: str) -> str:
-    return f"pip install {_DIST_NAME}[{OPTIONAL_BACKEND_EXTRAS[name]}]"
 
 
 def available_backends() -> tuple[str, ...]:
@@ -97,134 +70,26 @@ def available_backends() -> tuple[str, ...]:
     return tuple(sorted(_BACKENDS))
 
 
-def backend_choices() -> tuple[str, ...]:
-    """Every name a ``--backend`` flag accepts.
+def describe_backends() -> tuple[tuple[str, str], ...]:
+    """``(name, note)`` rows for every registered backend."""
+    return tuple((name, _BACKEND_NOTES[name]) for name in available_backends())
 
-    Registered backends, plus the :data:`AUTO_BACKEND` alias, plus
-    known-but-uninstalled optional backends — the latter so selecting
-    one yields the pointed install hint instead of an argparse "invalid
-    choice" that never mentions the extra.
+
+def resolve_backend_name(backend: object) -> str:
+    """The registered name of ``backend``, given as a name or an instance.
+
+    Raises for anything the registry does not hold. The matrix runner
+    keys and ships cells by this name — an instance's repr embeds a
+    memory address no other process shares — and resolves it in the
+    parent, so an unknown backend fails fast, not inside a pool worker.
     """
-    return tuple(
-        sorted(set(_BACKENDS) | set(OPTIONAL_BACKEND_EXTRAS) | {AUTO_BACKEND})
-    )
-
-
-def describe_backends() -> tuple[tuple[str, bool, str], ...]:
-    """``(name, available, note)`` rows for every known backend.
-
-    Unavailable optional backends carry their install hint in the note;
-    the ``auto`` alias leads the list.
-    """
-    rows = [(
-        AUTO_BACKEND, True,
-        "alias: fastest available backend (one-shot micro-calibration)",
-    )]
-    for name in sorted(set(_BACKENDS) | set(OPTIONAL_BACKEND_EXTRAS)):
-        if name in _BACKENDS:
-            rows.append((name, True, _BACKEND_NOTES.get(name, "")))
-        else:
-            rows.append((name, False, f"not installed — {_install_hint(name)}"))
-    return tuple(rows)
-
-
-def _unknown_backend_error(name: str) -> SimulationError:
-    if name in OPTIONAL_BACKEND_EXTRAS:
-        return SimulationError(
-            f"engine backend {name!r} is not installed; it needs the "
-            f"optional {OPTIONAL_BACKEND_EXTRAS[name]!r} extra: "
-            f"{_install_hint(name)}"
-        )
-    return SimulationError(
-        f"unknown engine backend {name!r}; "
-        f"available: {', '.join(available_backends())} "
-        f"(or {AUTO_BACKEND!r} for the fastest available)"
-    )
-
-
-# -- auto-selection ----------------------------------------------------------
-
-#: Cached result of the one-shot micro-calibration (process-wide).
-_AUTO_RESOLVED: str | None = None
-
-#: Backends ``auto`` calibrates between, in tie-break order. The
-#: reference oracle is deliberately not a candidate — it exists to pin
-#: semantics, not to win benchmarks.
-_AUTO_CANDIDATES = (NumpyBackend.name, NumbaBackend.name)
-
-#: Size of the calibration request: long enough that per-call overhead
-#: (JIT dispatch, numpy setup) does not decide the race, short enough
-#: that calibration stays in the tens of milliseconds.
-_CALIBRATE_ACCESSES = 20_000
-_CALIBRATE_REPEATS = 3
-
-
-def _calibrate_auto() -> str:
-    """Race the candidate backends once on a representative request.
-
-    Each candidate runs once outside the clock (JIT compilation, table
-    caches) and then best-of-:data:`_CALIBRATE_REPEATS`; the fastest
-    steady-state time wins. With a single candidate installed there is
-    nothing to race and no timing runs at all.
-    """
-    import time
-
-    import numpy as np
-
-    names = [n for n in _AUTO_CANDIDATES if n in _BACKENDS]
-    if len(names) == 1:
-        return names[0]
-    rng = np.random.default_rng(0)
-    request = ShiftRequest(
-        dbc=rng.integers(0, 8, _CALIBRATE_ACCESSES),
-        slot=rng.integers(0, 64, _CALIBRATE_ACCESSES),
-        num_dbcs=8,
-        domains=64,
-        ports=2,
-    )
-    best_name, best_time = names[0], float("inf")
-    for name in names:
-        backend = _BACKENDS[name]
-        backend.run(request)  # warmup: JIT compile / populate caches
-        elapsed = float("inf")
-        for _ in range(_CALIBRATE_REPEATS):
-            started = time.perf_counter()
-            backend.run(request)
-            elapsed = min(elapsed, time.perf_counter() - started)
-        if elapsed < best_time:
-            best_name, best_time = name, elapsed
-    return best_name
-
-
-def resolve_auto_backend() -> str:
-    """The concrete backend name ``auto`` resolves to (cached)."""
-    global _AUTO_RESOLVED
-    if _AUTO_RESOLVED is None:
-        _AUTO_RESOLVED = _calibrate_auto()
-    return _AUTO_RESOLVED
-
-
-def _reset_auto_cache() -> None:
-    """Drop the cached calibration result (tests only)."""
-    global _AUTO_RESOLVED
-    _AUTO_RESOLVED = None
-
-
-def resolve_backend_name(name: str) -> str:
-    """Concrete registered backend name for ``name``.
-
-    ``auto`` resolves through the cached micro-calibration; registered
-    names pass through; anything else raises the pointed error (with the
-    install hint when the name is a known optional backend). The matrix
-    runner resolves through this *in the parent process* so cell keys
-    and pool workers always see one concrete name — ``auto`` can never
-    calibrate differently across a worker pool.
-    """
-    if name == AUTO_BACKEND:
-        return resolve_auto_backend()
+    name = backend if isinstance(backend, str) else getattr(backend, "name", None)
     if name in _BACKENDS:
         return name
-    raise _unknown_backend_error(name)
+    raise SimulationError(
+        f"unknown engine backend {backend!r}; "
+        f"available: {', '.join(available_backends())}"
+    )
 
 
 def get_backend(backend: object = None):
@@ -232,8 +97,7 @@ def get_backend(backend: object = None):
 
     ``None`` resolves to the ``REPRO_BACKEND`` environment variable and
     falls back to the numpy backend; a string is looked up in the
-    registry (``auto`` resolves to the fastest available backend first);
-    anything exposing a callable ``run`` is returned unchanged.
+    registry; anything exposing a callable ``run`` is returned unchanged.
     """
     if backend is None:
         backend = os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND)
@@ -249,15 +113,12 @@ def get_backend(backend: object = None):
 
 
 __all__ = [
-    "AUTO_BACKEND",
     "ArenaSpec",
     "DEFAULT_BACKEND",
     "DeltaCost",
     "FaultModel",
     "FaultObservation",
-    "NumbaBackend",
     "NumpyBackend",
-    "OPTIONAL_BACKEND_EXTRAS",
     "PortPolicy",
     "ReferenceBackend",
     "SharedTraceArena",
@@ -265,14 +126,12 @@ __all__ = [
     "ShiftRequest",
     "ShiftResult",
     "available_backends",
-    "backend_choices",
     "clear_compile_caches",
     "compile_access_arrays",
     "describe_backends",
     "evaluate_batch",
     "get_backend",
     "port_positions",
-    "resolve_auto_backend",
     "resolve_backend_name",
     "select_port",
     "single_port_warm_total",

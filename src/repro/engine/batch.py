@@ -26,7 +26,6 @@ enforce.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from itertools import chain
 
@@ -163,7 +162,6 @@ def evaluate_batch(
     ports: int = 1,
     policy: PortPolicy = PortPolicy.NEAREST,
     warm_start: bool = True,
-    backend: object = None,
 ) -> np.ndarray:
     """Shift cost of ``K`` candidate placements against one compiled trace.
 
@@ -180,14 +178,6 @@ def evaluate_batch(
     multi-port flattens the candidate matrix into one long run-sorted
     array and resolves every row's port-choice recurrences with a single
     2-D monoid scan (see :func:`_batch_nearest`).
-
-    ``backend`` opts the nearest-port branch into a backend's *compiled
-    population kernel* when the selected backend provides one (the
-    ``numba`` backend's fused per-row loop). ``None`` consults the
-    ambient ``REPRO_BACKEND`` selection — including ``auto`` — so
-    searchers inherit the compiled scorer with zero changes; backends
-    without the hook (numpy, reference) keep the vectorized paths here,
-    bit-identically.
     """
     codes = np.ascontiguousarray(codes, dtype=np.int64)
     if codes.ndim != 1:
@@ -242,36 +232,8 @@ def evaluate_batch(
                 f"location {bad} outside track of {domains} domains"
             )
     if ports == 1 or policy is PortPolicy.STATIC:
-        # The anchored path is already a single masked diff — a compiled
-        # alternative has nothing left to fuse, so it never delegates.
         return _batch_anchored(dbc, slot, num_dbcs, domains, ports, warm_start)
-    population = _population_scorer(backend)
-    if population is not None:
-        return population(
-            dbc, slot, num_dbcs=num_dbcs, domains=domains, ports=ports,
-            warm_start=warm_start,
-        )
     return _batch_nearest(dbc, slot, num_dbcs, domains, ports, warm_start)
-
-
-def _population_scorer(backend: object):
-    """The selected backend's population kernel, if it offers one.
-
-    ``backend=None`` resolves the ambient ``REPRO_BACKEND`` selection
-    (``auto`` included) — an unset/empty variable short-circuits to the
-    default vectorized paths without touching the registry. Backends
-    exposing a callable ``population_nearest`` (the numba backend)
-    return that hook; everything else returns ``None`` and the caller
-    keeps the flattened-sort scan.
-    """
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND")
-        if not backend:
-            return None
-    from repro.engine import get_backend
-
-    hook = getattr(get_backend(backend), "population_nearest", None)
-    return hook if callable(hook) else None
 
 
 def _batch_anchored(

@@ -30,12 +30,12 @@ Determinism contract
 
 Fault draws are keyed by a counter-based RNG (splitmix64) on the
 **absolute access index** ``access_base + i`` — not on any generator
-state. Every backend (reference scalar loop, numpy scan, interpreted or
-JIT numba kernel) consumes the same precomputed per-access draw array
-from :meth:`FaultModel.pending`, and a :class:`~repro.engine.cursor
-.ShiftCursor` passes the running access count as ``access_base`` per
-chunk, so faulted replay is bit-identical across backends *and* across
-any chunking of the trace. See ``docs/faults.md``.
+state. Every backend (reference scalar loop, numpy scan) consumes the
+same precomputed per-access draw array from :meth:`FaultModel.pending`,
+and a :class:`~repro.engine.cursor.ShiftCursor` passes the running
+access count as ``access_base`` per chunk, so faulted replay is
+bit-identical across backends *and* across any chunking of the trace.
+See ``docs/faults.md``.
 
 A null model (effective rate 0 everywhere) is normalized away at
 request construction: ``fault_rate=0`` runs the exact clean code path

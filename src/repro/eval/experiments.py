@@ -70,6 +70,17 @@ MATRIX_POLICIES: dict[str, tuple[str, ...]] = {
 }
 
 
+def matrix_policies(experiment_id: str) -> tuple[str, ...]:
+    """The policy list of a matrix experiment; raises for any other id."""
+    try:
+        return MATRIX_POLICIES[experiment_id]
+    except KeyError:
+        raise ExperimentError(
+            f"{experiment_id!r} is not a matrix experiment; "
+            f"choose from {sorted(MATRIX_POLICIES)}"
+        ) from None
+
+
 def populate_matrix(
     experiment_id: str,
     profile: EvalProfile = QUICK_PROFILE,
@@ -83,14 +94,8 @@ def populate_matrix(
     union — merged stores, or one shared store — lets the plain
     ``experiment_fig4`` regenerate its report with zero simulation.
     """
-    try:
-        names = MATRIX_POLICIES[experiment_id]
-    except KeyError:
-        raise ExperimentError(
-            f"{experiment_id!r} is not a matrix experiment; "
-            f"choose from {sorted(MATRIX_POLICIES)}"
-        ) from None
-    run_matrix(names, profile, shard=shard, store=store)
+    run_matrix(matrix_policies(experiment_id), profile, shard=shard,
+               store=store)
     return last_matrix_stats()
 
 
@@ -110,14 +115,8 @@ def enqueue_matrix(
     cells are skipped — queue rows and stored cells share one content
     namespace.
     """
-    try:
-        names = MATRIX_POLICIES[experiment_id]
-    except KeyError:
-        raise ExperimentError(
-            f"{experiment_id!r} is not a matrix experiment; "
-            f"choose from {sorted(MATRIX_POLICIES)}"
-        ) from None
-    run_matrix(names, profile, store=store, enqueue=True)
+    run_matrix(matrix_policies(experiment_id), profile, store=store,
+               enqueue=True)
     return last_matrix_stats()
 
 

@@ -6,11 +6,11 @@ reports — the quantity Figs. 4-6 aggregate.
 
 The full matrix is embarrassingly parallel and the runner exploits that:
 
-* cells are dispatched to a ``concurrent.futures`` process pool
-  (``workers > 1``), each worker rebuilding its policies from picklable
-  *specs* (policy closures do not pickle) and every cell receiving the
-  same deterministic RNG seed it would get serially — ``workers=1`` and
-  ``workers=N`` are bit-identical; with ``shared_traces`` on
+* every cell is one :class:`CellRecipe` — policy spec, geometry,
+  per-cell seed, backend name, fault model — which the serial loop, the
+  process pool (``workers > 1``) and queue workers all compute the same
+  way, so ``workers=1`` and ``workers=N`` are bit-identical. Pool
+  workers receive the resolved programs once; with ``shared_traces`` on
   (``--shared-traces`` / ``REPRO_SHARED_TRACES``) the compiled traces
   are published once through a zero-copy shared-memory arena
   (:class:`~repro.engine.compile.SharedTraceArena`) instead of pickled
@@ -43,11 +43,11 @@ import os
 import time
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.core.cost import shift_cost
 from repro.core.policies import Policy, get_policy
-from repro.engine import FaultModel
+from repro.engine import FaultModel, resolve_backend_name
 from repro.errors import ExperimentError, SimulationError
 from repro.eval.profiles import EvalProfile, QUICK_PROFILE
 from repro.rtm.geometry import RTMConfig, iso_capacity_sweep
@@ -56,6 +56,7 @@ from repro.rtm.sim import simulate
 from repro.rtm.timing import params_for
 from repro.trace.generators.offsetstone import BenchmarkProgram
 from repro.util.rng import ensure_rng, spawn_seeds
+from repro.workloads import WorkloadContext, update_program_digest
 
 #: A picklable policy recipe: ``(name, constructor kwargs)``.
 PolicySpec = tuple[str, dict]
@@ -310,6 +311,117 @@ def load_suite(profile: EvalProfile) -> list[BenchmarkProgram]:
     )
 
 
+# -- cell recipes -------------------------------------------------------------
+
+#: Geometry fields a cell key and a queue payload carry, in key order.
+_GEOMETRY = ("dbcs", "tracks_per_dbc", "domains_per_track",
+             "ports_per_track", "banks", "subarrays")
+
+
+@dataclass(frozen=True)
+class CellRecipe:
+    """Everything one cell's result depends on besides its program.
+
+    A cell is a pure function of its program and its recipe, and the
+    serial loop, the process pool and queue workers all compute it
+    through :meth:`compute`. :meth:`key` is the content digest the
+    in-memory cache, the store and the work queue address the cell by;
+    :meth:`to_json`/:meth:`from_json` are the queue payload a remote
+    worker rebuilds the recipe from.
+
+    ``backend`` is a registered backend *name*. ``workload``/``context``
+    name the registry workload the program resolves from; they are
+    ``None`` for explicit program objects, which only a local run can
+    compute.
+    """
+
+    policy: PolicySpec
+    config: RTMConfig
+    seed: int
+    backend: str | None = None
+    fault: FaultModel | None = None
+    scrub_interval: int | None = None
+    workload: str | None = None
+    context: WorkloadContext | None = None
+
+    def build_policy(self) -> Policy:
+        """The policy, built from its spec (policy closures do not pickle)."""
+        name, options = self.policy
+        return get_policy(name, **options)
+
+    def key(self, program: BenchmarkProgram) -> str:
+        """Content digest identifying this recipe's cell of ``program``.
+
+        Deterministic policies ignore their RNG stream, so their key
+        omits the seed — cells recur across differently shaped matrices
+        (each figure runs its own policy subset, which reshuffles seed
+        assignment) and still hit the cache.
+
+        The program side of the key is the resolved workload itself: the
+        program name (for registry workloads, the canonical spec string)
+        and the content fingerprints of its traces. External-trace and
+        transformed workloads therefore shard, resume and regenerate
+        through the store exactly like the built-in suite — and a
+        changed trace file changes the key.
+        """
+        h = hashlib.sha256()
+        update_program_digest(h, program)
+        h.update(json.dumps(list(self.policy), sort_keys=True).encode())
+        h.update(json.dumps(
+            [getattr(self.config, f) for f in _GEOMETRY]
+        ).encode())
+        if not self.build_policy().deterministic:
+            h.update(str(self.seed).encode())
+        if self.backend is not None:
+            h.update(self.backend.encode())
+        if self.fault is not None:
+            # Hashed only when a fault model is *active*, so every clean
+            # cell keeps its historical key (existing stores stay warm) and
+            # faulted/clean cells coexist under distinct keys in one store.
+            h.update(json.dumps(
+                ["fault", self.fault.key_payload(), self.scrub_interval]
+            ).encode())
+        return h.hexdigest()
+
+    def to_json(self) -> dict:
+        """The queue payload; stable under ``json.dumps(sort_keys=True)``."""
+        name, options = self.policy
+        return {
+            "workload": self.workload,
+            "context": asdict(self.context),
+            "policy": [name, dict(options)],
+            "config": {f: getattr(self.config, f) for f in _GEOMETRY},
+            "seed": self.seed,
+            "backend": self.backend,
+            "fault": asdict(self.fault) if self.fault is not None else None,
+            "scrub_interval": self.scrub_interval,
+        }
+
+    @classmethod
+    def from_json(cls, job: dict) -> CellRecipe:
+        """Rebuild a recipe from its queue payload."""
+        name, options = job["policy"]
+        fault = job.get("fault")
+        return cls(
+            policy=(name, options),
+            config=RTMConfig(**job["config"]),
+            seed=job["seed"],
+            backend=job.get("backend"),
+            fault=FaultModel(**fault) if fault else None,
+            scrub_interval=job.get("scrub_interval"),
+            workload=job["workload"],
+            context=WorkloadContext(**job["context"]),
+        )
+
+    def compute(self, program: BenchmarkProgram) -> CellResult:
+        """Place and simulate ``program`` under this recipe."""
+        return run_policy_on_program(
+            program, self.build_policy(), self.config, rng=self.seed,
+            backend=self.backend, fault=self.fault,
+            scrub_interval=self.scrub_interval,
+        )
+
+
 # -- content-keyed result cache ---------------------------------------------
 
 _CELL_CACHE: dict[str, CellResult] = {}
@@ -320,62 +432,11 @@ def clear_cell_cache() -> None:
     _CELL_CACHE.clear()
 
 
-def _cell_key(
-    program: BenchmarkProgram,
-    spec: PolicySpec,
-    config: RTMConfig,
-    seed: int,
-    deterministic: bool,
-    backend: object,
-    fault: FaultModel | None = None,
-    scrub_interval: int | None = None,
-) -> str:
-    """Content digest identifying one cell's inputs.
-
-    Deterministic policies ignore their RNG stream, so their key omits
-    the seed — cells recur across differently shaped matrices (each
-    figure runs its own policy subset, which reshuffles seed assignment)
-    and still hit the cache.
-
-    The program side of the key is the resolved workload itself: the
-    program name (for registry workloads, the canonical spec string) and
-    the content fingerprints of its traces. External-trace and
-    transformed workloads therefore shard, resume and regenerate through
-    the store exactly like the built-in suite — and a changed trace file
-    changes the key.
-    """
-    from repro.workloads import update_program_digest
-
-    h = hashlib.sha256()
-    update_program_digest(h, program)
-    name, options = spec
-    h.update(json.dumps([name, options], sort_keys=True).encode())
-    h.update(
-        json.dumps([config.dbcs, config.tracks_per_dbc,
-                    config.domains_per_track, config.ports_per_track,
-                    config.banks, config.subarrays]).encode()
-    )
-    if not deterministic:
-        h.update(str(seed).encode())
-    if backend is not None:
-        h.update(str(backend).encode())
-    if fault is not None:
-        # Hashed only when a fault model is *active*, so every clean
-        # cell keeps its historical key (existing stores stay warm) and
-        # faulted/clean cells coexist under distinct keys in one store.
-        h.update(
-            json.dumps(
-                ["fault", fault.key_payload(), scrub_interval]
-            ).encode()
-        )
-    return h.hexdigest()
-
-
 # -- process-pool plumbing ---------------------------------------------------
 
 #: Per-worker state installed by the pool initializer: the programs
-#: (pickled once, or rehydrated zero-copy from a shared-memory arena),
-#: the configs and the policies rebuilt from their specs.
+#: (pickled once, or rehydrated zero-copy from a shared-memory arena)
+#: and the arena whose mapping keeps those views alive.
 _WORKER: dict = {}
 
 
@@ -400,15 +461,7 @@ def _reset_worker_state() -> None:
     clear_compile_caches()
 
 
-def _init_worker(
-    programs: Sequence[BenchmarkProgram],
-    specs: Sequence[PolicySpec],
-    configs: Sequence[RTMConfig],
-    backend: object,
-    arena_spec=None,
-    fault: FaultModel | None = None,
-    scrub_interval: int | None = None,
-) -> None:
+def _init_worker(programs: Sequence[BenchmarkProgram], arena_spec=None) -> None:
     _reset_worker_state()
     if arena_spec is not None:
         from repro.engine.compile import SharedTraceArena
@@ -417,24 +470,11 @@ def _init_worker(
         _WORKER["arena"] = arena  # keeps the mapping alive with the views
         programs = arena.programs()
     _WORKER["programs"] = list(programs)
-    _WORKER["policies"] = [get_policy(n, **kw) for n, kw in specs]
-    _WORKER["configs"] = list(configs)
-    _WORKER["backend"] = backend
-    _WORKER["fault"] = fault
-    _WORKER["scrub_interval"] = scrub_interval
 
 
-def _run_cell_job(job: tuple[int, int, int, int]) -> CellResult:
-    program_i, config_i, policy_i, seed = job
-    return run_policy_on_program(
-        _WORKER["programs"][program_i],
-        _WORKER["policies"][policy_i],
-        _WORKER["configs"][config_i],
-        rng=seed,
-        backend=_WORKER["backend"],
-        fault=_WORKER.get("fault"),
-        scrub_interval=_WORKER.get("scrub_interval"),
-    )
+def _run_cell_job(job: tuple[int, CellRecipe]) -> CellResult:
+    program_i, recipe = job
+    return recipe.compute(_WORKER["programs"][program_i])
 
 
 def _resolve_workers(workers: int) -> int:
@@ -460,20 +500,29 @@ def _resolve_store(store, profile: EvalProfile):
     return store, False
 
 
-def _run_manifest(
-    profile: EvalProfile,
-    policy_names: Sequence[str],
-    backend: object,
-    workers: int,
-    shard: tuple[int, int] | None,
-    cells_total: int,
-) -> dict:
-    """Provenance recorded alongside every store-backed run."""
+def provenance() -> dict:
+    """Package, store-schema and Python versions for a run manifest."""
     import platform
 
     from repro import __version__
     from repro.store import SCHEMA_VERSION
 
+    return {
+        "package_version": __version__,
+        "schema_version": SCHEMA_VERSION,
+        "python": platform.python_version(),
+    }
+
+
+def _run_manifest(
+    profile: EvalProfile,
+    policy_names: Sequence[str],
+    backend: str | None,
+    workers: int,
+    shard: tuple[int, int] | None,
+    cells_total: int,
+) -> dict:
+    """Provenance recorded alongside every store-backed run."""
     return {
         "profile": {
             "name": profile.name,
@@ -494,9 +543,7 @@ def _run_manifest(
         "workers": workers,
         "shard": f"{shard[0]}/{shard[1]}" if shard else None,
         "cells_total": cells_total,
-        "package_version": __version__,
-        "schema_version": SCHEMA_VERSION,
-        "python": platform.python_version(),
+        **provenance(),
     }
 
 
@@ -520,7 +567,8 @@ def run_matrix(
     independent deterministic RNG stream derived from the profile seed, so
     sub-matrices reproduce the full matrix's cells exactly and the worker
     count never changes any number. ``workers``/``backend`` default to the
-    profile's settings (``workers=0`` means one per core); ``use_cache``
+    profile's settings (``workers=0`` means one per core; a backend
+    instance is keyed and shipped by its registered name); ``use_cache``
     consults and fills the process-wide content-keyed cell cache.
 
     ``store`` (an :class:`repro.store.ExperimentStore`, a path, or the
@@ -540,15 +588,14 @@ def run_matrix(
 
     ``enqueue=True`` *submits* instead of simulating: every cell missing
     from both cache layers becomes an open row in the store's work queue
-    (:mod:`repro.store.queue`) carrying the full recompute recipe —
-    workload spec, policy spec, configuration, per-cell seed, backend,
-    fault model — under the same content key the cell will be stored
-    with, priced by the workload's access count so claims hand out
-    expensive cells first. Warm cells are returned as usual, so the
-    result dict is the already-available slice of the matrix. Requires a
-    store and profile-resolved workloads (``programs`` must be left
-    ``None``: an explicit program object carries no registry spec a
-    remote worker could resolve).
+    (:mod:`repro.store.queue`) carrying its :class:`CellRecipe` payload
+    under the same content key the cell will be stored with, priced by
+    the workload's access count so claims hand out expensive cells
+    first. Warm cells are returned as usual, so the result dict is the
+    already-available slice of the matrix. Requires a store and
+    profile-resolved workloads (``programs`` must be left ``None``: an
+    explicit program object carries no registry spec a remote worker
+    could resolve).
 
     ``shared_traces`` (default: the profile's flag) publishes the
     compiled traces to pool workers through one zero-copy shared-memory
@@ -567,21 +614,15 @@ def run_matrix(
     programs = list(programs) if programs is not None else load_suite(profile)
     configs = list(configs) if configs is not None else iso_capacity_sweep()
     specs = policy_specs(policy_names, profile)
-    policies = build_policies(policy_names, profile)
     if workers is None:
         workers = profile.workers
     if backend is None:
         backend = profile.engine_backend
-    if isinstance(backend, str):
-        # Resolve aliases ("auto") to one concrete backend name *here*,
-        # in the parent: the name is hashed into every cell key and
-        # shipped verbatim to the pool initializer, so workers can never
-        # calibrate to a different backend than the one the parent keyed
-        # the cells with. Unknown/uninstalled names fail fast with the
-        # pointed install hint instead of deep inside a worker.
-        from repro.engine import resolve_backend_name
-
-        backend = resolve_backend_name(backend)
+    if backend is not None:
+        try:
+            backend = resolve_backend_name(backend)
+        except SimulationError as exc:
+            raise ExperimentError(str(exc)) from None
     if offline is None:
         offline = profile.offline
     if shared_traces is None:
@@ -625,28 +666,31 @@ def run_matrix(
                 "explicit program object carries no registry spec a "
                 "remote worker could resolve"
             )
+    if programs_explicit:
+        workloads, context = [None] * len(programs), None
+    else:
+        workloads = profile.workload_specs
+        context = WorkloadContext.from_profile(profile)
     stats = MatrixStats(shard=shard)
-    master = ensure_rng(profile.seed)
-    seeds = spawn_seeds(master, len(programs) * len(configs) * len(policies))
+    seeds = iter(spawn_seeds(ensure_rng(profile.seed),
+                             len(programs) * len(configs) * len(specs)))
     results: dict[tuple[str, str, int], CellResult] = {}
-    pending: list[tuple[tuple[str, str, int], tuple[int, int, int, int], str]] = []
+    pending: list[tuple[tuple[str, str, int], str, int, CellRecipe]] = []
     store_hit_keys: list[str] = []
     try:
-        i = 0
         for pi, program in enumerate(programs):
-            for ci, config in enumerate(configs):
-                for li, policy in enumerate(policies):
-                    key = _cell_key(program, specs[li], config, seeds[i],
-                                    policy.deterministic, backend,
-                                    fault=fault,
-                                    scrub_interval=scrub_interval)
-                    job = (pi, ci, li, seeds[i])
-                    i += 1
+            for config in configs:
+                for spec in specs:
+                    recipe = CellRecipe(
+                        spec, config, next(seeds), backend, fault,
+                        scrub_interval, workloads[pi], context,
+                    )
+                    key = recipe.key(program)
                     if not _in_shard(key, shard):
                         stats.sharded_out += 1
                         continue
                     stats.cells_total += 1
-                    result_key = (program.name, policy.name, config.dbcs)
+                    result_key = (program.name, spec[0], config.dbcs)
                     cached = _CELL_CACHE.get(key) if use_cache else None
                     if cached is not None:
                         results[result_key] = cached
@@ -661,7 +705,7 @@ def run_matrix(
                             if use_cache:
                                 _CELL_CACHE[key] = stored
                             continue
-                    pending.append((result_key, job, key))
+                    pending.append((result_key, key, pi, recipe))
         if store_hit_keys:
             # Credit store hits computed by queue workers: the queue and
             # the cell cache share the content-key namespace, so a done
@@ -672,24 +716,24 @@ def run_matrix(
                 WorkQueue(store_obj).done_among(store_hit_keys)
             )
         if pending and offline:
-            missing = sorted({rk for rk, _, _ in pending})
+            missing = sorted({entry[0] for entry in pending})
             raise ExperimentError(
                 f"offline run: {len(pending)} cell(s) missing from the "
                 f"store (first: {missing[0]}); run without --from-store "
                 f"to compute them"
             )
-        if pending and enqueue:
-            _enqueue_pending(
-                pending, programs, specs, configs, backend, store_obj,
-                stats, policy_names, profile, shard,
-                fault=fault, scrub_interval=scrub_interval,
+        manifest = None
+        if pending and store_obj is not None:
+            manifest = _run_manifest(
+                profile, policy_names, backend, 0 if enqueue else workers,
+                shard, stats.cells_total,
             )
+        if pending and enqueue:
+            _enqueue_pending(pending, programs, store_obj, stats, manifest)
         elif pending:
             _compute_pending(
-                pending, programs, policies, specs, configs, backend,
-                workers, use_cache, store_obj, stats, results,
-                policy_names, profile, shard, shared_traces,
-                fault=fault, scrub_interval=scrub_interval,
+                pending, programs, workers, shared_traces, use_cache,
+                store_obj, stats, results, manifest,
             )
     finally:
         _LAST_STATS = stats
@@ -699,18 +743,14 @@ def run_matrix(
     return results
 
 
-def _enqueue_pending(
-    pending, programs, specs, configs, backend, store_obj, stats,
-    policy_names, profile, shard, fault=None, scrub_interval=None,
-) -> None:
+def _enqueue_pending(pending, programs, store_obj, stats, manifest) -> None:
     """Submit the cache-missing cells to the store's work queue.
 
-    Each queue row carries everything a remote worker needs to rebuild
-    the cell from scratch: the *workload spec* (not the resolved
-    program — resolution is deterministic under the profile context, so
-    the worker re-derives bit-identical traces), the picklable policy
-    spec, the configuration's six geometry fields, the per-cell seed the
-    serial runner would have used, the resolved backend name and the
+    Each queue row carries its cell's :class:`CellRecipe` payload: the
+    *workload spec* (not the resolved program — resolution is
+    deterministic under the profile context, so the worker re-derives
+    bit-identical traces), the policy spec, the geometry, the per-cell
+    seed the serial runner would have used, the backend name and the
     fault model. The queue key is the cell's content digest, so workers
     can re-derive the key from the recipe and assert it matches —
     serialization drift surfaces as a hard error, never as a
@@ -720,52 +760,17 @@ def _enqueue_pending(
     """
     from repro.store.queue import QueueJob, WorkQueue
 
-    workload_specs = list(profile.workload_specs)
     started = time.perf_counter()
-    manifest = _run_manifest(
-        profile, policy_names, backend, 0, shard, stats.cells_total
-    )
     manifest["mode"] = "enqueue"
     run_id = store_obj.begin_run(manifest)
     stats.run_id = run_id
-    jobs = []
-    for result_key, (pi, ci, li, seed), key in pending:
-        benchmark, policy_name, dbcs = result_key
-        config = configs[ci]
-        name, options = specs[li]
-        payload = {
-            "workload": workload_specs[pi],
-            "context": {
-                "scale": profile.suite_scale,
-                "seed": profile.seed,
-                "write_ratio": profile.write_ratio,
-            },
-            "policy": [name, dict(options)],
-            "config": {
-                "dbcs": config.dbcs,
-                "tracks_per_dbc": config.tracks_per_dbc,
-                "domains_per_track": config.domains_per_track,
-                "ports_per_track": config.ports_per_track,
-                "banks": config.banks,
-                "subarrays": config.subarrays,
-            },
-            "seed": seed,
-            "backend": str(backend) if backend is not None else None,
-            "fault": (
-                {
-                    "rate": fault.rate,
-                    "seed": fault.seed,
-                    "dbc_skew": (list(fault.dbc_skew)
-                                 if fault.dbc_skew is not None else None),
-                }
-                if fault is not None else None
-            ),
-            "scrub_interval": scrub_interval,
-        }
-        jobs.append(QueueJob(
-            key=key, benchmark=benchmark, policy=policy_name, dbcs=dbcs,
-            job=payload, cost_hint=programs[pi].total_accesses,
-        ))
+    jobs = [
+        QueueJob(
+            key=key, benchmark=benchmark, policy=policy, dbcs=dbcs,
+            job=recipe.to_json(), cost_hint=programs[pi].total_accesses,
+        )
+        for (benchmark, policy, dbcs), key, pi, recipe in pending
+    ]
     counts = WorkQueue(store_obj).submit(jobs)
     stats.enqueued = len(jobs)
     store_obj.finish_run(
@@ -786,9 +791,8 @@ def _enqueue_pending(
 
 
 def _compute_pending(
-    pending, programs, policies, specs, configs, backend, workers,
-    use_cache, store_obj, stats, results, policy_names, profile, shard,
-    shared_traces=False, fault=None, scrub_interval=None,
+    pending, programs, workers, shared_traces, use_cache, store_obj, stats,
+    results, manifest,
 ) -> None:
     """Compute the cache-missing cells, persisting each as it lands.
 
@@ -800,14 +804,11 @@ def _compute_pending(
     run_id = None
     started = time.perf_counter()
     if store_obj is not None:
-        run_id = store_obj.begin_run(_run_manifest(
-            profile, policy_names, backend, workers, shard,
-            stats.cells_total,
-        ))
+        run_id = store_obj.begin_run(manifest)
         stats.run_id = run_id
 
     def commit(entry, cell: CellResult) -> None:
-        result_key, _job, key = entry
+        result_key, key, _pi, _recipe = entry
         results[result_key] = cell
         stats.computed += 1
         if use_cache:
@@ -818,23 +819,17 @@ def _compute_pending(
     status = "failed"
     arena = None
     try:
-        jobs = [job for _, job, _ in pending]
         if workers > 1 and len(pending) > 1:
             if shared_traces:
                 from repro.engine.compile import try_create_arena
 
                 arena = try_create_arena(programs)
-            if arena is not None:
-                # Workers rebuild the suite from zero-copy shm views;
-                # only skeletons (names, variables) travel by pickle.
-                initargs = ((), specs, configs, backend, arena.spec,
-                            fault, scrub_interval)
-            else:
-                initargs = (programs, specs, configs, backend, None,
-                            fault, scrub_interval)
-            pool_size = min(workers, len(pending))
+            # With an arena, workers rebuild the suite from zero-copy shm
+            # views; only skeletons (names, variables) travel by pickle.
+            initargs = (programs, None) if arena is None else ((), arena.spec)
+            jobs = [(pi, recipe) for _, _, pi, recipe in pending]
             with ProcessPoolExecutor(
-                max_workers=pool_size,
+                max_workers=min(workers, len(pending)),
                 initializer=_init_worker,
                 initargs=initargs,
             ) as pool:
@@ -842,13 +837,8 @@ def _compute_pending(
                     commit(entry, cell)
         else:
             for entry in pending:
-                pi, ci, li, seed = entry[1]
-                cell = run_policy_on_program(
-                    programs[pi], policies[li], configs[ci],
-                    rng=seed, backend=backend,
-                    fault=fault, scrub_interval=scrub_interval,
-                )
-                commit(entry, cell)
+                _, _, pi, recipe = entry
+                commit(entry, recipe.compute(programs[pi]))
         status = "complete"
     finally:
         if arena is not None:

@@ -1,19 +1,17 @@
 """Distributed queue service: the ``repro-worker`` / ``repro-serve`` pair.
 
 The repo's first multi-process layer. The store's work queue
-(:mod:`repro.store.queue`) holds *recipes* — workload spec, policy spec,
-geometry, per-cell seed, backend, fault model — keyed by the same
+(:mod:`repro.store.queue`) holds cell *recipes*
+(:class:`~repro.eval.runner.CellRecipe` payloads) keyed by the same
 content digest that keys stored cells, and this module supplies the two
 long-lived processes that turn recipes into cells:
 
 * :func:`worker_loop` (``repro-worker``) — claim a batch, recompute each
-  cell through the ordinary evaluation stack
-  (:func:`~repro.eval.runner.run_policy_on_program` with the same policy
-  hooks, engine backends and fault plumbing a local ``run_matrix``
-  uses), commit the result to the store, mark the claim done. A
-  heartbeat thread renews the worker's leases from its own store
-  connection, so a stuck *computation* keeps its claim while a dead
-  *process* silently forfeits it.
+  cell through :meth:`~repro.eval.runner.CellRecipe.compute`, exactly
+  as a local ``run_matrix`` does, commit the result to the store, mark
+  the claim done. A heartbeat thread renews the worker's leases from
+  its own store connection, so a stuck *computation* keeps its claim
+  while a dead *process* silently forfeits it.
 * :func:`serve_loop` (``repro-serve``) — submit matrix experiments to
   the queue, then watch it: requeue expired leases eagerly, log queue
   depth, and regenerate each experiment's report from the store (the
@@ -42,8 +40,7 @@ from dataclasses import replace
 
 from repro.errors import ExperimentError
 from repro.eval.profiles import EvalProfile, profile_from_env
-from repro.eval.runner import CellResult, _cell_key, run_policy_on_program
-from repro.rtm.geometry import RTMConfig
+from repro.eval.runner import CellRecipe, CellResult, provenance
 from repro.store import ExperimentStore
 from repro.store.queue import DEFAULT_LEASE_S, WorkQueue
 
@@ -54,64 +51,33 @@ logger = logging.getLogger(__name__)
 _WORKLOAD_CACHE: dict[tuple, object] = {}
 
 
-def _job_workload(job: dict):
-    from repro.workloads import WorkloadContext, resolve_workload
+def compute_job(job: dict, expected_key: str | None = None) -> CellResult:
+    """Recompute one queue payload into its cell result.
 
-    ctx = job["context"]
-    cache_key = (job["workload"], ctx["scale"], ctx["seed"],
-                 ctx["write_ratio"])
+    Rebuilds the exact :class:`~repro.eval.runner.CellRecipe` the
+    enqueuing ``run_matrix`` enumerated — resolution is deterministic,
+    so the traces, the policy and the seed are bit-identical — and, when
+    ``expected_key`` is given, re-derives the content digest and raises
+    :class:`~repro.errors.ExperimentError` on mismatch rather than ever
+    committing under a drifted key.
+    """
+    from repro.workloads import resolve_workload
+
+    recipe = CellRecipe.from_json(job)
+    cache_key = (recipe.workload, recipe.context)
     program = _WORKLOAD_CACHE.get(cache_key)
     if program is None:
-        program = resolve_workload(
-            job["workload"],
-            WorkloadContext(scale=ctx["scale"], seed=ctx["seed"],
-                            write_ratio=ctx["write_ratio"]),
-        )
+        program = resolve_workload(recipe.workload, recipe.context)
         _WORKLOAD_CACHE[cache_key] = program
-    return program
-
-
-def compute_job(job: dict, expected_key: str | None = None) -> CellResult:
-    """Recompute one queue recipe into its cell result.
-
-    Rebuilds the exact inputs the enqueuing ``run_matrix`` enumerated —
-    resolution is deterministic, so the traces, the policy and the seed
-    are bit-identical — and, when ``expected_key`` is given, re-derives
-    the content digest and raises :class:`~repro.errors.ExperimentError`
-    on mismatch rather than ever committing under a drifted key.
-    """
-    from repro.core.policies import get_policy
-    from repro.engine import FaultModel
-
-    program = _job_workload(job)
-    name, options = job["policy"]
-    policy = get_policy(name, **options)
-    config = RTMConfig(**job["config"])
-    fault = None
-    if job.get("fault") is not None:
-        f = job["fault"]
-        fault = FaultModel(
-            rate=f["rate"], seed=f["seed"],
-            dbc_skew=tuple(f["dbc_skew"]) if f.get("dbc_skew") else None,
-        )
-    backend = job.get("backend")
-    scrub_interval = job.get("scrub_interval")
-    seed = job["seed"]
     if expected_key is not None:
-        derived = _cell_key(
-            program, (name, options), config, seed, policy.deterministic,
-            backend, fault=fault, scrub_interval=scrub_interval,
-        )
+        derived = recipe.key(program)
         if derived != expected_key:
             raise ExperimentError(
                 f"job recipe re-keys to {derived[:12]}..., but was "
                 f"claimed as {expected_key[:12]}...: recipe/key "
                 f"serialization drift — refusing to commit"
             )
-    return run_policy_on_program(
-        program, policy, config, rng=seed, backend=backend,
-        fault=fault, scrub_interval=scrub_interval,
-    )
+    return recipe.compute(program)
 
 
 def default_owner() -> str:
@@ -179,20 +145,13 @@ def worker_loop(
     queue = WorkQueue(store)
     computed = failed = 0
     started = time.perf_counter()
-    import platform
-
-    from repro import __version__
-    from repro.store import SCHEMA_VERSION
-
     run_id = store.begin_run({
         "mode": "worker",
         "owner": owner,
         "store": str(store_path),
         "batch": batch,
         "lease_s": lease_s,
-        "package_version": __version__,
-        "schema_version": SCHEMA_VERSION,
-        "python": platform.python_version(),
+        **provenance(),
     })
     hb = _Heartbeat(store_path, owner, lease_s) if heartbeat else None
     if hb is not None:
@@ -258,11 +217,7 @@ def worker_loop(
 def _experiment_fn(experiment_id: str):
     from repro.eval import experiments as exp
 
-    if experiment_id not in exp.MATRIX_POLICIES:
-        raise ExperimentError(
-            f"{experiment_id!r} is not a matrix experiment; "
-            f"choose from {sorted(exp.MATRIX_POLICIES)}"
-        )
+    exp.matrix_policies(experiment_id)  # rejects non-matrix experiments
     return getattr(exp, f"experiment_{experiment_id}")
 
 

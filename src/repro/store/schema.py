@@ -3,8 +3,8 @@
 Four tables carry everything:
 
 * ``cells`` — one row per computed matrix cell, keyed by the runner's
-  content digest (:func:`repro.eval.runner._cell_key`). The payload is
-  the JSON serialization of the :class:`~repro.eval.runner.CellResult`
+  content digest (:meth:`repro.eval.runner.CellRecipe.key`). The payload
+  is the JSON serialization of the :class:`~repro.eval.runner.CellResult`
   (see :mod:`repro.store.serde`); benchmark/policy/dbcs are denormalized
   for listing and GC without deserializing payloads.
 * ``runs`` — one row per ``run_matrix`` invocation that touched the
@@ -19,8 +19,9 @@ Four tables carry everything:
   ``lease_expiry`` implement heartbeat leases (a claim whose lease
   expires becomes claimable again — crashed workers lose their cells,
   never the queue); ``attempts``/``max_attempts`` bound retries and
-  quarantine repeat offenders as ``failed``; ``job`` is the JSON recipe
-  a worker needs to recompute the cell from scratch; ``cost_hint``
+  quarantine repeat offenders as ``failed``; ``job`` is the cell's
+  :class:`~repro.eval.runner.CellRecipe` payload, from which a worker
+  recomputes the cell from scratch; ``cost_hint``
   (resolved trace accesses) lets claims hand out expensive cells first.
 * ``queue_errors`` — the persisted error log: one row per failed
   attempt, so quarantined cells keep their full failure history even

@@ -137,8 +137,8 @@ def update_program_digest(h, program: BenchmarkProgram) -> None:
 
     This is the one definition of "the resolved workload's content":
     both :func:`workload_fingerprint` and the matrix runner's cell keys
-    (``repro.eval.runner._cell_key``) build on it, so they can never
-    drift apart.
+    (:meth:`repro.eval.runner.CellRecipe.key`) build on it, so they can
+    never drift apart.
     """
     from repro.engine import trace_fingerprint
 

@@ -4,17 +4,14 @@ Every registered backend must produce bit-identical ``ShiftResult``s to
 the per-access reference backend — counters *and* final state — over a
 randomized matrix of traces, port counts, warm/cold starts and
 :class:`ShiftCursor` chunk sizes. The parametrization iterates
-``available_backends()`` plus the known optional backends, so a newly
-registered backend inherits the whole matrix for free and an
-uninstalled optional backend shows up as an explicit skip with its
-install hint, not as silent non-coverage.
+``available_backends()``, so a newly registered backend inherits the
+whole matrix for free.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine import (
-    OPTIONAL_BACKEND_EXTRAS,
     FaultModel,
     PortPolicy,
     ShiftCursor,
@@ -23,10 +20,6 @@ from repro.engine import (
     get_backend,
 )
 from repro.engine.reference import ReferenceBackend
-
-#: Registered backends plus known optional ones — the latter param-skip
-#: with a pointed reason when the extra is not installed.
-ALL_BACKENDS = sorted(set(available_backends()) | set(OPTIONAL_BACKEND_EXTRAS))
 
 PORTS = (1, 2, 4, 8)
 CHUNK_SIZES = (1, 7, 4096)
@@ -50,14 +43,9 @@ def _fault_id(model):
     return f"rate{model.rate:g}{skew}"
 
 
-@pytest.fixture(params=ALL_BACKENDS)
+@pytest.fixture(params=available_backends())
 def backend(request):
-    name = request.param
-    if name not in available_backends():
-        from repro.engine import _install_hint
-
-        pytest.skip(f"backend {name!r} not installed ({_install_hint(name)})")
-    return get_backend(name)
+    return get_backend(request.param)
 
 
 def random_request(seed: int, ports: int, warm_start: bool,

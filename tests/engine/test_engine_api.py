@@ -11,6 +11,7 @@ from repro.engine import (
     clear_compile_caches,
     compile_access_arrays,
     get_backend,
+    resolve_backend_name,
     single_port_warm_total,
     trace_fingerprint,
 )
@@ -21,14 +22,7 @@ from repro.trace.trace import MemoryTrace
 
 class TestBackendRegistry:
     def test_both_backends_registered(self):
-        # The core pair is always present; the optional numba backend is
-        # registered exactly when its import gate passed.
-        from repro.engine.numba_backend import NUMBA_AVAILABLE
-
-        registered = available_backends()
-        assert "numpy" in registered and "reference" in registered
-        assert ("numba" in registered) == NUMBA_AVAILABLE
-        assert set(registered) <= {"numpy", "reference", "numba"}
+        assert available_backends() == ("numpy", "reference")
 
     def test_lookup_by_name(self):
         assert get_backend("numpy").name == "numpy"
@@ -53,6 +47,20 @@ class TestBackendRegistry:
     def test_non_backend_rejected(self):
         with pytest.raises(SimulationError):
             get_backend(42)
+
+    def test_non_callable_run_rejected(self):
+        class Impostor:
+            run = "not callable"
+
+        with pytest.raises(SimulationError, match="non-callable"):
+            get_backend(Impostor())
+
+    def test_registered_names_pass_through(self):
+        assert resolve_backend_name("numpy") == "numpy"
+        assert resolve_backend_name("reference") == "reference"
+        assert resolve_backend_name(get_backend("numpy")) == "numpy"
+        with pytest.raises(SimulationError, match="unknown engine backend"):
+            resolve_backend_name("auto")
 
 
 class TestShiftRequestValidation:

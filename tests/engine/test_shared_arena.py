@@ -233,7 +233,7 @@ class TestWorkerStateReset:
         from repro.eval.runner import _WORKER, _init_worker
 
         first = [make_program("old", seed=9)]
-        _init_worker(first, [("AFD", {})], [], "numpy")
+        _init_worker(first)
         # Populate the compile caches as a worker's cell jobs would.
         from repro.core.policies import get_policy
 
@@ -243,7 +243,7 @@ class TestWorkerStateReset:
         trace_fingerprint(first[0].traces[0])
         assert compile_access_arrays.cache_info().currsize > 0
 
-        _init_worker(suite, [("AFD", {})], [], "numpy")
+        _init_worker(suite)
         assert [p.name for p in _WORKER["programs"]] == ["a", "b"]
         # The previous suite's compiled arrays are gone, not leaked.
         assert compile_access_arrays.cache_info().currsize == 0
@@ -255,12 +255,11 @@ class TestWorkerStateReset:
 
         arena = SharedTraceArena.create(suite)
         try:
-            _init_worker((), [("AFD", {})], [], "numpy",
-                         arena_spec=arena.spec)
+            _init_worker((), arena_spec=arena.spec)
             assert "arena" in _WORKER
             stale = _WORKER["arena"]
             # Next pool's initializer must close the old mapping.
-            _init_worker(suite, [("AFD", {})], [], "numpy")
+            _init_worker(suite)
             assert "arena" not in _WORKER
             assert stale._shm.buf is None or True  # close attempted
         finally:

@@ -1,13 +1,21 @@
 """Unit tests for the experiment matrix runner."""
 
+import json
+import sqlite3
+from contextlib import closing
+from dataclasses import replace
+
 import pytest
 
 from repro.core.policies import get_policy
+from repro.engine import NumpyBackend
 from repro.errors import ExperimentError
 from repro.eval.profiles import EvalProfile
 from repro.eval.runner import (
+    CellRecipe,
     build_policies,
     clear_cell_cache,
+    last_matrix_stats,
     load_suite,
     policy_specs,
     run_matrix,
@@ -90,7 +98,6 @@ class TestBuildPolicies:
         assert [p.name for p in rebuilt] == ["GA", "RW", "DMA-SR"]
 
     def test_search_scale_grows_ga_population_and_rw_budget(self):
-        from dataclasses import replace
         scaled = replace(TINY, search_scale=3.0)
         specs = dict(policy_specs(("GA", "RW", "DMA-SR"), scaled))
         assert specs["GA"]["mu"] == 18
@@ -100,7 +107,6 @@ class TestBuildPolicies:
         assert specs["DMA-SR"] == {}
 
     def test_search_scale_uses_paper_defaults_when_unset(self):
-        from dataclasses import replace
         scaled = replace(TINY, ga_options={}, search_scale=0.5)
         specs = dict(policy_specs(("GA",), scaled))
         assert specs["GA"] == {"mu": 50, "lam": 50}
@@ -208,8 +214,6 @@ class TestFaultedMatrix:
     CONFIGS = iso_capacity_sweep(dbc_counts=(2, 4))
 
     def _faulted(self, **kw):
-        from dataclasses import replace
-
         return replace(TINY, fault_rate=0.05, **kw)
 
     def test_workers_do_not_change_faulted_results(self):
@@ -233,15 +237,55 @@ class TestFaultedMatrix:
             assert vec[key].report == cell.report
 
     def test_invalid_fault_rate_fails_pointedly(self):
-        from dataclasses import replace
-
         with pytest.raises(ExperimentError, match="fault_rate"):
             run_matrix(("DMA-SR",), replace(TINY, fault_rate=2.0),
                        configs=self.CONFIGS, use_cache=False)
 
     def test_scrub_without_fault_fails_pointedly(self):
-        from dataclasses import replace
-
         with pytest.raises(ExperimentError, match="scrub_interval"):
             run_matrix(("DMA-SR",), replace(TINY, scrub_interval=10),
                        configs=self.CONFIGS, use_cache=False)
+
+
+class TestCellRecipe:
+    CONFIGS = iso_capacity_sweep(dbc_counts=(2, 4))
+
+    def test_queue_payloads_round_trip_and_rekey(self, tmp_path):
+        from repro.workloads import resolve_workload
+
+        path = str(tmp_path / "s.db")
+        profile = replace(TINY, fault_rate=0.05, scrub_interval=50)
+        run_matrix(("DMA-SR", "GA"), profile, configs=self.CONFIGS,
+                   store=path, enqueue=True, use_cache=False)
+        with closing(sqlite3.connect(path)) as conn:
+            rows = conn.execute("SELECT key, job FROM queue").fetchall()
+        assert len(rows) == 8
+        for key, text in rows:
+            recipe = CellRecipe.from_json(json.loads(text))
+            assert json.dumps(recipe.to_json(), sort_keys=True) == text
+            program = resolve_workload(recipe.workload, recipe.context)
+            assert recipe.key(program) == key
+
+    def test_backend_instance_keys_cells_by_name(self, tmp_path):
+        """An instance used to key cells by its repr, which embeds a
+        memory address: no store hit ever crossed processes."""
+        path = str(tmp_path / "s.db")
+        clear_cell_cache()
+        run_matrix(("DMA-SR", "GA"), TINY, configs=self.CONFIGS, store=path,
+                   backend=NumpyBackend())
+        clear_cell_cache()
+        run_matrix(("DMA-SR", "GA"), TINY, configs=self.CONFIGS, store=path,
+                   backend="numpy")
+        stats = last_matrix_stats()
+        assert stats.cells_total == stats.hits_store == 8
+
+    def test_unregistered_backend_instance_rejected(self):
+        class Custom:
+            name = "custom"
+
+            def run(self, request):
+                raise AssertionError("never reached")
+
+        with pytest.raises(ExperimentError, match="unknown engine backend"):
+            run_matrix(("DMA-SR",), TINY, configs=self.CONFIGS,
+                       backend=Custom(), use_cache=False)

@@ -10,7 +10,6 @@ stopping the worker loop.
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import time
