@@ -10,7 +10,13 @@ change rather than a semantic one.
 import numpy as np
 import pytest
 
-from repro.engine import ShiftCursor, ShiftRequest, get_backend
+from repro.engine import (
+    ShiftCursor,
+    ShiftRequest,
+    available_backends,
+    get_backend,
+)
+from repro.errors import SimulationError
 
 N = 240
 NUM_DBCS = 4
@@ -118,3 +124,18 @@ class TestCursorApi:
         empty = np.empty(0, dtype=np.int64)
         cursor.replay_chunk(empty, empty)
         assert cursor.accesses == 0 and cursor.shifts == 0
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_accepts_backend_instance(self, backend):
+        instance = get_backend(backend)
+        dbc, slot = random_accesses(seed=29, n=N)
+        cursor = ShiftCursor(NUM_DBCS, DOMAINS, ports=4, backend=instance)
+        for start in range(0, N, 100):
+            cursor.replay_chunk(dbc[start:start + 100],
+                                slot[start:start + 100])
+        assert_same(cursor.result(), monolithic(dbc, slot, instance, 4, True))
+
+    @pytest.mark.parametrize("name", ["auto", "numba"])
+    def test_removed_backend_names_rejected(self, name):
+        with pytest.raises(SimulationError, match="unknown engine backend"):
+            ShiftCursor(NUM_DBCS, DOMAINS, backend=name)

@@ -62,6 +62,34 @@ class TestBackendRegistry:
         with pytest.raises(SimulationError, match="unknown engine backend"):
             resolve_backend_name("auto")
 
+    @pytest.mark.parametrize("name", ["auto", "numba"])
+    def test_removed_names_rejected(self, name):
+        """The compiled tier and its ``auto`` alias are gone: both names
+        are plain unknown backends, by name and through the environment."""
+        with pytest.raises(SimulationError, match="unknown engine backend"):
+            get_backend(name)
+
+    @pytest.mark.parametrize("name", ["auto", "numba"])
+    def test_removed_names_rejected_from_env(self, name, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", name)
+        with pytest.raises(SimulationError, match="unknown engine backend"):
+            get_backend(None)
+
+    def test_resolve_rejects_unregistered_objects(self):
+        class Custom:
+            name = "custom"
+
+            def run(self, request):
+                raise AssertionError("never reached")
+
+        # get_backend accepts any object with a callable run; only a
+        # registered name can key a cell or cross a process boundary.
+        assert get_backend(Custom()).name == "custom"
+        for backend in (Custom(), 42, None):
+            with pytest.raises(SimulationError,
+                               match="unknown engine backend"):
+                resolve_backend_name(backend)
+
 
 class TestShiftRequestValidation:
     def test_mismatched_lengths_rejected(self):

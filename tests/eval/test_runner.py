@@ -1,14 +1,20 @@
 """Unit tests for the experiment matrix runner."""
 
 import json
+import os
 import sqlite3
+import subprocess
+import sys
 from contextlib import closing
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.policies import get_policy
 from repro.engine import NumpyBackend
+from repro.engine.faults import FaultModel
 from repro.errors import ExperimentError
 from repro.eval.profiles import EvalProfile
 from repro.eval.runner import (
@@ -21,8 +27,9 @@ from repro.eval.runner import (
     run_matrix,
     run_policy_on_program,
 )
-from repro.rtm.geometry import iso_capacity_sweep
+from repro.rtm.geometry import RTMConfig, iso_capacity_sweep
 from repro.trace.generators.offsetstone import load_benchmark
+from repro.workloads import WorkloadContext
 
 TINY = EvalProfile(
     name="tiny",
@@ -289,3 +296,149 @@ class TestCellRecipe:
         with pytest.raises(ExperimentError, match="unknown engine backend"):
             run_matrix(("DMA-SR",), TINY, configs=self.CONFIGS,
                        backend=Custom(), use_cache=False)
+
+    # -- the recipe itself ---------------------------------------------------
+
+    GA = ("GA", {"mu": 6, "lam": 6, "generations": 3})
+
+    @pytest.fixture(scope="class")
+    def adpcm(self):
+        return load_benchmark("adpcm", scale=0.12, seed=TINY.seed)
+
+    def recipe(self, **changes):
+        """A faulted, scrubbed GA recipe for the 4-DBC geometry."""
+        base = CellRecipe(
+            self.GA, self.CONFIGS[1], 11, "numpy",
+            FaultModel(rate=0.01, seed=7), 64,
+            "adpcm", WorkloadContext.from_profile(TINY),
+        )
+        return replace(base, **changes)
+
+    def test_recipe_is_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            self.recipe().seed = 12
+
+    @pytest.mark.parametrize("policy,seeded", [
+        (("DMA-SR", {}), False),
+        (GA, True),
+    ], ids=["deterministic", "stochastic"])
+    def test_key_hashes_seed_only_for_stochastic_policies(self, adpcm, policy,
+                                                          seeded):
+        recipe = self.recipe(policy=policy)
+        reseeded = replace(recipe, seed=recipe.seed + 1)
+        assert (recipe.key(adpcm) != reseeded.key(adpcm)) == seeded
+
+    @pytest.mark.parametrize("change", [
+        {"policy": ("GA", {"mu": 8, "lam": 6, "generations": 3})},
+        {"config": RTMConfig(dbcs=4, domains_per_track=64,
+                             ports_per_track=2)},
+        {"seed": 12},
+        {"backend": "reference"},
+        {"backend": None},
+        {"fault": FaultModel(rate=0.02, seed=7)},
+        {"fault": FaultModel(rate=0.01, seed=8)},
+        {"scrub_interval": 32},
+        {"fault": None, "scrub_interval": None},
+    ], ids=["policy-options", "geometry", "seed", "backend", "no-backend",
+            "fault-rate", "fault-seed", "scrub-interval", "clean"])
+    def test_every_recipe_field_moves_the_key(self, adpcm, change):
+        assert self.recipe(**change).key(adpcm) != self.recipe().key(adpcm)
+
+    def test_key_ignores_how_the_workload_is_named(self, adpcm):
+        """The key hashes the resolved program, so a registry cell and the
+        same program passed explicitly share one store entry."""
+        explicit = self.recipe(workload=None, context=None)
+        assert explicit.key(adpcm) == self.recipe().key(adpcm)
+
+    @pytest.mark.parametrize("faulted", [False, True],
+                             ids=["clean", "faulted"])
+    def test_compute_is_run_policy_on_program(self, adpcm, faulted):
+        recipe = self.recipe()
+        if not faulted:
+            recipe = replace(recipe, fault=None, scrub_interval=None)
+        direct = run_policy_on_program(
+            adpcm, get_policy(self.GA[0], **self.GA[1]), recipe.config,
+            rng=recipe.seed, backend="numpy", fault=recipe.fault,
+            scrub_interval=recipe.scrub_interval,
+        )
+        assert recipe.compute(adpcm) == direct
+
+    def test_payload_round_trip_is_lossless(self):
+        recipe = self.recipe()
+        payload = json.loads(json.dumps(recipe.to_json(), sort_keys=True))
+        assert CellRecipe.from_json(payload) == recipe
+
+    def test_payload_without_optional_fields_decodes_clean(self):
+        """Rows queued before backends and faults were recorded carry none
+        of those fields: they decode to a clean default-backend recipe."""
+        payload = self.recipe().to_json()
+        for field in ("backend", "fault", "scrub_interval"):
+            del payload[field]
+        recipe = CellRecipe.from_json(payload)
+        assert (recipe.backend, recipe.fault, recipe.scrub_interval) == (
+            None, None, None)
+        assert recipe == self.recipe(backend=None, fault=None,
+                                     scrub_interval=None)
+
+    def test_worker_computes_the_recipe_cell(self):
+        from repro.eval.service import compute_job
+        from repro.workloads import resolve_workload
+
+        recipe = self.recipe()
+        program = resolve_workload(recipe.workload, recipe.context)
+        cell = compute_job(recipe.to_json(), expected_key=recipe.key(program))
+        assert cell == recipe.compute(program)
+
+    def test_backend_instance_store_hits_across_processes(self, tmp_path):
+        """The reported failure: one cell keyed three ways in three
+        processes. A store filled by another process with its own
+        backend instance must serve every cell."""
+        path = str(tmp_path / "s.db")
+        fill = (
+            "from repro.engine import NumpyBackend\n"
+            "from repro.eval.profiles import EvalProfile\n"
+            "from repro.eval.runner import run_matrix\n"
+            "from repro.rtm.geometry import iso_capacity_sweep\n"
+            "profile = EvalProfile(name='tiny', suite_scale=0.12,\n"
+            "    ga_options={'mu': 6, 'lam': 6, 'generations': 3},\n"
+            "    rw_iterations=20, benchmarks=('adpcm', 'dct'))\n"
+            "run_matrix(('DMA-SR', 'GA'), profile,\n"
+            "    configs=iso_capacity_sweep(dbc_counts=(2, 4)),\n"
+            f"    store={path!r}, backend=NumpyBackend())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        subprocess.run([sys.executable, "-c", fill], env=env, check=True,
+                       timeout=300)
+        clear_cell_cache()
+        run_matrix(("DMA-SR", "GA"), TINY, configs=self.CONFIGS, store=path,
+                   backend=NumpyBackend())
+        stats = last_matrix_stats()
+        assert stats.cells_total == stats.hits_store == 8
+
+    def test_manifest_records_backend_name_and_provenance(self, tmp_path):
+        import platform
+
+        from repro import __version__
+        from repro.store import SCHEMA_VERSION, ExperimentStore
+
+        path = str(tmp_path / "s.db")
+        run_matrix(("DMA-SR",), TINY, configs=self.CONFIGS, store=path,
+                   backend=NumpyBackend(), use_cache=False)
+        with closing(ExperimentStore(path)) as store:
+            manifest = store.runs()[0]["manifest"]
+        assert manifest["backend"] == "numpy"
+        assert manifest["package_version"] == __version__
+        assert manifest["schema_version"] == SCHEMA_VERSION
+        assert manifest["python"] == platform.python_version()
+
+    @pytest.mark.parametrize("name", ["auto", "numba"])
+    @pytest.mark.parametrize("via", ["argument", "profile"])
+    def test_removed_backend_names_rejected(self, name, via):
+        profile, backend = TINY, name
+        if via == "profile":
+            profile, backend = replace(TINY, engine_backend=name), None
+        with pytest.raises(ExperimentError, match="unknown engine backend"):
+            run_matrix(("DMA-SR",), profile, configs=self.CONFIGS,
+                       backend=backend, use_cache=False)

@@ -11,7 +11,11 @@ import pytest
 
 import repro.eval.runner as runner_module
 from repro.errors import ExperimentError
-from repro.eval.experiments import experiment_fig4, populate_matrix
+from repro.eval.experiments import (
+    enqueue_matrix,
+    experiment_fig4,
+    populate_matrix,
+)
 from repro.eval.profiles import EvalProfile
 from repro.eval.reporting import render_experiment, render_experiment_json
 from repro.eval.runner import (
@@ -249,6 +253,20 @@ class TestExperimentRegeneration:
     def test_populate_matrix_rejects_non_matrix_experiment(self):
         with pytest.raises(ExperimentError, match="not a matrix experiment"):
             populate_matrix("table1", TINY)
+
+    def test_enqueue_matrix_rejects_non_matrix_experiment(self, tmp_path):
+        with pytest.raises(ExperimentError, match="not a matrix experiment"):
+            enqueue_matrix("table1", TINY, store=str(tmp_path / "s.db"))
+
+    def test_serve_rejects_non_matrix_experiment_before_any_work(
+        self, tmp_path
+    ):
+        from repro.eval.service import serve_loop
+
+        path = tmp_path / "s.db"
+        with pytest.raises(ExperimentError, match="not a matrix experiment"):
+            serve_loop(path, ["fig6", "table1"], TINY)
+        assert not path.exists()  # validated before the store opened
 
 
 class TestFaultedCellKeys:

@@ -174,11 +174,28 @@ class TestBackendFlags:
         out = capsys.readouterr().out
         assert "numpy" in out and "reference" in out
 
-    def test_unknown_backend_rejected_by_parser(self, trace_file, capsys):
-        with pytest.raises(SystemExit):
-            main_sim([trace_file, "--dbcs", "2", "--domains", "512",
-                      "--backend", "auto"])
+    @pytest.mark.parametrize("name", ["auto", "numba"])
+    @pytest.mark.parametrize("cli", ["place", "sim", "experiment"])
+    def test_unknown_backend_rejected_by_parser(self, trace_file, capsys,
+                                                cli, name):
+        main, argv = {
+            "place": (main_place, [trace_file]),
+            "sim": (main_sim, [trace_file]),
+            "experiment": (main_experiment, ["fig6"]),
+        }[cli]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--backend", name])
+        assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["auto", "numba"])
+    def test_unknown_backend_from_env_fails_cleanly(self, monkeypatch, capsys,
+                                                    name):
+        monkeypatch.setenv("REPRO_PROFILE", "smoke")
+        monkeypatch.delenv("REPRO_WORKLOADS", raising=False)
+        monkeypatch.setenv("REPRO_BACKEND", name)
+        assert main_experiment(["fig6"]) == 2
+        assert "unknown engine backend" in capsys.readouterr().err
 
 
 class TestExperimentWorkloads:
