@@ -41,6 +41,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -92,8 +93,9 @@ def timed_matrix(programs, configs, workers: int, shared: bool):
     with RssSampler() as mem:
         start = time.perf_counter()
         results = run_matrix(
-            POLICIES, QUICK_PROFILE, configs=configs, programs=programs,
-            workers=workers, use_cache=False, shared_traces=shared,
+            POLICIES,
+            replace(QUICK_PROFILE, workers=workers, shared_traces=shared),
+            configs=configs, programs=programs, use_cache=False,
         )
         wall = time.perf_counter() - start
     return results, wall, mem.peak_mib

@@ -45,6 +45,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -101,8 +102,6 @@ run_matrix({policies!r}, profile, configs=[RTMConfig(**{config!r})],
 
 
 def bench_profile(scale: float):
-    from dataclasses import replace
-
     per_phase = max(1, int(BIG_LENGTH * scale) // 4)
     big = f"synthetic:phased,phases=4,vars=24,length={per_phase}"
     return replace(QUICK_PROFILE, workloads=(big,) + SMALL_SPECS, workers=1)
@@ -244,8 +243,8 @@ def main(argv=None) -> int:
 
         # Bit-identity: queue-computed cells vs the serial reference.
         clear_cell_cache()
-        via_queue = run_matrix(POLICIES, profile, configs=[CONFIG],
-                               store=qn_store, offline=True)
+        via_queue = run_matrix(POLICIES, replace(profile, offline=True),
+                               configs=[CONFIG], store=qn_store)
         stats = last_matrix_stats()
         bit_identical = (identical(via_queue, reference)
                          and stats.hits_queue == cells)

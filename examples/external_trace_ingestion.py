@@ -85,8 +85,8 @@ def main() -> None:
 
     # (4) offline regeneration: the store serves everything.
     clear_cell_cache()
-    regenerated = run_matrix(policies, profile, configs=configs,
-                             store=store, offline=True)
+    regenerated = run_matrix(policies, replace(profile, offline=True),
+                             configs=configs, store=store)
     stats = last_matrix_stats()
     assert regenerated == matrix and stats.computed == 0
     print(f"\noffline regeneration from {store.name}: "

@@ -14,17 +14,17 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from collections.abc import Sequence
 from dataclasses import replace
+from operator import attrgetter
 
 from repro.core.cost import per_dbc_shift_costs
 from repro.core.policies import available_policies, get_policy
 from repro.engine import available_backends, describe_backends
 from repro.errors import ExperimentError, WorkloadError
 from repro.eval import experiments as exp
-from repro.eval.profiles import profile_from_env
+from repro.eval.profiles import KNOBS, check_profile, profile_from_env
 from repro.eval.reporting import render_experiment, save_experiment
 from repro.rtm.geometry import RTMConfig
 from repro.rtm.sim import simulate
@@ -206,12 +206,6 @@ def main_experiment(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("experiment", nargs="?", choices=sorted(_EXPERIMENTS),
                         help="which artifact to regenerate")
-    parser.add_argument("--workloads", nargs="+", default=None,
-                        metavar="SPEC",
-                        help="evaluate these workload specs instead of the "
-                             "profile's suite (e.g. offsetstone:h263 "
-                             "file:traces/app.trc@interleave=2; default: "
-                             "profile / REPRO_WORKLOADS)")
     parser.add_argument("--list-workloads", action="store_true",
                         help="print the workload sources/transforms "
                              "registry and exit")
@@ -221,44 +215,15 @@ def main_experiment(argv: Sequence[str] | None = None) -> int:
                         help="also write the report (.txt + .json) under DIR")
     parser.add_argument("--max-rows", type=int, default=None,
                         help="truncate the table for display")
-    parser.add_argument("--backend", default=None,
-                        choices=available_backends(),
-                        help="shift-engine backend (default: profile / "
-                             "REPRO_BACKEND)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="matrix-runner processes (default: profile / "
-                             "REPRO_WORKERS; 0 = all cores)")
-    parser.add_argument("--shared-traces", action="store_true",
-                        default=None,
-                        help="publish compiled traces to pool workers "
-                             "through one zero-copy shared-memory arena "
-                             "instead of pickling the suite per worker "
-                             "(default: profile / REPRO_SHARED_TRACES; "
-                             "bit-identical results, needs --workers > 1)")
-    parser.add_argument("--search-scale", type=float, default=None,
-                        help="multiply the GA population and RW iteration "
-                             "budgets (default: profile / REPRO_SEARCH_SCALE)")
-    parser.add_argument("--ports", type=int, nargs="+", default=None,
-                        metavar="P",
-                        help="port counts swept by the multi-port "
-                             "experiments, e.g. --ports 1 2 4 8 (default: "
-                             "profile / REPRO_PORTS)")
-    parser.add_argument("--fault-rate", type=float, default=None,
-                        metavar="P",
-                        help="per-shift off-by-one fault probability in "
-                             "[0, 1] injected into every simulated cell "
-                             "(default: profile / REPRO_FAULT_RATE; 0 = "
-                             "clean; see docs/faults.md)")
-    parser.add_argument("--scrub-interval", type=int, default=None,
-                        metavar="S",
-                        help="realign drifted tracks every S accesses, "
-                             "charging the corrective shifts (requires a "
-                             "nonzero --fault-rate; default: profile / "
-                             "REPRO_SCRUB_INTERVAL)")
-    parser.add_argument("--store", metavar="PATH", default=None,
-                        help="persistent experiment store (default: "
-                             "REPRO_STORE; cells are read from and written "
-                             "back to it)")
+    for knob in KNOBS:
+        extra = dict(knob.cli or {})
+        if extra.get("action") != "store_true":
+            extra["type"] = knob.parse
+        if knob.sep is not None:
+            extra["nargs"] = "+"
+        parser.add_argument(knob.flag, dest=knob.field, default=None,
+                            help=f"{knob.help} (default: profile / "
+                                 f"{knob.env})", **extra)
     parser.add_argument("--shard", metavar="i/N", default=None,
                         help="compute only this deterministic slice of the "
                              "matrix into the store, skip the report "
@@ -295,38 +260,18 @@ def main_experiment(argv: Sequence[str] | None = None) -> int:
         # cleanly, matching the experiment-execution error path below.
         print(f"repro-experiment: {exc}", file=sys.stderr)
         return 2
-    if args.workloads is not None:
-        profile = replace(profile, workloads=tuple(args.workloads))
-    if args.backend is not None:
-        profile = replace(profile, engine_backend=args.backend)
-    if args.workers is not None:
-        profile = replace(profile, workers=args.workers)
-    if args.shared_traces is not None:
-        profile = replace(profile, shared_traces=args.shared_traces)
-    if args.search_scale is not None:
-        if not math.isfinite(args.search_scale) or args.search_scale <= 0:
-            parser.error("--search-scale must be a finite number > 0")
-        profile = replace(profile, search_scale=args.search_scale)
-    if args.ports is not None:
-        if min(args.ports) < 1:
-            parser.error("--ports must list port counts >= 1")
-        profile = replace(profile, ports=tuple(args.ports))
-    if args.fault_rate is not None:
-        if not math.isfinite(args.fault_rate) or not 0.0 <= args.fault_rate <= 1.0:
-            parser.error("--fault-rate must be a probability in [0, 1]")
-        profile = replace(profile, fault_rate=args.fault_rate)
-    if args.scrub_interval is not None:
-        if args.scrub_interval < 1:
-            parser.error("--scrub-interval must be >= 1")
-        profile = replace(profile, scrub_interval=args.scrub_interval)
-    # Checked only after every override is applied: the interval may come
-    # from REPRO_SCRUB_INTERVAL with the rate supplied here, or vice versa.
-    if profile.scrub_interval is not None and not profile.fault_rate:
-        parser.error("--scrub-interval requires a nonzero --fault-rate "
-                     "(scrubbing a clean simulation would only charge "
-                     "useless shifts)")
-    if args.store is not None:
-        profile = replace(profile, store=args.store)
+    flags = {}
+    for knob in KNOBS:
+        value = getattr(args, knob.field)
+        if value is not None:
+            flags[knob.field] = tuple(value) if knob.sep else value
+    try:
+        # After every override: the scrub interval may come from the
+        # environment and the fault rate from a flag, or vice versa.
+        profile = check_profile(replace(profile, **flags),
+                                name=attrgetter("flag"))
+    except ExperimentError as exc:
+        parser.error(str(exc))
     if args.from_store:
         if profile.store is None:
             parser.error("--from-store requires --store or REPRO_STORE")

@@ -15,10 +15,10 @@ Backends implement ``run(ShiftRequest) -> ShiftResult`` and are
 guaranteed to produce identical counters (enforced by the cross-backend
 differential oracle, which iterates :func:`available_backends` so new
 backends inherit the coverage). Select one globally via the
-``REPRO_BACKEND`` environment variable, or per call site via the
-``backend=`` parameters threaded through
-:func:`repro.rtm.sim.simulate`, :func:`repro.core.cost.shift_cost` and
-:func:`repro.eval.runner.run_matrix`.
+``REPRO_BACKEND`` environment variable, per call site via the
+``backend=`` parameters of :func:`repro.rtm.sim.simulate` and
+:func:`repro.core.cost.shift_cost`, or per experiment via the profile's
+``engine_backend``.
 
 On top of the per-request backends, :mod:`repro.engine.batch` scores
 whole *populations* of candidate placements (:func:`evaluate_batch`) and
@@ -78,12 +78,17 @@ def describe_backends() -> tuple[tuple[str, str], ...]:
 def resolve_backend_name(backend: object) -> str:
     """The registered name of ``backend``, given as a name or an instance.
 
-    Raises for anything the registry does not hold. The matrix runner
-    keys and ships cells by this name — an instance's repr embeds a
-    memory address no other process shares — and resolves it in the
-    parent, so an unknown backend fails fast, not inside a pool worker.
+    Names are matched with surrounding blanks stripped and in any case
+    (``" NumPy "`` is ``numpy``). Raises for anything the registry does
+    not hold. The matrix runner keys and ships cells by this name — an
+    instance's repr embeds a memory address no other process shares —
+    and resolves it in the parent, so an unknown backend fails fast, not
+    inside a pool worker.
     """
-    name = backend if isinstance(backend, str) else getattr(backend, "name", None)
+    if isinstance(backend, str):
+        name = backend.strip().lower()
+    else:
+        name = getattr(backend, "name", None)
     if name in _BACKENDS:
         return name
     raise SimulationError(
@@ -97,10 +102,11 @@ def get_backend(backend: object = None):
 
     ``None`` resolves to the ``REPRO_BACKEND`` environment variable and
     falls back to the numpy backend; a string is looked up in the
-    registry; anything exposing a callable ``run`` is returned unchanged.
+    registry (spelled as :func:`resolve_backend_name` accepts it);
+    anything exposing a callable ``run`` is returned unchanged.
     """
     if backend is None:
-        backend = os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND)
+        backend = os.environ.get("REPRO_BACKEND") or DEFAULT_BACKEND
     if isinstance(backend, str):
         return _BACKENDS[resolve_backend_name(backend)]
     run = getattr(backend, "run", None)

@@ -11,56 +11,32 @@ keeping every code path identical:
 * ``smoke``  — a handful of programs, seconds; used by the test-suite.
 
 Select via ``REPRO_PROFILE=quick|full|smoke`` or pass a profile object
-explicitly. The execution knobs of the shift-engine refactor ride along
-on the profile: ``engine_backend`` picks the shift engine (vectorized
-``numpy`` by default, ``reference`` for the per-access oracle) and
-``workers`` the process-pool width of the matrix runner; both can be
-forced from the environment with ``REPRO_BACKEND`` / ``REPRO_WORKERS``
-(``REPRO_WORKERS=0`` means "all cores").
+explicitly.
 
-``search_scale`` multiplies the search-based policies' budgets — the
-GA's population (``mu``/``lam``) and the random walk's iteration count —
-on top of whatever the profile sets. Batched candidate evaluation made
-bigger populations affordable: scoring is one vectorized engine pass per
-generation, so ``search_scale=4`` costs far less than 4x wall time.
-Force it from the environment with ``REPRO_SEARCH_SCALE``.
-
-``ports`` is the port-count sweep the multi-port experiments run
-(``ablation-ports``, the multi-port benches); override per invocation
-with ``repro-experiment --ports 1 2 4 8`` or ``REPRO_PORTS=1,2,4,8``.
-Multi-port evaluation rides the engine's vectorized 2-D monoid scan, so
-sweeping port counts costs about the same as the single-port run.
-
-``store`` attaches a persistent experiment store (``REPRO_STORE`` from
-the environment, ``--store`` on the CLI): matrix cells are cached on
-disk across processes, runs resume after interruption and shards share
-work — see ``docs/experiments.md``. ``offline`` turns the store into
-the only allowed source (report regeneration without simulation).
-
-``shared_traces`` (``REPRO_SHARED_TRACES``, ``--shared-traces``) makes
-parallel matrix runs publish the compiled traces once through a
-zero-copy shared-memory arena instead of pickling the whole suite into
-every pool worker — bit-identical results, flat memory in the worker
-count. See "Sharing compiled traces across workers" in
-``docs/experiments.md``.
-
-``workloads`` replaces the benchmark list with arbitrary workload specs
-resolved through :mod:`repro.workloads` (``offsetstone:h263``,
-``file:traces/app.trc@interleave=2``, ...) — see ``docs/workloads.md``.
-When unset, the profile's ``benchmarks`` names resolve as bare
-``offsetstone:`` specs, bit-identically to the pre-registry suite.
-Override per invocation with ``repro-experiment --workloads`` or
-``REPRO_WORKLOADS`` (specs separated by whitespace or ``;`` — commas
-belong to the spec grammar).
+The execution settings — engine backend, workers, search scale, store,
+shared traces, workloads, fault rate, scrub interval, ports — ride along
+on the profile as *knobs*. :data:`KNOBS` declares each one once: its
+profile field, its ``REPRO_*`` variable, its ``repro-experiment`` flag,
+its parser, its valid values and its help text.
+:func:`profile_from_env` reads the variables through it,
+``repro-experiment`` generates its flags from it, and
+:func:`check_profile` applies its rules to a finished profile (the
+matrix runner does so on every run). The knob reference in
+``docs/experiments.md`` lists it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from numbers import Integral
+from operator import attrgetter
+from typing import Any
 
-from repro.errors import ExperimentError
+from repro.engine import FaultModel, available_backends, resolve_backend_name
+from repro.errors import ExperimentError, ReproError
 from repro.trace.generators.offsetstone import OFFSETSTONE_NAMES
 
 
@@ -80,32 +56,30 @@ class EvalProfile:
     engine_backend: str = "numpy"
     #: Process-pool width of the matrix runner (1 = serial, 0 = all cores).
     workers: int = 1
-    #: Multiplier on the GA population and RW iteration budgets (> 0).
+    #: Multiplier on the GA population (``mu``/``lam``) and RW iteration
+    #: budgets (> 0). Batched candidate evaluation scores a generation
+    #: in one engine pass, so ``search_scale=4`` costs far less than 4x.
     search_scale: float = 1.0
     #: Path of the persistent experiment store (None = in-memory only).
     store: str | None = None
     #: Forbid simulation: every matrix cell must come from a cache layer.
     offline: bool = False
     #: Port counts swept by the multi-port experiments (``ablation-ports``
-    #: and the multi-port benchmarks); ``repro-experiment --ports`` /
-    #: ``REPRO_PORTS`` override it per invocation.
+    #: and the multi-port benchmarks).
     ports: tuple[int, ...] = (1, 2, 4)
     #: Workload specs resolved through :mod:`repro.workloads`; ``None``
     #: means "the ``benchmarks`` names as bare offsetstone specs".
     workloads: tuple[str, ...] | None = None
     #: Share compiled traces with pool workers through one zero-copy
     #: ``multiprocessing.shared_memory`` arena instead of pickling the
-    #: suite per worker (``--shared-traces`` / ``REPRO_SHARED_TRACES``).
-    #: Bit-identical either way; falls back to pickling where shm is
-    #: unavailable. Only matters when ``workers > 1``.
+    #: suite per worker. Bit-identical either way; falls back to
+    #: pickling where shm is unavailable. Only matters when ``workers > 1``.
     shared_traces: bool = False
     #: Per-shift off-by-one fault probability injected into every
-    #: simulated cell (0.0 = clean; ``--fault-rate`` /
-    #: ``REPRO_FAULT_RATE``). Faulted cells are content-addressed apart
-    #: from clean ones, so both coexist in one store.
+    #: simulated cell (0.0 = clean). Faulted cells are content-addressed
+    #: apart from clean ones, so both coexist in one store.
     fault_rate: float = 0.0
-    #: Scrubbing cadence in accesses (requires a nonzero ``fault_rate``;
-    #: ``--scrub-interval`` / ``REPRO_SCRUB_INTERVAL``).
+    #: Scrubbing cadence in accesses (requires a nonzero ``fault_rate``).
     scrub_interval: int | None = None
 
     @property
@@ -158,13 +132,197 @@ SMOKE_PROFILE = EvalProfile(
 _PROFILES = {p.name: p for p in (FULL_PROFILE, QUICK_PROFILE, SMOKE_PROFILE)}
 
 
+# -- knobs --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One execution setting: where it is set, how it is read and checked.
+
+    ``parse`` turns one token of text into a value and raises
+    ``ValueError`` on malformed text. ``check`` applies the valid-value
+    rule, which ``valid`` states in words, and returns the value
+    normalized; where an engine check exists, ``check`` calls it. A list
+    knob has a ``sep``: its variable splits at whitespace and ``sep``,
+    and its flag takes one or more arguments. ``cli`` holds extra
+    ``argparse`` keywords for the flag.
+    """
+
+    field: str
+    env: str
+    flag: str
+    parse: Callable[[str], Any]
+    check: Callable[[Any], Any]
+    valid: str
+    help: str
+    sep: str | None = None
+    cli: dict | None = None
+
+    def checked(self, value: Any, name: str) -> Any:
+        """``value`` after the rule; errors call the knob ``name``."""
+        try:
+            return self.check(value)
+        except ReproError as exc:  # an engine check, in its own words
+            raise ExperimentError(f"{name}: {exc}") from None
+        except (TypeError, ValueError):
+            raise ExperimentError(
+                f"{name} must be {self.valid}, got {value!r}"
+            ) from None
+
+    def read(self, text: str) -> Any:
+        """The value of ``text`` set in this knob's variable."""
+        try:
+            if self.sep is None:
+                value = self.parse(text)
+            else:
+                tokens = text.replace(self.sep, " ").split()
+                value = tuple(self.parse(token) for token in tokens)
+        except ValueError:
+            raise ExperimentError(
+                f"{self.env} must be {self.valid}, got {text!r}"
+            ) from None
+        return self.checked(value, self.env)
+
+
+def _rule(ok: Callable[[Any], bool]) -> Callable[[Any], Any]:
+    """A check passing the values ``ok`` accepts through unchanged."""
+
+    def check(value):
+        if not ok(value):
+            raise ValueError(value)
+        return value
+
+    return check
+
+
+def _at_least(value: Any, minimum: int) -> bool:
+    return isinstance(value, Integral) and value >= minimum
+
+
+def _each(values: Any, ok: Callable[[Any], bool]) -> bool:
+    """``values`` is a non-empty tuple or list of items ``ok`` accepts."""
+    return (isinstance(values, (tuple, list)) and len(values) > 0
+            and all(map(ok, values)))
+
+
+def _boolean(text: str) -> bool:
+    norm = text.strip().lower()
+    if norm in ("1", "true", "yes", "on"):
+        return True
+    if norm in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+#: The execution knobs, in the order the flags are listed.
+KNOBS: tuple[Knob, ...] = (
+    Knob(
+        "engine_backend", "REPRO_BACKEND", "--backend", str,
+        resolve_backend_name,
+        f"a registered backend ({', '.join(available_backends())})",
+        "shift-engine backend",
+        cli={"choices": available_backends()},
+    ),
+    Knob(
+        "workers", "REPRO_WORKERS", "--workers", int,
+        _rule(lambda n: _at_least(n, 0)),
+        "an integer >= 0 (0 = all cores)",
+        "matrix-runner processes, 0 for all cores",
+    ),
+    Knob(
+        "search_scale", "REPRO_SEARCH_SCALE", "--search-scale", float,
+        _rule(lambda x: math.isfinite(x) and x > 0),
+        "a finite number > 0",
+        "multiply the GA population and RW iteration budgets",
+    ),
+    Knob(
+        "store", "REPRO_STORE", "--store", str,
+        _rule(lambda path: path is None or os.fspath(path).strip() != ""),
+        "a non-blank path",
+        "persistent experiment store; cells are read from and written "
+        "back to it",
+        cli={"metavar": "PATH"},
+    ),
+    Knob(
+        "shared_traces", "REPRO_SHARED_TRACES", "--shared-traces", _boolean,
+        _rule(lambda flag: isinstance(flag, bool)),
+        "a boolean (1/0, true/false, yes/no, on/off)",
+        "publish compiled traces to pool workers through one zero-copy "
+        "shared-memory arena instead of pickling the suite per worker; "
+        "bit-identical results, needs --workers > 1",
+        cli={"action": "store_true"},
+    ),
+    Knob(
+        "workloads", "REPRO_WORKLOADS", "--workloads", str,
+        _rule(lambda specs: specs is None or _each(
+            specs, lambda spec: isinstance(spec, str) and spec.strip() != "")),
+        "one or more non-blank workload specs",
+        "evaluate these workload specs instead of the profile's suite, "
+        "e.g. offsetstone:h263 file:traces/app.trc@interleave=2; the "
+        "variable separates specs by whitespace or ';'",
+        sep=";", cli={"metavar": "SPEC"},
+    ),
+    Knob(
+        "fault_rate", "REPRO_FAULT_RATE", "--fault-rate", float,
+        lambda rate: FaultModel(rate).rate,
+        "a probability in [0, 1]",
+        "per-shift off-by-one fault probability injected into every "
+        "simulated cell, 0 for clean; see docs/faults.md",
+        cli={"metavar": "P"},
+    ),
+    Knob(
+        "scrub_interval", "REPRO_SCRUB_INTERVAL", "--scrub-interval", int,
+        _rule(lambda n: n is None or _at_least(n, 1)),
+        ">= 1 (an integer)",
+        "realign drifted tracks every S accesses, charging the corrective "
+        "shifts; requires a nonzero --fault-rate",
+        cli={"metavar": "S"},
+    ),
+    Knob(
+        "ports", "REPRO_PORTS", "--ports", int,
+        _rule(lambda ports: _each(ports, lambda p: _at_least(p, 1))),
+        "one or more integers >= 1",
+        "port counts swept by the multi-port experiments, e.g. --ports "
+        "1 2 4 8; the variable separates them by whitespace or ','",
+        sep=",", cli={"metavar": "P"},
+    ),
+)
+
+_KNOB = {knob.field: knob for knob in KNOBS}
+
+
+def check_profile(
+    profile: EvalProfile,
+    name: Callable[[Knob], str] = attrgetter("field"),
+) -> EvalProfile:
+    """``profile`` with every knob checked against its row and normalized.
+
+    A failed check raises :class:`~repro.errors.ExperimentError`, calling
+    each knob ``name(knob)``: its field by default, its flag on the
+    command line. The one rule spanning two knobs lives here too: a scrub
+    interval needs a nonzero fault rate. It applies to the finished
+    profile only, because the two may be set in different places (a
+    variable and a flag).
+    """
+    profile = replace(profile, **{
+        knob.field: knob.checked(getattr(profile, knob.field), name(knob))
+        for knob in KNOBS
+    })
+    if profile.scrub_interval is not None and not profile.fault_rate:
+        raise ExperimentError(
+            f"{name(_KNOB['scrub_interval'])} requires a nonzero "
+            f"{name(_KNOB['fault_rate'])} (scrubbing a clean simulation "
+            f"would only charge useless shifts)"
+        )
+    return profile
+
+
 def profile_from_env(default: str = "quick") -> EvalProfile:
     """Resolve the profile from ``REPRO_PROFILE`` (default ``quick``).
 
-    ``REPRO_BACKEND`` and ``REPRO_WORKERS`` override the profile's engine
-    backend and matrix-runner parallelism without defining a new profile;
-    ``REPRO_WORKLOADS`` (whitespace- or ``;``-separated specs) replaces
-    the evaluated workload suite.
+    Every :data:`KNOBS` variable that is set and non-empty overrides its
+    field. Each value is checked on its own; the scrub/fault pairing is
+    left to :func:`check_profile`, since a flag may still add the rate.
     """
     name = os.environ.get("REPRO_PROFILE", default).strip().lower()
     try:
@@ -173,98 +331,7 @@ def profile_from_env(default: str = "quick") -> EvalProfile:
         raise ExperimentError(
             f"unknown REPRO_PROFILE {name!r}; choose from {sorted(_PROFILES)}"
         ) from None
-    backend = os.environ.get("REPRO_BACKEND")
-    if backend:
-        profile = replace(profile, engine_backend=backend.strip().lower())
-    workers = os.environ.get("REPRO_WORKERS")
-    if workers:
-        try:
-            profile = replace(profile, workers=int(workers))
-        except ValueError:
-            raise ExperimentError(
-                f"REPRO_WORKERS must be an integer, got {workers!r}"
-            ) from None
-    search_scale = os.environ.get("REPRO_SEARCH_SCALE")
-    if search_scale:
-        try:
-            scale = float(search_scale)
-        except ValueError:
-            raise ExperimentError(
-                f"REPRO_SEARCH_SCALE must be a number, got {search_scale!r}"
-            ) from None
-        if not math.isfinite(scale) or scale <= 0:
-            raise ExperimentError(
-                f"REPRO_SEARCH_SCALE must be a finite number > 0, "
-                f"got {search_scale!r}"
-            )
-        profile = replace(profile, search_scale=scale)
-    store = os.environ.get("REPRO_STORE")
-    if store:
-        profile = replace(profile, store=store)
-    shared = os.environ.get("REPRO_SHARED_TRACES")
-    if shared:
-        norm = shared.strip().lower()
-        if norm in ("1", "true", "yes", "on"):
-            profile = replace(profile, shared_traces=True)
-        elif norm in ("0", "false", "no", "off"):
-            profile = replace(profile, shared_traces=False)
-        else:
-            raise ExperimentError(
-                f"REPRO_SHARED_TRACES must be a boolean flag "
-                f"(1/0/true/false/yes/no/on/off), got {shared!r}"
-            )
-    workloads = os.environ.get("REPRO_WORKLOADS")
-    if workloads:
-        # Separated by whitespace or ';' — never ',', which is part of
-        # the spec grammar itself (source parameters).
-        specs = tuple(
-            s for s in workloads.replace(";", " ").split() if s
-        )
-        if not specs:
-            raise ExperimentError(
-                f"REPRO_WORKLOADS must list workload specs, got {workloads!r}"
-            )
-        profile = replace(profile, workloads=specs)
-    fault_rate = os.environ.get("REPRO_FAULT_RATE")
-    if fault_rate:
-        try:
-            rate = float(fault_rate)
-        except ValueError:
-            raise ExperimentError(
-                f"REPRO_FAULT_RATE must be a number, got {fault_rate!r}"
-            ) from None
-        if not math.isfinite(rate) or not 0.0 <= rate <= 1.0:
-            raise ExperimentError(
-                f"REPRO_FAULT_RATE must be a probability in [0, 1], "
-                f"got {fault_rate!r}"
-            )
-        profile = replace(profile, fault_rate=rate)
-    scrub = os.environ.get("REPRO_SCRUB_INTERVAL")
-    if scrub:
-        try:
-            interval = int(scrub)
-        except ValueError:
-            raise ExperimentError(
-                f"REPRO_SCRUB_INTERVAL must be an integer, got {scrub!r}"
-            ) from None
-        if interval < 1:
-            raise ExperimentError(
-                f"REPRO_SCRUB_INTERVAL must be >= 1, got {scrub!r}"
-            )
-        profile = replace(profile, scrub_interval=interval)
-    # scrub-without-fault is rejected later (CLI post-override check and
-    # run_matrix), not here: the CLI may still add --fault-rate on top.
-    ports = os.environ.get("REPRO_PORTS")
-    if ports:
-        try:
-            swept = tuple(int(p) for p in ports.replace(",", " ").split())
-        except ValueError:
-            raise ExperimentError(
-                f"REPRO_PORTS must be integers, got {ports!r}"
-            ) from None
-        if not swept or min(swept) < 1:
-            raise ExperimentError(
-                f"REPRO_PORTS must list port counts >= 1, got {ports!r}"
-            )
-        profile = replace(profile, ports=swept)
-    return profile
+    return replace(profile, **{
+        knob.field: knob.read(os.environ[knob.env])
+        for knob in KNOBS if os.environ.get(knob.env)
+    })

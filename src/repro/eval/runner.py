@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
 import time
 from collections.abc import Iterable, Sequence
@@ -47,9 +46,9 @@ from dataclasses import asdict, dataclass
 
 from repro.core.cost import shift_cost
 from repro.core.policies import Policy, get_policy
-from repro.engine import FaultModel, resolve_backend_name
-from repro.errors import ExperimentError, SimulationError
-from repro.eval.profiles import EvalProfile, QUICK_PROFILE
+from repro.engine import FaultModel
+from repro.errors import ExperimentError
+from repro.eval.profiles import QUICK_PROFILE, EvalProfile, check_profile
 from repro.rtm.geometry import RTMConfig, iso_capacity_sweep
 from repro.rtm.report import SimReport
 from repro.rtm.sim import simulate
@@ -265,8 +264,6 @@ def policy_specs(
     untouched.
     """
     scale = profile.search_scale
-    if not math.isfinite(scale) or scale <= 0:
-        raise ValueError(f"search_scale must be a finite number > 0, got {scale}")
     specs: list[PolicySpec] = []
     for name in names:
         if name == "GA":
@@ -477,12 +474,6 @@ def _run_cell_job(job: tuple[int, CellRecipe]) -> CellResult:
     return recipe.compute(_WORKER["programs"][program_i])
 
 
-def _resolve_workers(workers: int) -> int:
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    return workers or (os.cpu_count() or 1)
-
-
 # -- persistent store plumbing ----------------------------------------------
 
 
@@ -552,13 +543,9 @@ def run_matrix(
     profile: EvalProfile = QUICK_PROFILE,
     configs: Iterable[RTMConfig] | None = None,
     programs: Sequence[BenchmarkProgram] | None = None,
-    workers: int | None = None,
-    backend: object = None,
     use_cache: bool = True,
     store=None,
     shard: tuple[int, int] | str | None = None,
-    offline: bool | None = None,
-    shared_traces: bool | None = None,
     enqueue: bool = False,
 ) -> dict[tuple[str, str, int], CellResult]:
     """Run the full (program x config x policy) matrix.
@@ -566,10 +553,13 @@ def run_matrix(
     Results are keyed by ``(benchmark, policy, dbcs)``. Every cell gets an
     independent deterministic RNG stream derived from the profile seed, so
     sub-matrices reproduce the full matrix's cells exactly and the worker
-    count never changes any number. ``workers``/``backend`` default to the
-    profile's settings (``workers=0`` means one per core; a backend
-    instance is keyed and shipped by its registered name); ``use_cache``
-    consults and fills the process-wide content-keyed cell cache.
+    count never changes any number. The profile is the only source of the
+    execution knobs — backend, workers, shared traces, faults, ``offline``
+    — and is checked against :data:`~repro.eval.profiles.KNOBS` before
+    any work (:func:`~repro.eval.profiles.check_profile`; errors name the
+    field). A backend instance is keyed and shipped by its registered
+    name. ``use_cache`` consults and fills the process-wide content-keyed
+    cell cache.
 
     ``store`` (an :class:`repro.store.ExperimentStore`, a path, or the
     profile's ``store`` field) adds the persistent layer: cells missing
@@ -581,10 +571,10 @@ def run_matrix(
     matrix, and assign cells independently of who runs them, so N
     machines pointed at (copies of) one store partition the work and
     their merged store reproduces the unsharded run bit-identically.
-    ``offline`` (default: the profile's flag) forbids simulation: every
-    cell must come from a cache layer, otherwise an
-    :class:`~repro.errors.ExperimentError` is raised — the
-    "regenerate reports without recomputing" mode.
+    The profile's ``offline`` flag forbids simulation: every cell must
+    come from a cache layer, otherwise an
+    :class:`~repro.errors.ExperimentError` is raised — the "regenerate
+    reports without recomputing" mode.
 
     ``enqueue=True`` *submits* instead of simulating: every cell missing
     from both cache layers becomes an open row in the store's work queue
@@ -597,57 +587,33 @@ def run_matrix(
     explicit program object carries no registry spec a remote worker
     could resolve).
 
-    ``shared_traces`` (default: the profile's flag) publishes the
-    compiled traces to pool workers through one zero-copy shared-memory
-    arena (:class:`~repro.engine.compile.SharedTraceArena`) instead of
-    pickling the suite into every worker — bit-identical results, and
-    peak memory stays flat in the worker count. Platforms without shm
-    fall back to pickling transparently. The arena lives exactly as
-    long as the pool: created right before it, closed and unlinked in a
-    ``finally`` (plus an ``atexit`` guard) even when a worker crashes.
+    The profile's ``shared_traces`` flag publishes the compiled traces
+    to pool workers through one zero-copy shared-memory arena
+    (:class:`~repro.engine.compile.SharedTraceArena`) instead of pickling
+    the suite into every worker — bit-identical results, and peak memory
+    stays flat in the worker count. Platforms without shm fall back to
+    pickling transparently. The arena lives exactly as long as the pool:
+    created right before it, closed and unlinked in a ``finally`` (plus
+    an ``atexit`` guard) even when a worker crashes.
 
     Hit/miss counters for the run are available afterwards via
     :func:`last_matrix_stats`.
     """
     global _LAST_STATS
+    profile = check_profile(profile)
     programs_explicit = programs is not None
     programs = list(programs) if programs is not None else load_suite(profile)
     configs = list(configs) if configs is not None else iso_capacity_sweep()
     specs = policy_specs(policy_names, profile)
-    if workers is None:
-        workers = profile.workers
-    if backend is None:
-        backend = profile.engine_backend
-    if backend is not None:
-        try:
-            backend = resolve_backend_name(backend)
-        except SimulationError as exc:
-            raise ExperimentError(str(exc)) from None
-    if offline is None:
-        offline = profile.offline
-    if shared_traces is None:
-        shared_traces = profile.shared_traces
-    try:
-        fault = (
-            FaultModel(rate=profile.fault_rate, seed=profile.seed)
-            if profile.fault_rate else None
-        )
-    except SimulationError as exc:
-        raise ExperimentError(f"invalid fault_rate: {exc}") from None
+    backend = profile.engine_backend
+    fault = (
+        FaultModel(rate=profile.fault_rate, seed=profile.seed)
+        if profile.fault_rate else None
+    )
     scrub_interval = profile.scrub_interval
-    if scrub_interval is not None:
-        if fault is None:
-            raise ExperimentError(
-                "scrub_interval requires a nonzero fault_rate: scrubbing "
-                "a clean simulation would silently charge useless shifts"
-            )
-        if scrub_interval < 1:
-            raise ExperimentError(
-                f"scrub_interval must be >= 1, got {scrub_interval}"
-            )
     if isinstance(shard, str):
         shard = parse_shard(shard)
-    workers = _resolve_workers(workers)
+    workers = profile.workers or (os.cpu_count() or 1)
     store_obj, owned_store = _resolve_store(store, profile)
     if enqueue:
         if store_obj is None:
@@ -655,7 +621,7 @@ def run_matrix(
                 "enqueue mode needs a store: the work queue lives in it "
                 "(pass store=, set the profile's store, or REPRO_STORE)"
             )
-        if offline:
+        if profile.offline:
             raise ExperimentError(
                 "enqueue and offline conflict: one submits missing cells, "
                 "the other forbids their existence"
@@ -715,7 +681,7 @@ def run_matrix(
             stats.hits_queue = len(
                 WorkQueue(store_obj).done_among(store_hit_keys)
             )
-        if pending and offline:
+        if pending and profile.offline:
             missing = sorted({entry[0] for entry in pending})
             raise ExperimentError(
                 f"offline run: {len(pending)} cell(s) missing from the "
@@ -732,7 +698,7 @@ def run_matrix(
             _enqueue_pending(pending, programs, store_obj, stats, manifest)
         elif pending:
             _compute_pending(
-                pending, programs, workers, shared_traces, use_cache,
+                pending, programs, workers, profile.shared_traces, use_cache,
                 store_obj, stats, results, manifest,
             )
     finally:

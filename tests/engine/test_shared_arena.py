@@ -12,6 +12,7 @@ worker-state reset regression in the pool initializer.
 import glob
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,18 +185,18 @@ class TestFallback:
         cfg = [RTMConfig(dbcs=4, tracks_per_dbc=1, domains_per_track=64,
                          ports_per_track=2)]
         clear_cell_cache()
-        want = run_matrix(["AFD"], SMOKE_PROFILE, configs=cfg,
-                          programs=suite, workers=2, use_cache=False,
-                          shared_traces=False)
+        profile = replace(SMOKE_PROFILE, workers=2, shared_traces=False)
+        want = run_matrix(["AFD"], profile, configs=cfg, programs=suite,
+                          use_cache=False)
 
         def refuse(*args, **kwargs):
             raise OSError("no shm")
 
         monkeypatch.setattr(shm_mod, "SharedMemory", refuse)
         clear_cell_cache()
-        got = run_matrix(["AFD"], SMOKE_PROFILE, configs=cfg,
-                         programs=suite, workers=2, use_cache=False,
-                         shared_traces=True)
+        profile = replace(SMOKE_PROFILE, workers=2, shared_traces=True)
+        got = run_matrix(["AFD"], profile, configs=cfg, programs=suite,
+                         use_cache=False)
         assert set(got) == set(want)
         for k in want:
             assert got[k].shifts == want[k].shifts
@@ -212,13 +213,13 @@ class TestMatrixIntegration:
                          ports_per_track=2)]
         before = shm_segments()
         clear_cell_cache()
-        off = run_matrix(["AFD", "DMA"], SMOKE_PROFILE, configs=cfg,
-                         programs=suite, workers=2, use_cache=False,
-                         shared_traces=False)
+        profile = replace(SMOKE_PROFILE, workers=2, shared_traces=False)
+        off = run_matrix(["AFD", "DMA"], profile, configs=cfg, programs=suite,
+                         use_cache=False)
         clear_cell_cache()
-        on = run_matrix(["AFD", "DMA"], SMOKE_PROFILE, configs=cfg,
-                        programs=suite, workers=2, use_cache=False,
-                        shared_traces=True)
+        profile = replace(SMOKE_PROFILE, workers=2, shared_traces=True)
+        on = run_matrix(["AFD", "DMA"], profile, configs=cfg, programs=suite,
+                        use_cache=False)
         assert set(on) == set(off)
         for k in off:
             assert on[k].shifts == off[k].shifts

@@ -133,10 +133,10 @@ class TestParallelMatrix:
     POLICIES = ("DMA-SR", "GA", "RW")
 
     def test_workers_do_not_change_results(self):
-        serial = run_matrix(self.POLICIES, TINY, configs=self.CONFIGS,
-                            workers=1, use_cache=False)
-        parallel = run_matrix(self.POLICIES, TINY, configs=self.CONFIGS,
-                              workers=4, use_cache=False)
+        serial = run_matrix(self.POLICIES, replace(TINY, workers=1),
+                            configs=self.CONFIGS, use_cache=False)
+        parallel = run_matrix(self.POLICIES, replace(TINY, workers=4),
+                              configs=self.CONFIGS, use_cache=False)
         assert set(serial) == set(parallel)
         for key, cell in serial.items():
             other = parallel[key]
@@ -144,23 +144,25 @@ class TestParallelMatrix:
             assert other.report == cell.report  # bit-identical, floats too
 
     def test_backends_agree_through_the_matrix(self):
-        ref = run_matrix(("DMA-SR",), TINY, configs=self.CONFIGS,
-                         backend="reference", use_cache=False)
-        vec = run_matrix(("DMA-SR",), TINY, configs=self.CONFIGS,
-                         backend="numpy", use_cache=False)
+        ref = run_matrix(("DMA-SR",),
+                         replace(TINY, engine_backend="reference"),
+                         configs=self.CONFIGS, use_cache=False)
+        vec = run_matrix(("DMA-SR",), replace(TINY, engine_backend="numpy"),
+                         configs=self.CONFIGS, use_cache=False)
         for key, cell in ref.items():
             assert vec[key].shifts == cell.shifts
             assert vec[key].report == cell.report
 
     def test_workers_zero_means_all_cores(self):
-        cells = run_matrix(("DMA-SR",), TINY,
+        cells = run_matrix(("DMA-SR",), replace(TINY, workers=0),
                            configs=iso_capacity_sweep(dbc_counts=(2,)),
-                           workers=0, use_cache=False)
+                           use_cache=False)
         assert len(cells) == 2
 
     def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            run_matrix(("DMA-SR",), TINY, configs=self.CONFIGS, workers=-1)
+        with pytest.raises(ExperimentError):
+            run_matrix(("DMA-SR",), replace(TINY, workers=-1),
+                       configs=self.CONFIGS)
 
 
 class TestCellCache:
@@ -225,10 +227,10 @@ class TestFaultedMatrix:
 
     def test_workers_do_not_change_faulted_results(self):
         profile = self._faulted(scrub_interval=50)
-        serial = run_matrix(("DMA-SR",), profile, configs=self.CONFIGS,
-                            workers=1, use_cache=False)
-        parallel = run_matrix(("DMA-SR",), profile, configs=self.CONFIGS,
-                              workers=2, use_cache=False)
+        serial = run_matrix(("DMA-SR",), replace(profile, workers=1),
+                            configs=self.CONFIGS, use_cache=False)
+        parallel = run_matrix(("DMA-SR",), replace(profile, workers=2),
+                              configs=self.CONFIGS, use_cache=False)
         assert set(serial) == set(parallel)
         for key, cell in serial.items():
             assert parallel[key].report == cell.report
@@ -236,10 +238,11 @@ class TestFaultedMatrix:
 
     def test_backends_agree_on_faulted_cells(self):
         profile = self._faulted()
-        ref = run_matrix(("DMA-SR",), profile, configs=self.CONFIGS,
-                         backend="reference", use_cache=False)
-        vec = run_matrix(("DMA-SR",), profile, configs=self.CONFIGS,
-                         backend="numpy", use_cache=False)
+        ref = run_matrix(("DMA-SR",),
+                         replace(profile, engine_backend="reference"),
+                         configs=self.CONFIGS, use_cache=False)
+        vec = run_matrix(("DMA-SR",), replace(profile, engine_backend="numpy"),
+                         configs=self.CONFIGS, use_cache=False)
         for key, cell in ref.items():
             assert vec[key].report == cell.report
 
@@ -278,11 +281,12 @@ class TestCellRecipe:
         memory address: no store hit ever crossed processes."""
         path = str(tmp_path / "s.db")
         clear_cell_cache()
-        run_matrix(("DMA-SR", "GA"), TINY, configs=self.CONFIGS, store=path,
-                   backend=NumpyBackend())
+        run_matrix(("DMA-SR", "GA"),
+                   replace(TINY, engine_backend=NumpyBackend()),
+                   configs=self.CONFIGS, store=path)
         clear_cell_cache()
-        run_matrix(("DMA-SR", "GA"), TINY, configs=self.CONFIGS, store=path,
-                   backend="numpy")
+        run_matrix(("DMA-SR", "GA"), replace(TINY, engine_backend="numpy"),
+                   configs=self.CONFIGS, store=path)
         stats = last_matrix_stats()
         assert stats.cells_total == stats.hits_store == 8
 
@@ -294,8 +298,8 @@ class TestCellRecipe:
                 raise AssertionError("never reached")
 
         with pytest.raises(ExperimentError, match="unknown engine backend"):
-            run_matrix(("DMA-SR",), TINY, configs=self.CONFIGS,
-                       backend=Custom(), use_cache=False)
+            run_matrix(("DMA-SR",), replace(TINY, engine_backend=Custom()),
+                       configs=self.CONFIGS, use_cache=False)
 
     # -- the recipe itself ---------------------------------------------------
 
@@ -395,6 +399,7 @@ class TestCellRecipe:
         backend instance must serve every cell."""
         path = str(tmp_path / "s.db")
         fill = (
+            "from dataclasses import replace\n"
             "from repro.engine import NumpyBackend\n"
             "from repro.eval.profiles import EvalProfile\n"
             "from repro.eval.runner import run_matrix\n"
@@ -402,9 +407,10 @@ class TestCellRecipe:
             "profile = EvalProfile(name='tiny', suite_scale=0.12,\n"
             "    ga_options={'mu': 6, 'lam': 6, 'generations': 3},\n"
             "    rw_iterations=20, benchmarks=('adpcm', 'dct'))\n"
-            "run_matrix(('DMA-SR', 'GA'), profile,\n"
+            "run_matrix(('DMA-SR', 'GA'),\n"
+            "    replace(profile, engine_backend=NumpyBackend()),\n"
             "    configs=iso_capacity_sweep(dbc_counts=(2, 4)),\n"
-            f"    store={path!r}, backend=NumpyBackend())\n"
+            f"    store={path!r})\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ)
@@ -412,8 +418,9 @@ class TestCellRecipe:
         subprocess.run([sys.executable, "-c", fill], env=env, check=True,
                        timeout=300)
         clear_cell_cache()
-        run_matrix(("DMA-SR", "GA"), TINY, configs=self.CONFIGS, store=path,
-                   backend=NumpyBackend())
+        run_matrix(("DMA-SR", "GA"),
+                   replace(TINY, engine_backend=NumpyBackend()),
+                   configs=self.CONFIGS, store=path)
         stats = last_matrix_stats()
         assert stats.cells_total == stats.hits_store == 8
 
@@ -424,8 +431,8 @@ class TestCellRecipe:
         from repro.store import SCHEMA_VERSION, ExperimentStore
 
         path = str(tmp_path / "s.db")
-        run_matrix(("DMA-SR",), TINY, configs=self.CONFIGS, store=path,
-                   backend=NumpyBackend(), use_cache=False)
+        run_matrix(("DMA-SR",), replace(TINY, engine_backend=NumpyBackend()),
+                   configs=self.CONFIGS, store=path, use_cache=False)
         with closing(ExperimentStore(path)) as store:
             manifest = store.runs()[0]["manifest"]
         assert manifest["backend"] == "numpy"
@@ -434,11 +441,9 @@ class TestCellRecipe:
         assert manifest["python"] == platform.python_version()
 
     @pytest.mark.parametrize("name", ["auto", "numba"])
-    @pytest.mark.parametrize("via", ["argument", "profile"])
+    @pytest.mark.parametrize("via", ["profile"])
     def test_removed_backend_names_rejected(self, name, via):
-        profile, backend = TINY, name
-        if via == "profile":
-            profile, backend = replace(TINY, engine_backend=name), None
+        profile = replace(TINY, engine_backend=name)
         with pytest.raises(ExperimentError, match="unknown engine backend"):
             run_matrix(("DMA-SR",), profile, configs=self.CONFIGS,
-                       backend=backend, use_cache=False)
+                       use_cache=False)

@@ -7,6 +7,8 @@ matrix, offline regeneration, and schema-version invalidation through
 the runner.
 """
 
+from dataclasses import replace
+
 import pytest
 
 import repro.eval.runner as runner_module
@@ -178,8 +180,8 @@ class TestSharding:
             merged.merge_from(b)
             assert len(merged) == 8
         clear_cell_cache()
-        regenerated = run_matrix(POLICIES, TINY, configs=CONFIGS,
-                                 store=merged_path, offline=True)
+        regenerated = run_matrix(POLICIES, replace(TINY, offline=True),
+                                 configs=CONFIGS, store=merged_path)
         assert last_matrix_stats().computed == 0
         assert regenerated == full
 
@@ -188,16 +190,16 @@ class TestOffline:
     def test_offline_cold_store_raises(self, tmp_path):
         clear_cell_cache()
         with pytest.raises(ExperimentError, match="missing from the store"):
-            run_matrix(POLICIES, TINY, configs=CONFIGS,
-                       store=tmp_path / "cold.db", offline=True)
+            run_matrix(POLICIES, replace(TINY, offline=True), configs=CONFIGS,
+                       store=tmp_path / "cold.db")
 
     def test_offline_warm_store_serves_everything(self, tmp_path):
         clear_cell_cache()
         path = tmp_path / "s.db"
         cold = run_matrix(POLICIES, TINY, configs=CONFIGS, store=path)
         clear_cell_cache()
-        warm = run_matrix(POLICIES, TINY, configs=CONFIGS, store=path,
-                          offline=True)
+        warm = run_matrix(POLICIES, replace(TINY, offline=True),
+                          configs=CONFIGS, store=path)
         assert warm == cold
 
 
@@ -219,8 +221,6 @@ class TestExperimentRegeneration:
     def test_fig4_warm_rerun_is_byte_identical(self, tmp_path):
         """The acceptance criterion, at library level: zero recomputation
         and byte-identical report output against a warm store."""
-        from dataclasses import replace
-
         # 2 benchmarks x 4 configs x 6 paper policies
         cells = 2 * 4 * 6
         profile = replace(TINY, store=str(tmp_path / "s.db"))
@@ -236,8 +236,6 @@ class TestExperimentRegeneration:
         assert render_experiment_json(warm) == render_experiment_json(cold)
 
     def test_populate_matrix_fills_store_for_report(self, tmp_path):
-        from dataclasses import replace
-
         from repro.eval.experiments import experiment_fig6
 
         path = str(tmp_path / "s.db")
@@ -273,8 +271,6 @@ class TestFaultedCellKeys:
     def test_faulted_and_clean_cells_coexist_and_resume_warm(self, tmp_path):
         """Fault params are content-addressed: clean and faulted sweeps
         share one store under distinct keys, and each resumes 100% warm."""
-        from dataclasses import replace
-
         clear_cell_cache()
         path = tmp_path / "s.db"
         clean = run_matrix(("DMA-SR",), TINY, configs=CONFIGS, store=path)
@@ -302,8 +298,6 @@ class TestFaultedCellKeys:
 
     def test_fault_params_distinguish_keys(self, tmp_path):
         """Rate, seed-bearing model and scrub cadence all key separately."""
-        from dataclasses import replace
-
         clear_cell_cache()
         path = tmp_path / "s.db"
         variants = (
@@ -337,14 +331,14 @@ class TestEnqueueMode:
         assert (outcome["computed"], outcome["failed"]) == (8, 0)
 
         clear_cell_cache()
-        via_queue = run_matrix(POLICIES, TINY, configs=CONFIGS, store=path,
-                               offline=True)
+        via_queue = run_matrix(POLICIES, replace(TINY, offline=True),
+                               configs=CONFIGS, store=path)
         stats = last_matrix_stats()
         # Remotely computed cells are store hits, all credited to the queue.
         assert (stats.hits_store, stats.hits_queue, stats.computed) == (8, 8, 0)
 
         clear_cell_cache()
-        cold = run_matrix(POLICIES, TINY, configs=CONFIGS, workers=1)
+        cold = run_matrix(POLICIES, replace(TINY, workers=1), configs=CONFIGS)
         assert via_queue == cold  # dataclass eq: every float bit-exact
 
     def test_enqueue_skips_warm_cells(self, tmp_path):
@@ -375,8 +369,8 @@ class TestEnqueueMode:
 
     def test_enqueue_conflicts_with_offline(self, tmp_path):
         with pytest.raises(ExperimentError, match="offline"):
-            run_matrix(POLICIES, TINY, configs=CONFIGS,
-                       store=tmp_path / "s.db", enqueue=True, offline=True)
+            run_matrix(POLICIES, replace(TINY, offline=True), configs=CONFIGS,
+                       store=tmp_path / "s.db", enqueue=True)
 
     def test_enqueue_refuses_explicit_programs(self, tmp_path):
         from repro.eval.runner import load_suite

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -107,12 +108,12 @@ class TestCrashSemantics:
             assert stolen["attempts"] == 2
 
         clear_cell_cache()
-        via_queue = run_matrix(POLICIES, TINY, configs=CONFIGS, store=path,
-                               offline=True)
+        via_queue = run_matrix(POLICIES, replace(TINY, offline=True),
+                               configs=CONFIGS, store=path)
         stats = last_matrix_stats()
         assert (stats.hits_store, stats.hits_queue) == (8, 8)
         clear_cell_cache()
-        cold = run_matrix(POLICIES, TINY, configs=CONFIGS, workers=1)
+        cold = run_matrix(POLICIES, replace(TINY, workers=1), configs=CONFIGS)
         assert via_queue == cold  # dataclass eq: every float bit-exact
 
 

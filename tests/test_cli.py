@@ -189,12 +189,13 @@ class TestBackendFlags:
         assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["auto", "numba"])
+    @pytest.mark.parametrize("experiment", ["fig6", "fig3", "sec4b", "table1"])
     def test_unknown_backend_from_env_fails_cleanly(self, monkeypatch, capsys,
-                                                    name):
+                                                    experiment, name):
         monkeypatch.setenv("REPRO_PROFILE", "smoke")
         monkeypatch.delenv("REPRO_WORKLOADS", raising=False)
         monkeypatch.setenv("REPRO_BACKEND", name)
-        assert main_experiment(["fig6"]) == 2
+        assert main_experiment([experiment]) == 2
         assert "unknown engine backend" in capsys.readouterr().err
 
 

@@ -5,6 +5,8 @@ populate the store, survive kill-and-resume bit-identically, and
 regenerate its results offline with zero simulation.
 """
 
+from dataclasses import replace
+
 import pytest
 
 import repro.eval.runner as runner_module
@@ -85,8 +87,8 @@ class TestExternalTraceStore:
 
         # Offline regeneration: zero simulation.
         clear_cell_cache()
-        offline = run_matrix(POLICIES, external_profile, configs=CONFIGS,
-                             store=store_path, offline=True)
+        offline = run_matrix(POLICIES, replace(external_profile, offline=True),
+                             configs=CONFIGS, store=store_path)
         assert last_matrix_stats().computed == 0
         assert offline == cold
 
@@ -104,8 +106,8 @@ class TestExternalTraceStore:
         write_traces(path, [MemoryTrace(seq)])
         clear_cell_cache()
         with pytest.raises(ExperimentError, match="missing from the store"):
-            run_matrix(("DMA-SR",), external_profile, configs=CONFIGS,
-                       store=store_path, offline=True)
+            run_matrix(("DMA-SR",), replace(external_profile, offline=True),
+                       configs=CONFIGS, store=store_path)
 
     def test_manifest_records_workload_specs(self, tmp_path, external_profile):
         store_path = tmp_path / "s.db"

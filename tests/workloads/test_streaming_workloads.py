@@ -6,6 +6,8 @@ store keys as the in-memory ``stream=0`` run (a stream=1 rerun must be
 the combinations streaming cannot honour.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,6 @@ class TestMatrixEquivalence:
         serial = run_matrix(POLICIES, stream, configs=CONFIGS,
                             use_cache=False)
         clear_cell_cache()
-        pooled = run_matrix(POLICIES, stream, configs=CONFIGS,
-                            use_cache=False, workers=2)
+        pooled = run_matrix(POLICIES, replace(stream, workers=2),
+                            configs=CONFIGS, use_cache=False)
         assert pooled == serial
