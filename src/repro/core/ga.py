@@ -57,6 +57,8 @@ class GAConfig:
         if len(self.mutation_weights) != 3 or min(self.mutation_weights) < 0 or \
                 sum(self.mutation_weights) == 0:
             raise SolverError("mutation_weights must be 3 non-negative weights")
+        if self.patience is not None and self.patience < 1:
+            raise SolverError("patience must be >= 1 when set")
 
 
 @dataclass
@@ -139,9 +141,10 @@ class GeneticPlacer:
     def seed_individuals(self) -> list[Individual]:
         """Heuristic placements used to seed the initial population."""
         seq, q, cap = self.sequence, self.num_dbcs, self.capacity
+        partition, k = dma_partition(seq, q, cap)
         seeds: list[Individual] = []
         for intra in (shifts_reduce_order, chen_order, ofu_order, None):
-            dbcs, k = dma_partition(seq, q, cap)
+            dbcs = [list(d) for d in partition]
             if intra is not None:
                 for i in range(k, len(dbcs)):
                     if len(dbcs[i]) > 1:

@@ -9,6 +9,18 @@ from repro.trace.sequence import AccessSequence
 from repro.util.rng import ensure_rng
 
 
+def _check_room(num_variables: int, num_dbcs: int, capacity: int) -> None:
+    if num_dbcs < 1:
+        raise CapacityError(f"need at least one DBC, got {num_dbcs}")
+    if capacity < 1:
+        raise CapacityError(f"capacity must be >= 1, got {capacity}")
+    if num_variables > num_dbcs * capacity:
+        raise CapacityError(
+            f"{num_variables} variables exceed {num_dbcs} DBCs x "
+            f"{capacity} locations"
+        )
+
+
 def random_partition(
     sequence: AccessSequence,
     num_dbcs: int,
@@ -21,15 +33,7 @@ def random_partition(
     among DBCs with free locations, so both the partition and the
     resulting intra-DBC insertion orders are random.
     """
-    if num_dbcs < 1:
-        raise CapacityError(f"need at least one DBC, got {num_dbcs}")
-    if capacity < 1:
-        raise CapacityError(f"capacity must be >= 1, got {capacity}")
-    if sequence.num_variables > num_dbcs * capacity:
-        raise CapacityError(
-            f"{sequence.num_variables} variables exceed {num_dbcs} DBCs x "
-            f"{capacity} locations"
-        )
+    _check_room(sequence.num_variables, num_dbcs, capacity)
     gen = ensure_rng(rng)
     variables = list(sequence.variables)
     gen.shuffle(variables)
@@ -42,3 +46,71 @@ def random_partition(
         if len(dbcs[dbc_index]) >= capacity:
             open_dbcs.pop(pick)
     return dbcs
+
+
+def random_partition_arrays(
+    num_variables: int,
+    num_dbcs: int,
+    capacity: int,
+    count: int,
+    rng: int | np.random.Generator | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` placements drawn as :func:`random_partition` draws one.
+
+    Returns ``(dbc_of, pos_of)``: ``(count, num_variables)`` int64
+    matrices giving each row's DBC and slot per variable code, the
+    candidate shape :func:`repro.engine.evaluate_batch` scores.
+
+    Picking a uniform *open* DBC is the same as drawing uniform DBC
+    labels and skipping the labels of full DBCs. So each row is a stream
+    of uniform labels, of which a label is kept while fewer than
+    ``capacity`` earlier labels name its DBC; the t-th kept label goes
+    to the t-th variable of a uniform random order, at a slot equal to
+    the number of earlier labels naming its DBC. A row with too few kept
+    labels gets more labels appended to its stream, never a new stream:
+    redrawing would favour rows that filled fast and bias the DBC sizes.
+    While ``num_variables <= capacity`` no label is ever skipped.
+    """
+    _check_room(num_variables, num_dbcs, capacity)
+    gen = ensure_rng(rng)
+    n = num_variables
+    # Per row, the DBC and slot of each placement step, in step order.
+    step_dbc = np.empty((count, n), dtype=np.int64)
+    step_slot = np.empty((count, n), dtype=np.int64)
+    rows = np.arange(count)
+    labels = gen.integers(0, num_dbcs, size=(count, n))
+    while rows.size:
+        ranks = _occurrence_ranks(labels)
+        kept = ranks < capacity
+        kept_per_row = kept.sum(axis=1)
+        done = kept_per_row >= n
+        finished = rows[done]
+        first = kept[done] & (np.cumsum(kept[done], axis=1) <= n)
+        step_dbc[finished] = labels[done][first].reshape(finished.size, n)
+        step_slot[finished] = ranks[done][first].reshape(finished.size, n)
+        rows, labels = rows[~done], labels[~done]
+        if rows.size:
+            more = n - int(kept_per_row[~done].min())
+            labels = np.concatenate(
+                [labels, gen.integers(0, num_dbcs, size=(rows.size, more))],
+                axis=1,
+            )
+    # Variable v takes step order[v]: a uniform order of the variables.
+    order = gen.permuted(np.broadcast_to(np.arange(n), (count, n)), axis=1)
+    return (np.take_along_axis(step_dbc, order, axis=1),
+            np.take_along_axis(step_slot, order, axis=1))
+
+
+def _occurrence_ranks(labels: np.ndarray) -> np.ndarray:
+    """Per row, how many earlier entries hold the same label."""
+    width = labels.shape[1]
+    order = np.argsort(labels, axis=1, kind="stable")
+    grouped = np.take_along_axis(labels, order, axis=1)
+    cols = np.arange(width)
+    starts = np.zeros(labels.shape, dtype=np.int64)
+    np.copyto(starts[:, 1:], cols[1:], where=grouped[:, 1:] != grouped[:, :-1])
+    ranks = np.empty_like(labels)
+    ranks[np.arange(labels.shape[0])[:, None], order] = (
+        cols - np.maximum.accumulate(starts, axis=1)
+    )
+    return ranks

@@ -45,13 +45,28 @@ PAPER_POLICIES: tuple[str, ...] = (
 )
 
 
+#: RNG-stream tags of the stochastic policies, hashed into their cell
+#: keys (:meth:`repro.eval.runner.CellRecipe.key`). A change that moves a
+#: policy's seed-fixed results gives it a new tag, so stored cells of the
+#: old stream go cold instead of being served stale. An untagged policy
+#: keeps the keys it had before tags existed.
+STREAM_TAGS: dict[str, str] = {
+    "RW": "rw-arrays",  # candidates drawn as (K, V) arrays, 512 per draw
+}
+
+
 @dataclass(frozen=True)
 class Policy:
-    """A named placement strategy."""
+    """A named placement strategy.
+
+    ``stream`` is the policy's RNG-stream tag from :data:`STREAM_TAGS`,
+    empty when it has none.
+    """
 
     name: str
     fn: PlaceFn
     deterministic: bool = True
+    stream: str = ""
 
     def place(
         self,
@@ -105,7 +120,8 @@ def _mdma_with(intra) -> PlaceFn:
 
 
 def _ga_policy(**options) -> PlaceFn:
-    config = GAConfig(**options) if options else GAConfig()
+    config = GAConfig(**options)
+    config.validate()
 
     def fn(seq, q, cap, rng) -> Placement:
         return GeneticPlacer(seq, q, cap, config=config, rng=rng).run().placement
@@ -114,6 +130,9 @@ def _ga_policy(**options) -> PlaceFn:
 
 
 def _rw_policy(iterations: int = DEFAULT_ITERATIONS) -> PlaceFn:
+    if iterations < 1:
+        raise SolverError(f"iterations must be >= 1, got {iterations}")
+
     def fn(seq, q, cap, rng) -> Placement:
         return random_walk_search(seq, q, cap, iterations=iterations, rng=rng).placement
 
@@ -151,7 +170,8 @@ def get_policy(name: str, **options) -> Policy:
 
     ``GA`` accepts :class:`~repro.core.ga.GAConfig` fields as keyword
     options (e.g. ``generations=50``); ``RW`` accepts ``iterations``.
-    Deterministic policies accept no options.
+    Deterministic policies accept no options. Invalid options raise
+    :class:`~repro.errors.SolverError` here, before anything runs.
     """
     try:
         builder = _BUILDERS[name]
@@ -163,7 +183,8 @@ def get_policy(name: str, **options) -> Policy:
         fn, deterministic = builder(**options)
     except TypeError as exc:
         raise SolverError(f"bad options for policy {name!r}: {exc}") from exc
-    return Policy(name=name, fn=fn, deterministic=deterministic)
+    return Policy(name=name, fn=fn, deterministic=deterministic,
+                  stream=STREAM_TAGS.get(name, ""))
 
 
 def intra_heuristic_names() -> tuple[str, ...]:

@@ -6,9 +6,12 @@ best. The paper runs it for 60000 iterations, the upper bound on the
 number of individuals its GA evaluates, to put the GA results in
 perspective (Fig. 4's ``RW`` series).
 
-Candidates are scored in chunks through the engine's batched evaluator;
-sampling and scoring are interleaved per chunk but the RNG stream only
-feeds sampling, so results are bit-identical to scoring one at a time.
+Each chunk of candidates is drawn straight into ``(K, V)`` DBC/slot
+arrays by :func:`~repro.core.inter.random_inter.random_partition_arrays`
+(distributed exactly as :func:`random_partition` draws one placement),
+scored in one batched engine pass and reduced with a running minimum;
+only the best row ever becomes a :class:`Placement`. The chunk width is
+part of the RNG stream: one sampler call draws a whole chunk.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cost import stack_placement_lists
-from repro.core.inter.random_inter import random_partition
+# stack_placement_lists is unused here but stays a module attribute: the
+# layer tracer in perfbench/spans.py wraps it by name.
+from repro.core.cost import stack_placement_lists  # noqa: F401
+from repro.core.inter.random_inter import random_partition, random_partition_arrays
 from repro.core.placement import Placement
 from repro.engine import evaluate_batch
 from repro.errors import SolverError
@@ -29,9 +34,9 @@ from repro.util.rng import ensure_rng
 #: evaluation upper bound, Sec. IV-A).
 DEFAULT_ITERATIONS = 60_000
 
-#: Candidates scored per batched engine pass. Sampling consumes the RNG
-#: and scoring does not, so the chunk width never changes any result —
-#: it only amortizes the per-call overhead across the population.
+#: Candidates drawn and scored per batched pass. One sampler call draws
+#: a whole chunk, so the width is part of the RNG stream: changing it
+#: changes seed-fixed results (and must re-key stored RW cells).
 _SCORE_CHUNK = 512
 
 
@@ -69,39 +74,41 @@ def random_walk_search(
     into the result's history (for convergence plots). ``ports > 1``
     scores candidates under the real multi-port geometry (``domains``
     defaults to the DBC capacity, the track length in this library).
+    Ties keep the earliest candidate.
     """
     if iterations < 1:
         raise SolverError(f"iterations must be >= 1, got {iterations}")
+    if history_stride < 1:
+        raise SolverError(f"history_stride must be >= 1, got {history_stride}")
     if ports > 1 and domains is None:
         domains = capacity
     gen = ensure_rng(rng)
     codes = sequence.codes
-    best_cost: int | None = None
-    best_lists: list[list[str]] | None = None
+    best_cost = np.iinfo(np.int64).max
+    best_dbc = best_pos = None
     history: list[int] = []
-    it = 0
-    while it < iterations:
-        chunk = min(_SCORE_CHUNK, iterations - it)
-        batch = [
-            random_partition(sequence, num_dbcs, capacity, gen)
-            for _ in range(chunk)
-        ]
-        dbc_of, pos_of = stack_placement_lists(sequence, batch)
+    for start in range(0, iterations, _SCORE_CHUNK):
+        chunk = min(_SCORE_CHUNK, iterations - start)
+        dbc_of, pos_of = random_partition_arrays(
+            sequence.num_variables, num_dbcs, capacity, chunk, gen
+        )
         costs = evaluate_batch(
             codes, dbc_of, pos_of, num_dbcs=num_dbcs,
             domains=domains, ports=ports,
         )
-        for k, cost in enumerate(costs):
-            cost = int(cost)
-            if best_cost is None or cost < best_cost:
-                best_cost, best_lists = cost, batch[k]
-            if (it + k + 1) % history_stride == 0:
-                history.append(int(best_cost))
-        it += chunk
-    assert best_cost is not None and best_lists is not None
+        running = np.minimum(np.minimum.accumulate(costs), best_cost)
+        steps = np.arange(start + 1, start + chunk + 1)
+        history.extend(running[steps % history_stride == 0].tolist())
+        k = int(np.argmin(costs))
+        if costs[k] < best_cost:
+            best_cost, best_dbc, best_pos = int(costs[k]), dbc_of[k], pos_of[k]
+    variables = sequence.variables
+    dbc_lists: list[list[str]] = [[] for _ in range(num_dbcs)]
+    for code in np.lexsort((best_pos, best_dbc)):
+        dbc_lists[best_dbc[code]].append(variables[code])
     return RandomWalkResult(
-        placement=Placement(best_lists),
-        cost=int(best_cost),
+        placement=Placement(dbc_lists),
+        cost=best_cost,
         iterations=iterations,
         history=history,
     )

@@ -352,7 +352,11 @@ class CellRecipe:
         Deterministic policies ignore their RNG stream, so their key
         omits the seed — cells recur across differently shaped matrices
         (each figure runs its own policy subset, which reshuffles seed
-        assignment) and still hit the cache.
+        assignment) and still hit the cache. A stochastic policy's key
+        hashes the seed and then its stream tag, when it has one
+        (:data:`repro.core.policies.STREAM_TAGS`): a new tag re-keys the
+        policy's cells after a change to its RNG stream, and untagged
+        policies keep their historical keys.
 
         The program side of the key is the resolved workload itself: the
         program name (for registry workloads, the canonical spec string)
@@ -367,8 +371,11 @@ class CellRecipe:
         h.update(json.dumps(
             [getattr(self.config, f) for f in _GEOMETRY]
         ).encode())
-        if not self.build_policy().deterministic:
+        policy = self.build_policy()
+        if not policy.deterministic:
             h.update(str(self.seed).encode())
+            if policy.stream:
+                h.update(policy.stream.encode())
         if self.backend is not None:
             h.update(self.backend.encode())
         if self.fault is not None:

@@ -1,5 +1,6 @@
 """Unit tests for the inter-DBC distribution strategies beyond Fig. 3."""
 
+import numpy as np
 import pytest
 
 from repro.core.inter.afd import afd_partition, afd_placement
@@ -9,8 +10,8 @@ from repro.core.inter.multiset import (
     multiset_dma_partition,
     multiset_dma_placement,
 )
-from repro.core.inter.random_inter import random_partition
-from repro.core.cost import shift_cost
+from repro.core.inter.random_inter import random_partition, random_partition_arrays
+from repro.core.cost import shift_cost, stack_placement_lists
 from repro.core.intra import shifts_reduce_order
 from repro.errors import CapacityError
 from repro.trace.liveness import Liveness
@@ -187,3 +188,48 @@ class TestRandomPartition:
     def test_capacity_error(self, small_sequence):
         with pytest.raises(CapacityError):
             random_partition(small_sequence, 2, 2, 0)
+
+
+class TestRandomPartitionArrays:
+    """The batch sampler draws what :func:`random_partition` draws."""
+
+    DRAWS = 20_000
+
+    #: (variables, DBCs, capacity) -> (number P of possible placements,
+    #: the 99.9th percentile of chi-square with P - 1 degrees of freedom).
+    CASES = {
+        (3, 2, 2): (12, 31.26),
+        (4, 3, 2): (144, 201.00),
+        (5, 2, 3): (240, 312.29),
+        (4, 2, 4): (120, 172.41),
+        (6, 3, 2): (720, 841.90),
+    }
+
+    @staticmethod
+    def placement_ids(dbc_of, pos_of, num_dbcs, capacity):
+        """One integer per row naming its whole placement."""
+        places = num_dbcs * capacity
+        return (dbc_of * capacity + pos_of) @ places ** np.arange(dbc_of.shape[1])
+
+    @pytest.mark.parametrize("geometry", sorted(CASES))
+    def test_placement_histogram_matches_random_partition(self, geometry):
+        """Two-sample chi-square over every possible placement."""
+        n, q, cap = geometry
+        placements, critical = self.CASES[geometry]
+        seq = AccessSequence([f"v{i}" for i in range(n)])
+        gen = np.random.default_rng(2020)
+        reference = stack_placement_lists(
+            seq, [random_partition(seq, q, cap, gen) for _ in range(self.DRAWS)]
+        )
+        batch = random_partition_arrays(n, q, cap, self.DRAWS, 2021)
+        ids = np.concatenate([self.placement_ids(*reference, q, cap),
+                              self.placement_ids(*batch, q, cap)])
+        kinds, which = np.unique(ids, return_inverse=True)
+        a = np.bincount(which[: self.DRAWS], minlength=kinds.size)
+        b = np.bincount(which[self.DRAWS :], minlength=kinds.size)
+        assert kinds.size == placements
+        assert ((a - b) ** 2 / (a + b)).sum() < critical
+
+    def test_capacity_error(self):
+        with pytest.raises(CapacityError):
+            random_partition_arrays(5, 2, 2, 4, 0)

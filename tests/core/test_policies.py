@@ -37,6 +37,16 @@ class TestRegistry:
         placement = fast.place(fig3_sequence, 2, 512, rng=0)
         placement.validate_for(fig3_sequence, num_dbcs=2, capacity=512)
 
+    @pytest.mark.parametrize("name,options", [
+        ("GA", {"mu": 0}),
+        ("GA", {"patience": 0}),
+        ("GA", {"mutation_rate": 2.0}),
+        ("RW", {"iterations": 0}),
+    ])
+    def test_invalid_search_options_rejected(self, name, options):
+        with pytest.raises(SolverError, match=next(iter(options))):
+            get_policy(name, **options)
+
     def test_rw_options_forwarded(self, fig3_sequence):
         rw = get_policy("RW", iterations=10)
         placement = rw.place(fig3_sequence, 2, 512, rng=0)

@@ -1,13 +1,17 @@
 """Unit tests for the random-walk search and the exact solver."""
 
+import numpy as np
 import pytest
 
+import repro.core.random_walk as random_walk
 from repro.core.cost import shift_cost
 from repro.core.exact import exact_optimal_placement
 from repro.core.ga import GAConfig, GeneticPlacer
 from repro.core.random_walk import random_placement, random_walk_search
 from repro.errors import SolverError
 from repro.trace.sequence import AccessSequence
+
+from tests.paperdata import FIG3_ACCESSES
 
 
 class TestRandomWalk:
@@ -41,6 +45,55 @@ class TestRandomWalk:
     def test_random_placement_valid(self, fig3_sequence):
         p = random_placement(fig3_sequence, 3, 4, rng=2)
         p.validate_for(fig3_sequence, num_dbcs=3, capacity=4)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_history_stride_below_one_rejected(self, fig3_sequence, stride):
+        with pytest.raises(SolverError, match="history_stride"):
+            random_walk_search(fig3_sequence, 2, 512, iterations=10,
+                               history_stride=stride)
+
+    @pytest.mark.parametrize("ports", [1, 2])
+    @pytest.mark.parametrize("accesses,num_dbcs,capacity", [
+        (FIG3_ACCESSES, 2, 512),
+        (FIG3_ACCESSES, 3, 3),  # every location filled
+        (list("abcacb"), 3, 1),  # every candidate costs 0: the first drawn wins
+    ], ids=["fig3", "fig3-full", "all-tied"])
+    def test_result_follows_from_the_scored_candidates(
+        self, monkeypatch, accesses, num_dbcs, capacity, ports
+    ):
+        """Holds on any RNG stream: the result is the first cheapest
+        candidate scored, and the history is the running minimum."""
+        sequence = AccessSequence(accesses)
+        scored = []
+        evaluate_batch = random_walk.evaluate_batch
+
+        def spy(codes, dbc_of, pos_of, **kwargs):
+            costs = evaluate_batch(codes, dbc_of, pos_of, **kwargs)
+            scored.append((dbc_of, pos_of, costs))
+            return costs
+
+        monkeypatch.setattr(random_walk, "evaluate_batch", spy)
+        domains = 64 if ports > 1 else None
+        result = random_walk_search(
+            sequence, num_dbcs, capacity, iterations=1300, rng=5,
+            history_stride=250, ports=ports, domains=domains,
+        )
+        dbc_of, pos_of, costs = (np.concatenate(a) for a in zip(*scored))
+        assert costs.size == 1300
+        first = int(np.argmin(costs))
+        assert result.cost == costs[first] == shift_cost(
+            sequence, result.placement, ports=ports, domains=domains
+        )
+        result.placement.validate_for(
+            sequence, num_dbcs=num_dbcs, capacity=capacity
+        )
+        got_dbc, got_pos = result.placement.as_arrays(sequence)
+        assert (got_dbc == dbc_of[first]).all()
+        assert (got_pos == pos_of[first]).all()
+        history = result.history
+        assert len(history) == 1300 // 250
+        assert all(a >= b for a, b in zip(history, history[1:]))
+        assert history == np.minimum.accumulate(costs)[249::250].tolist()
 
 
 class TestExactSolver:

@@ -296,7 +296,7 @@ class TestSearcherRegressions:
         assert result.cost == cost
         assert result.evaluations == evaluations
 
-    @pytest.mark.parametrize("seed,cost", [(3, 13), (4, 14), (9, 13)])
+    @pytest.mark.parametrize("seed,cost", [(3, 12), (4, 14), (9, 14)])
     def test_rw_pinned(self, fig3_sequence, seed, cost):
         result = random_walk_search(
             fig3_sequence, 2, 512, iterations=300, rng=seed,

@@ -15,7 +15,7 @@ import repro
 from repro.core.policies import get_policy
 from repro.engine import NumpyBackend
 from repro.engine.faults import FaultModel
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, SolverError
 from repro.eval.profiles import EvalProfile
 from repro.eval.runner import (
     CellRecipe,
@@ -300,6 +300,20 @@ class TestCellRecipe:
         with pytest.raises(ExperimentError, match="unknown engine backend"):
             run_matrix(("DMA-SR",), replace(TINY, engine_backend=Custom()),
                        configs=self.CONFIGS, use_cache=False)
+
+    @pytest.mark.parametrize("policy,change", [
+        ("RW", {"rw_iterations": 0}),
+        ("GA", {"ga_options": {**TINY.ga_options, "patience": 0}}),
+    ])
+    def test_invalid_search_options_fail_before_anything_is_queued(
+        self, tmp_path, policy, change
+    ):
+        path = str(tmp_path / "s.db")
+        with pytest.raises(SolverError):
+            run_matrix((policy,), replace(TINY, **change), configs=self.CONFIGS,
+                       store=path, enqueue=True, use_cache=False)
+        with closing(sqlite3.connect(path)) as conn:
+            assert conn.execute("SELECT COUNT(*) FROM queue").fetchone() == (0,)
 
     # -- the recipe itself ---------------------------------------------------
 
