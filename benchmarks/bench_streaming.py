@@ -100,14 +100,14 @@ def _run_phase(mode: str, path: str, chunk: int, limit, conn) -> None:
     else:
         trace = stream_address_trace(path, chunk=chunk, limit=limit, **INGEST)
     t_ingest = time.perf_counter() - t0
-    placement = RoundRobinPlacement(trace.sequence.variables, config.dbcs)
+    placement = RoundRobinPlacement(trace.variables, config.dbcs)
     controller = RTMController(config, placement)
     t1 = time.perf_counter()
     report = controller.execute(trace)
     t_replay = time.perf_counter() - t1
     conn.send({
         "accesses": len(trace),
-        "variables": trace.sequence.num_variables,
+        "variables": len(trace.variables),
         "ingest_s": t_ingest,
         "replay_s": t_replay,
         "report": report,

@@ -325,13 +325,16 @@ def try_create_arena(programs) -> SharedTraceArena | None:
     programs to workers as before"; results are bit-identical either
     way, the arena only changes where the bytes live.
 
-    Streaming traces are deliberately not serialized: their whole point
-    is that the access arrays never materialize, and they already travel
-    cheaply by pickle (census metadata plus a spill path). A suite
-    containing any streamed trace skips the arena entirely.
+    Only in-memory traces are serialized. Streaming traces are not:
+    their whole point is that the access arrays never materialize, and
+    they already travel cheaply by pickle (census metadata plus a spill
+    path). A suite containing any streamed trace skips the arena
+    entirely.
     """
+    from repro.trace.trace import MemoryTrace
+
     for program in programs:
-        if any(hasattr(t, "chunks") for t in program.traces):
+        if not all(isinstance(t, MemoryTrace) for t in program.traces):
             logger.info(
                 "suite contains streaming traces; skipping the shared-"
                 "memory arena (streamed chunks never materialize)"

@@ -58,7 +58,7 @@ def ablation_ports(
     ctx = WorkloadContext.from_profile(profile)
     for bench in resolve_workloads(benchmarks, ctx):
         for trace in bench.traces:
-            seq = trace.sequence
+            seq = trace.placement_sequence()
             placements = {
                 p: get_policy(p).place(seq, num_dbcs, domains)
                 for p in policies

@@ -496,7 +496,7 @@ def experiment_sec4b_gap(
     spec = (profile.workloads[0] if profile.workloads
             else largest_sequence_benchmark())
     bench = resolve_workload(spec, WorkloadContext.from_profile(profile))
-    seq = max((t.sequence for t in bench.traces), key=len)
+    seq = max(bench.traces, key=len).placement_sequence()
     sweep = {c.dbcs: c for c in iso_capacity_sweep()}
     if num_dbcs not in sweep:
         raise ExperimentError(f"num_dbcs must be one of {sorted(sweep)}")

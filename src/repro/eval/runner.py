@@ -44,14 +44,18 @@ from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
-from repro.core.cost import shift_cost
 from repro.core.policies import Policy, get_policy
 from repro.engine import FaultModel
+from repro.engine.cursor import ShiftCursor
 from repro.errors import ExperimentError
 from repro.eval.profiles import QUICK_PROFILE, EvalProfile, check_profile
+from repro.rtm.controller import RTMController
 from repro.rtm.geometry import RTMConfig, iso_capacity_sweep
 from repro.rtm.report import SimReport
-from repro.rtm.sim import simulate
+
+# simulate is unused here but stays a module attribute: the layer tracer
+# in perfbench/spans.py wraps it by name.
+from repro.rtm.sim import simulate  # noqa: F401
 from repro.rtm.timing import params_for
 from repro.trace.generators.offsetstone import BenchmarkProgram
 from repro.util.rng import ensure_rng, spawn_seeds
@@ -173,16 +177,18 @@ def run_policy_on_program(
 ) -> CellResult:
     """Place and simulate every sequence of ``program`` independently.
 
-    Streaming traces (anything exposing ``chunks()``) take the
-    bounded-memory path: placement sees the trace's (possibly windowed)
-    :meth:`~repro.trace.streaming.StreamingTrace.placement_sequence`,
-    the simulator replays chunk by chunk, and on multi-port geometries
-    the analytic single-port ``shifts`` column is computed by an
-    observer :class:`~repro.engine.ShiftCursor` riding the same pass —
-    warm single-port cost is independent of the port anchor, so the
-    observer reproduces :func:`~repro.core.cost.shift_cost` exactly.
-    With the default full placement window, a streamed cell is
-    bit-identical to its in-memory twin.
+    Every trace, in memory or streamed, takes the same path: placement
+    sees the trace's
+    :meth:`~repro.trace.trace.MemoryTrace.placement_sequence` (for a
+    streamed trace, possibly windowed and materialized only while it
+    is placed), and the controller replays the trace chunk by chunk. On
+    multi-port geometries the analytic single-port ``shifts`` column is
+    computed by an observer :class:`~repro.engine.ShiftCursor` riding
+    the same pass — warm single-port cost is independent of the port
+    anchor, so the observer reproduces
+    :func:`~repro.core.cost.shift_cost` exactly. With the default full
+    placement window, a streamed cell is bit-identical to its in-memory
+    twin.
 
     ``fault``/``scrub_interval`` inject the engine's deterministic
     shift-fault model into every simulated trace (fresh per-trace
@@ -199,49 +205,34 @@ def run_policy_on_program(
     total_shifts = 0
     total_report: SimReport | None = None
     for trace in program.traces:
-        streaming = hasattr(trace, "chunks")
-        seq = trace.placement_sequence() if streaming else trace.sequence
+        seq = trace.placement_sequence()
         placement = policy.place(seq, config.dbcs, capacity, rng=gen)
         placement.validate_for(seq, num_dbcs=config.dbcs, capacity=capacity)
-        if streaming:
-            del seq  # transient: placement done, drop the materialized codes
-            from repro.engine.cursor import ShiftCursor
-            from repro.rtm.controller import RTMController
-
-            controller = RTMController(
-                config, placement, params=params, backend=backend,
-                fault=fault, scrub_interval=scrub_interval,
-            )
-            if single_port:
-                report = controller.execute_stream(trace)
-                total_shifts += report.shifts
-            else:
-                observer = ShiftCursor(
-                    num_dbcs=placement.num_dbcs, domains=capacity,
-                    ports=1, warm_start=True, backend=backend,
-                )
-                report = controller.execute_stream(
-                    trace,
-                    chunk_hooks=(
-                        lambda _c, dbc, slot: observer.replay_chunk(dbc, slot),
-                    ),
-                )
-                total_shifts += observer.shifts
-            total_report = (report if total_report is None
-                            else total_report + report)
-            continue
-        report = simulate(trace, placement, config, params=params,
-                          backend=backend, fault=fault,
-                          scrub_interval=scrub_interval)
+        del seq  # a streamed trace's codes are only needed for placement
+        controller = RTMController(
+            config, placement, params=params, backend=backend,
+            fault=fault, scrub_interval=scrub_interval,
+        )
         if single_port:
             # Analytic model and simulator are the same engine kernel on
             # this path; reuse the simulated count instead of recomputing.
+            report = controller.execute_stream(trace)
             total_shifts += report.shifts
         else:
             # The cell's ``shifts`` column stays the single-port analytic
             # cost (the paper's Fig. 4 quantity) even on multi-port
             # geometries, where the simulated count differs.
-            total_shifts += shift_cost(seq, placement, backend=backend)
+            observer = ShiftCursor(
+                num_dbcs=placement.num_dbcs, domains=capacity,
+                ports=1, warm_start=True, backend=backend,
+            )
+            report = controller.execute_stream(
+                trace,
+                chunk_hooks=(
+                    lambda _c, dbc, slot: observer.replay_chunk(dbc, slot),
+                ),
+            )
+            total_shifts += observer.shifts
         total_report = report if total_report is None else total_report + report
     assert total_report is not None
     return CellResult(

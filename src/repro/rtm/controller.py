@@ -3,19 +3,21 @@ accesses against per-DBC device state.
 
 This is the piece RTSim plays in the paper's flow: it receives a memory
 trace and a placement, drives the shift machinery, and accounts latency
-and energy using the DESTINY-calibrated parameters. Since the shift-
-engine refactor it no longer walks traces one access at a time: a trace
-is compiled to flat ``(dbc, slot)`` arrays once and handed to an engine
-backend (vectorized numpy by default, the per-access reference loop on
-request), with the per-DBC shift state carried between ``execute`` calls
-exactly as the old per-access device loop did.
+and energy using the DESTINY-calibrated parameters. Every trace — in
+memory or streamed from disk — replays the same way: each of its
+:meth:`~repro.trace.trace.MemoryTrace.chunks` is compiled to flat
+``(dbc, slot)`` arrays and advanced through one
+:class:`~repro.engine.ShiftCursor` on an engine backend (vectorized
+numpy by default, the per-access reference loop on request), with the
+per-DBC shift state carried between ``execute`` calls exactly as the
+old per-access device loop did.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import FaultModel, ShiftRequest, get_backend
+from repro.engine import FaultModel, get_backend
 from repro.engine.cursor import ShiftCursor
 from repro.errors import PlacementError, SimulationError
 from repro.rtm.geometry import RTMConfig
@@ -137,19 +139,6 @@ class RTMController:
                 var_dbc[code], var_slot[code] = loc
         return var_dbc, var_slot
 
-    def _compile(self, trace: MemoryTrace) -> tuple[np.ndarray, np.ndarray]:
-        """Per-access ``(dbc, slot)`` arrays for a trace under this mapping."""
-        seq = trace.sequence
-        var_dbc, var_slot = self._variable_luts(seq.variables)
-        codes = seq.codes
-        if codes.size:
-            used = np.unique(codes)
-            missing = used[var_dbc[used] < 0]
-            if missing.size:
-                name = seq.variables[int(missing[0])]
-                raise SimulationError(f"variable {name!r} has no location")
-        return var_dbc[codes], var_slot[codes]
-
     def _report(
         self,
         reads: int,
@@ -163,10 +152,9 @@ class RTMController:
     ) -> SimReport:
         """Price integer access/shift totals into one :class:`SimReport`.
 
-        Shared by the monolithic and streaming paths; building the
-        report once from accumulated *integer* counters (instead of
-        summing per-chunk float reports) is what keeps streamed reports
-        float-bit-identical to monolithic ones. Scrub shifts are real
+        Building the report once from accumulated *integer* counters
+        (instead of summing per-chunk float reports) is what keeps it
+        float-bit-identical for any chunk size. Scrub shifts are real
         device shifts — they pay latency and shift energy like any
         other — but stay out of ``shifts``/``per_dbc_shifts`` so
         placement traffic remains comparable across fault settings.
@@ -258,81 +246,44 @@ class RTMController:
             self._corrupted = self._corrupted or cursor.corrupted
 
     def execute(self, trace: MemoryTrace) -> SimReport:
-        """Run one trace to completion and report counters and energy.
-
-        Streaming traces (anything exposing ``chunks()``) dispatch to
-        :meth:`execute_stream` — same counters, bounded memory.
-        """
-        if hasattr(trace, "chunks"):
-            return self.execute_stream(trace)
-        dbc, slot = self._compile(trace)
-        writes = trace.num_writes
-        reads = len(trace) - writes
-        if self.fault is not None:
-            # Faulted replay routes through a cursor so the scrubbing
-            # cadence (and the drift carry) is identical to streaming.
-            cursor = self._make_cursor()
-            self._replay_scrubbed(cursor, dbc, slot)
-            self._absorb_cursor(cursor)
-            return self._report(
-                reads, writes, cursor.shifts,
-                scrub_shifts=cursor.scrub_shifts,
-                scrub_events=cursor.scrub_events,
-                fault_injected=cursor.fault_injected,
-                fault_misaligned=cursor.fault_misaligned,
-            )
-        result = self._backend.run(
-            ShiftRequest(
-                dbc=dbc,
-                slot=slot,
-                num_dbcs=self.config.dbcs,
-                domains=self.config.domains_per_track,
-                ports=self.config.ports_per_track,
-                policy=self.port_policy,
-                warm_start=self.warm_start,
-                init_offsets=self._offsets,
-                init_aligned=self._aligned,
-            )
-        )
-        self._offsets = result.final_offsets
-        self._aligned = result.final_aligned
-        self._per_dbc_shifts += np.asarray(result.per_dbc_shifts, dtype=np.int64)
-        self._accesses_done += result.accesses
-        return self._report(reads, writes, result.shifts)
+        """Run one trace to completion and report counters and energy."""
+        return self.execute_stream(trace)
 
     def execute_stream(self, trace, chunk_hooks=()) -> SimReport:
-        """Run a streaming trace chunk by chunk in bounded memory.
+        """Run a trace chunk by chunk: the one replay body.
 
-        ``trace`` is anything yielding
-        :class:`~repro.trace.streaming.TraceChunk`-shaped objects from
-        ``chunks()`` with a ``sequence`` carrying the variable universe
-        (e.g. :class:`~repro.trace.streaming.StreamingTrace`). A
+        ``trace`` is anything with ``variables`` and ``chunks()``
+        yielding :class:`~repro.trace.trace.TraceChunk`-shaped objects —
+        a :class:`~repro.trace.trace.MemoryTrace` or a
+        :class:`~repro.trace.streaming.StreamingTrace`. A
         :class:`~repro.engine.ShiftCursor` seeded with the controller's
         carried shift state advances over the chunks, so chained
         ``execute`` calls keep their semantics; by the cursor's
-        associativity contract the resulting report is bit-identical —
-        integer counters *and* derived floats — to :meth:`execute` over
-        the materialized trace, for any chunk size.
+        associativity contract the report is bit-identical — integer
+        counters *and* derived floats — for any chunk size.
 
         ``chunk_hooks`` are called as ``hook(chunk, dbc, slot)`` after
         each chunk is compiled, letting callers ride along the single
         pass (the matrix runner advances its analytic single-port
         observer cursor this way instead of re-reading the trace).
 
-        Streamed variable universes contain accessed variables only
-        (the census keeps nothing else), so placement coverage is
-        checked once up front rather than per chunk.
+        Only accessed variables need a location: a chunk touching an
+        unplaced variable raises :class:`SimulationError` before it is
+        replayed, and the controller's state is left as it was.
         """
-        info = trace.sequence
-        var_dbc, var_slot = self._variable_luts(info.variables)
-        missing = np.flatnonzero(var_dbc < 0)
-        if missing.size:
-            name = info.variables[int(missing[0])]
-            raise SimulationError(f"variable {name!r} has no location")
+        variables = trace.variables
+        var_dbc, var_slot = self._variable_luts(variables)
+        unplaced = var_dbc < 0
+        check = bool(unplaced.any())
         cursor = self._make_cursor()
         reads = writes = 0
         for chunk in trace.chunks():
             codes = chunk.codes
+            if check:
+                hit = unplaced[codes]
+                if hit.any():
+                    name = variables[int(codes[np.argmax(hit)])]
+                    raise SimulationError(f"variable {name!r} has no location")
             dbc, slot = var_dbc[codes], var_slot[codes]
             self._replay_scrubbed(cursor, dbc, slot)
             w = int(np.count_nonzero(chunk.writes))

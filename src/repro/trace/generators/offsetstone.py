@@ -72,7 +72,7 @@ class BenchmarkProgram:
 
     @property
     def max_variables(self) -> int:
-        return max(t.sequence.num_variables for t in self.traces)
+        return max(len(t.variables) for t in self.traces)
 
     @property
     def max_length(self) -> int:

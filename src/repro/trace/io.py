@@ -49,6 +49,7 @@ import gzip
 import os
 import zlib
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 
@@ -192,8 +193,9 @@ def open_text(path: str | os.PathLike):
     return open(path, "r", encoding="utf-8")
 
 
-def _read_text(path: str | os.PathLike) -> str:
-    """Read a (possibly gzipped) trace file as UTF-8 text.
+@contextmanager
+def _reading(path: str | os.PathLike) -> Iterator[None]:
+    """Translate errors raised while reading ``path`` as a trace file.
 
     Binary files, directories and other unreadable paths become
     :class:`~repro.errors.TraceFormatError`s (the library's clean-exit
@@ -201,8 +203,7 @@ def _read_text(path: str | os.PathLike) -> str:
     which callers special-case for friendlier messages.
     """
     try:
-        with open_text(path) as f:
-            return f.read()
+        yield
     except FileNotFoundError:
         raise
     except (UnicodeDecodeError, gzip.BadGzipFile, EOFError, zlib.error) as exc:
@@ -211,6 +212,12 @@ def _read_text(path: str | os.PathLike) -> str:
         ) from exc
     except OSError as exc:
         raise TraceFormatError(f"{os.fspath(path)}: {exc}") from exc
+
+
+def _read_text(path: str | os.PathLike) -> str:
+    """Read a (possibly gzipped) trace file as UTF-8 text."""
+    with _reading(path), open_text(path) as f:
+        return f.read()
 
 
 def read_traces(path: str | os.PathLike) -> list[MemoryTrace]:
@@ -292,22 +299,10 @@ def iter_address_trace(
     of accesses) resident at once. Parse failures carry the offending
     line number, exactly like :func:`parse_address_trace`.
     """
-    if isinstance(source, (str, os.PathLike)):
-        try:
-            with open_text(source) as f:
-                for line_no, raw in enumerate(f, start=1):
-                    parsed = _parse_address_line(raw, line_no)
-                    if parsed is not None:
-                        yield parsed
-        except FileNotFoundError:
-            raise
-        except (UnicodeDecodeError, gzip.BadGzipFile, EOFError, zlib.error) as exc:
-            raise TraceFormatError(
-                f"{os.fspath(source)}: not a text trace file ({exc})"
-            ) from exc
-        except OSError as exc:
-            raise TraceFormatError(f"{os.fspath(source)}: {exc}") from exc
-    else:
+    with ExitStack() as stack:
+        if isinstance(source, (str, os.PathLike)):
+            stack.enter_context(_reading(source))
+            source = stack.enter_context(open_text(source))
         for line_no, raw in enumerate(source, start=1):
             parsed = _parse_address_line(raw, line_no)
             if parsed is not None:
@@ -394,6 +389,81 @@ def _select_words(
     return keep
 
 
+def _word_codes(
+    uniq: np.ndarray,
+    counts: np.ndarray,
+    first: np.ndarray,
+    *,
+    min_count: int,
+    max_vars: int | None,
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The word-to-variable mapping of both ingest residencies.
+
+    ``uniq``/``counts``/``first`` are the ascending unique word ids,
+    their access counts and their first-touch positions in the raw
+    stream. Returns ``(keep, code_of_keep, variables)``: the kept words
+    (ascending), each one's variable code, and the universe — kept
+    words in first-touch order (the first-appearance order of the
+    filtered stream), named ``m<hex>``.
+    """
+    keep = _select_words(uniq, counts, min_count=min_count, max_vars=max_vars)
+    if keep.size == 0:
+        raise TraceError(
+            f"no word survives min_count={min_count} over "
+            f"{int(counts.sum())} accesses"
+        )
+    order = np.argsort(first[np.searchsorted(uniq, keep)], kind="stable")
+    code_of_keep = np.empty(keep.size, dtype=np.int64)
+    code_of_keep[order] = np.arange(keep.size, dtype=np.int64)
+    variables = tuple(f"m{int(w):x}" for w in keep[order])
+    return keep, code_of_keep, variables
+
+
+def _encode_words(
+    words: np.ndarray, keep: np.ndarray, code_of_keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map raw words to variable codes: ``(codes, selected)``.
+
+    ``selected`` masks the words that survived :func:`_word_codes`;
+    ``codes`` holds their codes, in stream order.
+    """
+    pos = np.searchsorted(keep, words)
+    pos[pos == keep.size] = 0
+    selected = keep[pos] == words
+    return code_of_keep[pos[selected]], selected
+
+
+def _check_ingest_options(
+    word_bytes: int | None,
+    config,
+    *,
+    max_vars: int | None,
+    min_count: int,
+    limit: int | None,
+) -> int:
+    """Validate the address-ingest options; returns the word size.
+
+    ``word_bytes`` defaults to the ``word_bytes`` of ``config`` or, with
+    neither given, the Table-I device's.
+    """
+    if word_bytes is None:
+        if config is not None:
+            word_bytes = config.word_bytes
+        else:
+            from repro.rtm.geometry import RTMConfig
+
+            word_bytes = RTMConfig(dbcs=1).word_bytes
+    if word_bytes < 1:
+        raise TraceError(f"word_bytes must be >= 1, got {word_bytes}")
+    if min_count < 1:
+        raise TraceError(f"min_count must be >= 1, got {min_count}")
+    if max_vars is not None and max_vars < 1:
+        raise TraceError(f"max_vars must be >= 1, got {max_vars}")
+    if limit is not None and limit < 1:
+        raise TraceError(f"limit must be >= 1, got {limit}")
+    return word_bytes
+
+
 def addresses_to_trace(
     addresses: Sequence[int] | np.ndarray,
     writes: Sequence[bool] | np.ndarray | None = None,
@@ -418,21 +488,10 @@ def addresses_to_trace(
     ties broken by lower address). Variables are named ``m<hex word
     index>`` in first-touch order.
     """
-    if word_bytes is None:
-        if config is not None:
-            word_bytes = config.word_bytes
-        else:
-            from repro.rtm.geometry import RTMConfig
-
-            word_bytes = RTMConfig(dbcs=1).word_bytes
-    if word_bytes < 1:
-        raise TraceError(f"word_bytes must be >= 1, got {word_bytes}")
-    if min_count < 1:
-        raise TraceError(f"min_count must be >= 1, got {min_count}")
-    if max_vars is not None and max_vars < 1:
-        raise TraceError(f"max_vars must be >= 1, got {max_vars}")
-    if limit is not None and limit < 1:
-        raise TraceError(f"limit must be >= 1, got {limit}")
+    word_bytes = _check_ingest_options(
+        word_bytes, config, max_vars=max_vars, min_count=min_count,
+        limit=limit,
+    )
     addrs = np.asarray(addresses, dtype=np.int64)
     if addrs.size == 0:
         raise TraceError("cannot build a trace from zero addresses")
@@ -449,21 +508,18 @@ def addresses_to_trace(
         addrs = addrs[:limit]
         mask = mask[:limit] if mask is not None else None
     words = addrs // word_bytes
-    uniq, counts = np.unique(words, return_counts=True)
-    keep = _select_words(uniq, counts, min_count=min_count, max_vars=max_vars)
-    if keep.size == 0:
-        raise TraceError(
-            f"no word survives min_count={min_count} over "
-            f"{addrs.size} accesses"
-        )
-    selected = np.isin(words, keep)
-    words = words[selected]
-    mask = mask[selected] if mask is not None else None
-    if words.size == 0:  # pragma: no cover - keep.size > 0 implies accesses
-        raise TraceError("filtered trace is empty")
-    names = {w: f"m{w:x}" for w in keep}
-    accesses = [names[w] for w in words]
-    return MemoryTrace.from_accesses(accesses, writes=mask, name=name)
+    uniq, first, counts = np.unique(
+        words, return_index=True, return_counts=True
+    )
+    keep, code_of_keep, variables = _word_codes(
+        uniq, counts, first, min_count=min_count, max_vars=max_vars
+    )
+    codes, selected = _encode_words(words, keep, code_of_keep)
+    codes.setflags(write=False)  # adopted by the sequence without a copy
+    if mask is not None:
+        mask = mask[selected]
+    seq = AccessSequence.from_codes(variables, codes, name=name)
+    return MemoryTrace(seq, mask)
 
 
 def trace_name_for(path: str | os.PathLike) -> str:
@@ -489,42 +545,31 @@ def read_address_trace(
     return addresses_to_trace(addrs, writes, name=name, **kwargs)
 
 
+def _format_of_lines(lines: Iterable[str]) -> str:
+    """:func:`detect_trace_format`'s rule; reads no line past the first
+    meaningful one."""
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            return "trace" if line.split()[0].lower() == "trace" else "addr"
+    return "trace"
+
+
 def detect_trace_format(text: str) -> str:
     """Classify ``text`` as ``'trace'`` (native) or ``'addr'`` (raw).
 
     The native format's first meaningful line must open a block with the
     ``trace`` keyword; anything else is treated as an address trace.
     """
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        return "trace" if line.split()[0].lower() == "trace" else "addr"
-    return "trace"
+    return _format_of_lines(text.splitlines())
 
 
 def sniff_trace_format(path: str | os.PathLike) -> str:
     """:func:`detect_trace_format` for a file, reading only up to the
     first meaningful line — the whole file is never resident, so address
     traces of any length sniff in O(1) memory."""
-    try:
-        with open_text(path) as f:
-            for raw in f:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                return (
-                    "trace" if line.split()[0].lower() == "trace" else "addr"
-                )
-    except FileNotFoundError:
-        raise
-    except (UnicodeDecodeError, gzip.BadGzipFile, EOFError, zlib.error) as exc:
-        raise TraceFormatError(
-            f"{os.fspath(path)}: not a text trace file ({exc})"
-        ) from exc
-    except OSError as exc:
-        raise TraceFormatError(f"{os.fspath(path)}: {exc}") from exc
-    return "trace"
+    with _reading(path), open_text(path) as f:
+        return _format_of_lines(f)
 
 
 def load_traces(

@@ -6,13 +6,13 @@ Pass one (the *census*) streams the file through
 :func:`~repro.trace.io.iter_address_chunks`, tallying per-word access
 counts and first-touch positions in O(unique words) memory while
 spilling the parsed ``(word, is_write)`` stream to a binary scratch
-file, so the text is parsed exactly once. Hot-word selection then runs
-the *same* :func:`~repro.trace.io._select_words` the monolithic path
-uses — identical ``max_vars``/``min_count`` semantics, identical tie
-breaking. Pass two re-reads the binary spill, drops filtered words,
-maps the survivors to variable codes and writes the final
-``codes``/``writes`` spill that :meth:`StreamingTrace.chunks` serves
-fixed-size :class:`TraceChunk`\\ s from.
+file, so the text is parsed exactly once. The census then goes through
+the *same* mapping core as the in-memory path
+(:func:`~repro.trace.io._word_codes`: hot-word selection, first-touch
+order, ``m<hex>`` names). Pass two re-reads the binary spill and maps
+each block through :func:`~repro.trace.io._encode_words`, writing the
+final ``codes``/``writes`` spill that :meth:`StreamingTrace.chunks`
+serves fixed-size :class:`~repro.trace.trace.TraceChunk`\\ s from.
 
 The resulting :class:`StreamingTrace` is *bit-identical in content* to
 the monolithic :class:`~repro.trace.trace.MemoryTrace` the in-memory
@@ -21,6 +21,10 @@ the filtered stream, ``m<hex>`` names), same codes, same write mask —
 which :attr:`StreamingTrace.content_fingerprint` certifies: it equals
 ``trace_fingerprint`` of the materialized trace, so the experiment
 store's content-addressed cell keys do not depend on residency mode.
+A streamed trace has no ``sequence`` or ``writes``: it speaks only the
+replay protocol of :mod:`repro.trace.trace` (``variables``, ``len()``,
+``chunks()``, ``placement_sequence()``), and :meth:`materialize` builds
+the in-memory twin when the whole arrays are wanted.
 
 Peak memory is O(chunk + unique words), never O(accesses): codes and
 write masks live in a temp file (9 bytes per access) that is deleted
@@ -37,85 +41,24 @@ import os
 import tempfile
 import weakref
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import TraceError, TraceFormatError
 from repro.trace.io import (
-    _select_words,
+    _check_ingest_options,
+    _encode_words,
+    _word_codes,
     iter_address_chunks,
     trace_name_for,
 )
 from repro.trace.sequence import AccessSequence
-from repro.trace.trace import MemoryTrace
+from repro.trace.trace import MemoryTrace, TraceChunk
 
 #: Batch size (accesses) for the census text parse and binary passes.
 #: A multiple of 8 so per-batch ``np.packbits`` stays byte-aligned with
 #: packing the whole mask at once (no cross-batch bit carry needed).
 _BATCH = 1 << 16
-
-
-@dataclass(frozen=True)
-class TraceChunk:
-    """One fixed-size slice of a streamed trace.
-
-    ``codes`` are int64 indices into the trace's variable universe,
-    ``writes`` the aligned bool mask; both read-only. ``start`` is the
-    chunk's offset into the filtered access stream.
-    """
-
-    start: int
-    codes: np.ndarray
-    writes: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.codes.size)
-
-
-class _StreamInfo:
-    """The sequence-shaped face of a :class:`StreamingTrace`.
-
-    Carries everything cheap consumers read off ``trace.sequence`` —
-    name, the variable universe, lengths — without the codes array.
-    Accessing :attr:`codes` raises, loudly, instead of silently
-    materializing a hundred-million-entry array.
-    """
-
-    __slots__ = ("_name", "_variables", "_length")
-
-    def __init__(self, name: str, variables: tuple[str, ...], length: int):
-        self._name = name
-        self._variables = variables
-        self._length = length
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self._variables
-
-    @property
-    def num_variables(self) -> int:
-        return len(self._variables)
-
-    def __len__(self) -> int:
-        return self._length
-
-    @property
-    def codes(self) -> np.ndarray:
-        raise TraceError(
-            "streaming trace does not materialize its access codes; "
-            "iterate trace.chunks() or call trace.materialize()"
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"<streaming sequence {self._name!r}: "
-            f"{len(self._variables)} vars, {self._length} accesses>"
-        )
 
 
 def _census(source, word_bytes: int, limit: int | None, spill_path: str):
@@ -225,24 +168,11 @@ class StreamingTrace:
             )
             if n_raw == 0:
                 raise TraceFormatError("address trace contains no accesses")
-            keep = _select_words(
-                uniq, counts, min_count=self.min_count, max_vars=self.max_vars
+            keep, code_of_keep, variables = _word_codes(
+                uniq, counts, first,
+                min_count=self.min_count, max_vars=self.max_vars,
             )
-            if keep.size == 0:
-                raise TraceError(
-                    f"no word survives min_count={self.min_count} over "
-                    f"{n_raw} accesses"
-                )
-            # Variable universe: kept words in first-touch order, exactly
-            # the first-appearance order of the filtered stream.
-            pos = np.searchsorted(uniq, keep)
-            first_kept = first[pos]
-            counts_kept = counts[pos]
-            order = np.argsort(first_kept, kind="stable")
-            code_of_keep = np.empty(keep.size, dtype=np.int64)
-            code_of_keep[order] = np.arange(keep.size, dtype=np.int64)
-            variables = tuple(f"m{int(w):x}" for w in keep[order])
-            length = int(counts_kept.sum())
+            length = int(counts[np.searchsorted(uniq, keep)].sum())
 
             spill_path = self._new_spill()
             h = hashlib.sha256()
@@ -253,10 +183,7 @@ class StreamingTrace:
                 out.truncate(writes_off + length)
                 codes_at, writes_at = 0, writes_off
                 for words, mask in _raw_blocks(raw_path, n_raw):
-                    sel_pos = np.searchsorted(keep, words)
-                    sel_pos[sel_pos == keep.size] = 0
-                    selected = keep[sel_pos] == words
-                    codes = code_of_keep[sel_pos[selected]]
+                    codes, selected = _encode_words(words, keep, code_of_keep)
                     w = mask[selected]
                     out.seek(codes_at)
                     out.write(codes.tobytes())
@@ -285,7 +212,8 @@ class StreamingTrace:
             )
         finally:
             _remove_quietly(raw_path)
-        self._info = _StreamInfo(self._name, variables, length)
+        self._variables = variables
+        self._length = length
         self._fingerprint = h.hexdigest()
 
     def _ensure_spill(self) -> str:
@@ -310,7 +238,7 @@ class StreamingTrace:
     # -- protocol ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._info)
+        return self._length
 
     def __repr__(self) -> str:
         return (
@@ -335,12 +263,8 @@ class StreamingTrace:
         return self._name
 
     @property
-    def sequence(self) -> _StreamInfo:
-        return self._info
-
-    @property
     def variables(self) -> tuple[str, ...]:
-        return self._info.variables
+        return self._variables
 
     @property
     def num_chunks(self) -> int:
@@ -350,13 +274,6 @@ class StreamingTrace:
     def content_fingerprint(self) -> str:
         """Hex SHA-256 equal to ``trace_fingerprint(self.materialize())``."""
         return self._fingerprint
-
-    @property
-    def writes(self) -> np.ndarray:
-        raise TraceError(
-            "streaming trace does not materialize its write mask; "
-            "iterate trace.chunks() or call trace.materialize()"
-        )
 
     # -- streaming -----------------------------------------------------------
 
@@ -458,21 +375,10 @@ def stream_address_trace(
         raise TraceError(f"chunk must be >= 1, got {chunk}")
     if window is not None and window < 1:
         raise TraceError(f"window must be >= 1, got {window}")
-    if word_bytes is None:
-        if config is not None:
-            word_bytes = config.word_bytes
-        else:
-            from repro.rtm.geometry import RTMConfig
-
-            word_bytes = RTMConfig(dbcs=1).word_bytes
-    if word_bytes < 1:
-        raise TraceError(f"word_bytes must be >= 1, got {word_bytes}")
-    if min_count < 1:
-        raise TraceError(f"min_count must be >= 1, got {min_count}")
-    if max_vars is not None and max_vars < 1:
-        raise TraceError(f"max_vars must be >= 1, got {max_vars}")
-    if limit is not None and limit < 1:
-        raise TraceError(f"limit must be >= 1, got {limit}")
+    word_bytes = _check_ingest_options(
+        word_bytes, config, max_vars=max_vars, min_count=min_count,
+        limit=limit,
+    )
     path = os.fspath(path)
     if name is None:
         name = trace_name_for(path)

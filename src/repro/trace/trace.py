@@ -3,17 +3,48 @@
 The placement algorithms only need the access *order*; the RTM simulator
 additionally needs to know which accesses are writes to price read vs
 write energy and latency (Table I differentiates the two).
+
+Every trace the simulator replays — the in-memory :class:`MemoryTrace`
+here and the disk-backed
+:class:`~repro.trace.streaming.StreamingTrace` — speaks one protocol:
+``variables`` (the universe), ``len()``, :meth:`~MemoryTrace.chunks`
+(read-only :class:`TraceChunk`\\ s of at most :data:`REPLAY_CHUNK`
+accesses) and :meth:`~MemoryTrace.placement_sequence` (the
+:class:`AccessSequence` placement policies see). Only the in-memory
+trace also exposes its whole ``sequence`` and ``writes``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import TraceError
 from repro.trace.sequence import AccessSequence
 from repro.util.rng import ensure_rng
+
+#: Most accesses an in-memory trace serves per replay chunk (~9 MiB of
+#: codes and writes), large enough that chunking overhead is noise.
+REPLAY_CHUNK = 1 << 20
+
+
+@dataclass(frozen=True)
+class TraceChunk:
+    """One fixed-size slice of a trace, as the replay loop consumes it.
+
+    ``codes`` are int64 indices into the trace's variable universe,
+    ``writes`` the aligned bool mask; both read-only. ``start`` is the
+    chunk's offset into the trace's access stream.
+    """
+
+    start: int
+    codes: np.ndarray
+    writes: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.codes.size)
 
 
 class MemoryTrace:
@@ -121,6 +152,24 @@ class MemoryTrace:
     @property
     def num_reads(self) -> int:
         return len(self) - self.num_writes
+
+    # -- replay protocol -----------------------------------------------------
+
+    def chunks(self) -> Iterator[TraceChunk]:
+        """Yield the trace as read-only views of at most
+        :data:`REPLAY_CHUNK` accesses (no copies)."""
+        codes, writes = self._seq.codes, self._writes
+        step = REPLAY_CHUNK
+        for start in range(0, len(codes), step):
+            yield TraceChunk(
+                start=start,
+                codes=codes[start:start + step],
+                writes=writes[start:start + step],
+            )
+
+    def placement_sequence(self) -> AccessSequence:
+        """The sequence placement policies see: the whole trace."""
+        return self._seq
 
     def operations(self) -> Iterable[tuple[str, bool]]:
         """Yield ``(variable, is_write)`` per access, in order."""

@@ -44,7 +44,7 @@ from repro.trace.generators.offsetstone import (
 )
 from repro.trace.generators.programs import ProcedureSpec, procedure_sequence
 from repro.trace.io import load_traces
-from repro.trace.trace import MemoryTrace
+from repro.trace.trace import REPLAY_CHUNK, MemoryTrace
 from repro.util.rng import spawn_rng
 from repro.workloads.spec import WorkloadSpec, as_float, as_int
 
@@ -273,16 +273,17 @@ def _resolve_synthetic(spec, ctx, rng) -> BenchmarkProgram:
 # -- file ----------------------------------------------------------------------
 
 
-#: Default ``TraceChunk`` size for ``stream=1`` file workloads: ~9 MiB
-#: resident per chunk, large enough that chunking overhead is noise.
-DEFAULT_STREAM_CHUNK = 1 << 20
+#: Default ``TraceChunk`` size for ``stream=1`` file workloads: the
+#: chunk size in-memory traces replay in.
+DEFAULT_STREAM_CHUNK = REPLAY_CHUNK
 
 #: ``file:`` params that select *residency*, not workload identity.
 #: Streaming is bit-identical to in-memory replay, so these are
-#: stripped from the resolved program's name — and therefore from the
-#: matrix runner's content-addressed cell keys — letting streamed and
-#: materialized runs share store cells. ``window`` is *not* here: a
-#: bounded placement window changes placements, hence results.
+#: stripped from the resolved program's name in both residencies — and
+#: therefore from the matrix runner's content-addressed cell keys —
+#: letting ``stream=0``, ``stream=1`` and the bare spec share store
+#: cells. ``window`` is *not* here: a bounded placement window changes
+#: placements, hence results.
 _RESIDENCY_PARAMS = frozenset({"stream", "chunk"})
 
 
@@ -341,7 +342,7 @@ def _resolve_file(spec, ctx, rng) -> BenchmarkProgram:
             f"{context}: {spec.payload!r} contains no trace blocks"
         )
     return BenchmarkProgram(
-        name=spec.canonical, domain="file", traces=tuple(traces)
+        name=_file_identity(spec), domain="file", traces=tuple(traces)
     )
 
 

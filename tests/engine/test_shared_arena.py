@@ -203,6 +203,27 @@ class TestFallback:
             assert got[k].report == want[k].report
 
 
+class TestResidency:
+    """Only in-memory traces go into the arena."""
+
+    def test_in_memory_suite_gets_an_arena(self, suite):
+        arena = try_create_arena(suite)
+        assert arena is not None
+        arena.dispose()
+
+    def test_any_streamed_trace_skips_the_arena(self, suite, tmp_path):
+        from repro.trace.streaming import stream_address_trace
+
+        path = tmp_path / "s.trc"
+        path.write_text("r 0x10\nw 0x20\nr 0x10\n")
+        streamed = stream_address_trace(path, chunk=2)
+        mixed = BenchmarkProgram(
+            name="mixed", domain="file",
+            traces=(suite[0].traces[0], streamed),
+        )
+        assert try_create_arena([*suite, mixed]) is None
+
+
 class TestMatrixIntegration:
     def test_shared_matrix_bit_identical_and_leak_free(self, suite):
         from repro.eval.profiles import SMOKE_PROFILE

@@ -1,5 +1,8 @@
 """Unit tests for the experiment definitions (table/figure regeneration)."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.eval.experiments import (
@@ -139,6 +142,21 @@ class TestSec4bGap:
         from repro.errors import ExperimentError
         with pytest.raises(ExperimentError):
             experiment_sec4b_gap(TINY, num_dbcs=5)
+
+    def test_streamed_workload_matches_in_memory(self, tmp_path):
+        path = tmp_path / "app.trc"
+        rng = np.random.default_rng(4)
+        path.write_text("".join(
+            f"0x{0x400 + 8 * a:x}\n" for a in rng.integers(0, 24, 300)
+        ))
+        summaries = [
+            experiment_sec4b_gap(
+                replace(TINY, workloads=(spec,)), num_dbcs=4,
+                long_generations=3,
+            ).summary
+            for spec in (f"file:{path}", f"file:{path},stream=1")
+        ]
+        assert summaries[0] == summaries[1]
 
 
 class TestReporting:

@@ -10,7 +10,11 @@ from repro.rtm.geometry import RTMConfig, iso_capacity_sweep
 from repro.rtm.report import SimReport
 from repro.rtm.sim import simulate, simulate_program
 from repro.rtm.timing import destiny_params
+from repro.trace import trace as trace_module
+from repro.trace.sequence import AccessSequence
 from repro.trace.trace import MemoryTrace
+
+from tests.paperdata import FIG3_ACCESSES, FIG3_VARIABLES
 
 
 @pytest.fixture
@@ -248,3 +252,85 @@ class TestFaultedSimulation:
         ctrl.reset()
         again = ctrl.execute(fig3_trace)
         assert again == first
+
+
+class TestUnplacedVariables:
+    """Only accessed variables need a location (``f`` is left out here;
+    Fig. 3 first touches it at access 13)."""
+
+    @pytest.fixture
+    def partial(self):
+        return Placement([("a", "g", "b", "d", "h"), ("e", "i", "c")])
+
+    @pytest.fixture
+    def declares_f(self):
+        """Fig. 3's first 13 accesses: ``f`` declared, never accessed."""
+        seq = AccessSequence(FIG3_ACCESSES[:13], variables=FIG3_VARIABLES)
+        return MemoryTrace(seq)
+
+    def test_declared_but_unaccessed_variable_may_stay_unplaced(
+        self, config, partial, declares_f, fig3_placement
+    ):
+        assert (simulate(declares_f, partial, config)
+                == simulate(declares_f, fig3_placement, config))
+
+    def test_accessed_unplaced_variable_is_named(
+        self, config, partial, fig3_trace
+    ):
+        with pytest.raises(SimulationError, match="variable 'f' has no location"):
+            RTMController(config, partial).execute(fig3_trace)
+
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_failed_replay_leaves_controller_state(
+        self, config, partial, declares_f, fig3_trace, faulted, monkeypatch
+    ):
+        from repro.engine import FaultModel
+
+        # Chunks of 2: six chunks replay before the one touching ``f``.
+        monkeypatch.setattr(trace_module, "REPLAY_CHUNK", 2)
+        kwargs = {}
+        if faulted:
+            kwargs = {"fault": FaultModel(rate=0.2, seed=3),
+                      "scrub_interval": 5}
+        ctrl = RTMController(config, partial, **kwargs)
+        with pytest.raises(SimulationError, match="'f'"):
+            ctrl.execute(fig3_trace)
+        fresh = RTMController(config, partial, **kwargs)
+        assert ctrl.execute(declares_f) == fresh.execute(declares_f)
+
+
+class TestReplayChunkSize:
+    """In-memory traces replay in chunks; the size never shows."""
+
+    @pytest.mark.parametrize("backend", ["reference", "numpy"])
+    @pytest.mark.parametrize("ports", [1, 2, 4])
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_report_invariant_to_replay_chunk(
+        self, small_sequence, backend, ports, faulted, monkeypatch
+    ):
+        from repro.core.policies import get_policy
+        from repro.engine import FaultModel
+
+        config = RTMConfig(dbcs=2, tracks_per_dbc=1, domains_per_track=64,
+                           ports_per_track=ports)
+        placement = get_policy("DMA-SR").place(small_sequence, 2, 64)
+        trace = MemoryTrace.with_write_ratio(small_sequence, 0.3, rng=5)
+        kwargs = {"backend": backend}
+        if faulted:
+            kwargs.update(fault=FaultModel(rate=0.2, seed=3),
+                          scrub_interval=7)
+        expected = simulate(trace, placement, config, **kwargs)
+        for chunk in (1, 7):
+            monkeypatch.setattr(trace_module, "REPLAY_CHUNK", chunk)
+            assert len(list(trace.chunks())) == -(-len(trace) // chunk)
+            assert simulate(trace, placement, config, **kwargs) == expected
+
+    def test_chunks_are_read_only_views(self, fig3_trace, monkeypatch):
+        monkeypatch.setattr(trace_module, "REPLAY_CHUNK", 10)
+        chunks = list(fig3_trace.chunks())
+        assert [(c.start, len(c)) for c in chunks] == [(0, 10), (10, 10),
+                                                       (20, 4)]
+        for c in chunks:
+            assert not c.codes.flags.writeable
+            assert not c.writes.flags.writeable
+            assert not c.codes.flags.owndata  # a view, not a copy

@@ -117,13 +117,11 @@ class TestChunks:
         with pytest.raises(ValueError):
             chunk.codes[0] = 1
 
-    def test_sequence_face_refuses_codes(self, trace_file):
+    def test_no_sequence_or_writes_face(self, trace_file):
+        """A streamed trace speaks only the replay protocol."""
         streamed = stream_address_trace(trace_file, chunk=10)
-        assert streamed.sequence.num_variables == len(streamed.variables)
-        with pytest.raises(TraceError, match="does not materialize"):
-            streamed.sequence.codes
-        with pytest.raises(TraceError, match="does not materialize"):
-            streamed.writes
+        assert not hasattr(streamed, "sequence")
+        assert not hasattr(streamed, "writes")
 
     def test_placement_sequence_window(self, trace_file):
         streamed = stream_address_trace(trace_file, chunk=10)

@@ -22,7 +22,11 @@ from repro.eval.runner import (
 )
 from repro.rtm.geometry import iso_capacity_sweep
 from repro.store import ExperimentStore
-from repro.workloads import WorkloadContext, resolve_workloads
+from repro.workloads import (
+    WorkloadContext,
+    resolve_workloads,
+    workload_fingerprint,
+)
 
 CONFIGS = iso_capacity_sweep(dbc_counts=(2, 4))
 POLICIES = ("DMA-SR", "GA")  # one deterministic, one seed-keyed
@@ -69,6 +73,15 @@ class TestResolution:
             (f"file:{trace_file},stream=1,chunk=64",), ctx
         )
         assert stream.name == inmem.name
+
+    def test_every_stream_spelling_is_one_workload(self, trace_file):
+        programs = resolve_workloads(
+            (f"file:{trace_file}", f"file:{trace_file},stream=0",
+             f"file:{trace_file},stream=1"),
+            WorkloadContext(),
+        )
+        assert len({p.name for p in programs}) == 1
+        assert len({workload_fingerprint(p) for p in programs}) == 1
 
     def test_window_stays_in_the_name(self, trace_file):
         """window changes placements, so it must stay key-relevant."""
@@ -126,6 +139,20 @@ class TestMatrixEquivalence:
         stream = profile_for(f"file:{trace_file},word=8,stream=1,chunk=97")
         clear_cell_cache()
         cold = run_matrix(POLICIES, inmem, configs=CONFIGS, store=store_path)
+        clear_cell_cache()
+        warm = run_matrix(POLICIES, stream, configs=CONFIGS, store=store_path)
+        stats = last_matrix_stats()
+        assert stats.computed == 0
+        assert stats.hits_store == len(cold) == 4
+        assert warm == cold
+
+    def test_stream_zero_store_serves_stream_one(self, tmp_path, trace_file):
+        store_path = tmp_path / "s.db"
+        explicit = profile_for(f"file:{trace_file},word=8,stream=0")
+        stream = profile_for(f"file:{trace_file},word=8,stream=1")
+        clear_cell_cache()
+        cold = run_matrix(POLICIES, explicit, configs=CONFIGS,
+                          store=store_path)
         clear_cell_cache()
         warm = run_matrix(POLICIES, stream, configs=CONFIGS, store=store_path)
         stats = last_matrix_stats()
