@@ -11,11 +11,10 @@ The model and the trace-driven simulator are two views of the same
 kernel: both delegate to :mod:`repro.engine`, so they agree by
 construction rather than by parallel implementations. Pass ``domains``
 (the track length) to evaluate against real geometry — required for
-``ports > 1`` because port spacing depends on it, and required for the
-cold-start charge (``first_access_free=False``) to match the simulator
-exactly. Without ``domains``, the legacy geometry-free behaviour is
-kept: warm-start costs are pure position differences, and the cold-start
-charge guesses the track length from each DBC's fill.
+``ports > 1`` because port spacing depends on it. Single-port costs are
+pure position differences and need no geometry. Cold starts (the first
+alignment charged) are the simulator's option (``simulate(...,
+warm_start=False)``), not the cost model's.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ from collections.abc import Sequence
 from repro.core.placement import Placement
 from repro.engine import (
     ShiftRequest,
-    evaluate_batch,
     get_backend,
-    port_positions,
     single_port_warm_total,
     stack_candidate_arrays,
 )
@@ -43,20 +40,19 @@ def shift_cost(
     placement: Placement,
     ports: int = 1,
     domains: int | None = None,
-    first_access_free: bool = True,
     backend: object = None,
 ) -> int:
     """Total shifts to serve ``sequence`` under ``placement``.
 
     ``ports``/``domains`` describe the track geometry; the single-port
-    warm-start case needs no geometry (distances are position
-    differences). For ``ports > 1``, ``domains`` (the track length) is
-    required because port spacing depends on it.
+    case needs no geometry (distances are position differences). For
+    ``ports > 1``, ``domains`` (the track length) is required because
+    port spacing depends on it.
     """
     return sum(
         per_dbc_shift_costs(
             sequence, placement, ports=ports, domains=domains,
-            first_access_free=first_access_free, backend=backend,
+            backend=backend,
         )
     )
 
@@ -66,7 +62,6 @@ def per_dbc_shift_costs(
     placement: Placement,
     ports: int = 1,
     domains: int | None = None,
-    first_access_free: bool = True,
     backend: object = None,
 ) -> list[int]:
     """Per-DBC shift totals (the ``S0``/``S1`` split costs of Fig. 3)."""
@@ -81,10 +76,6 @@ def per_dbc_shift_costs(
         raise PlacementError(
             f"slot {max_slot} outside a {domains}-domain track"
         )
-    # Without geometry the cold-start charge cannot know the real track
-    # length; keep the legacy fill-based guess on that path only, and run
-    # the engine warm (the guess is added on top).
-    legacy_cold = domains is None and not first_access_free
     result = get_backend(backend).run(
         ShiftRequest(
             dbc=dbc,
@@ -92,37 +83,9 @@ def per_dbc_shift_costs(
             num_dbcs=num_dbcs,
             domains=domains if domains is not None else max_slot + 1,
             ports=ports,
-            warm_start=first_access_free or legacy_cold,
         )
     )
-    costs = [int(c) for c in result.per_dbc_shifts]
-    if legacy_cold:
-        for dbc_index, surcharge in _fill_cold_surcharges(placement, dbc, slot):
-            costs[dbc_index] += surcharge
-    return costs
-
-
-def _fill_cold_surcharges(
-    placement: Placement, dbc: np.ndarray, slot: np.ndarray
-) -> list[tuple[int, int]]:
-    """Legacy cold-start charges when the track length is unknown.
-
-    Each accessed DBC pays the distance from a port guessed to sit at the
-    centre of its *fill* (not the real track) to its first accessed slot.
-    Kept only for geometry-free callers; pass ``domains`` for charges
-    that match the simulator exactly.
-    """
-    order = np.argsort(dbc, kind="stable")
-    ds = dbc[order]
-    ss = slot[order]
-    first = np.flatnonzero(np.r_[True, ds[1:] != ds[:-1]])
-    charges = []
-    for idx in first:
-        dbc_index = int(ds[idx])
-        fill = max(len(placement.dbc_lists()[dbc_index]), 1)
-        centre = port_positions(fill, 1)[0]
-        charges.append((dbc_index, abs(int(ss[idx]) - centre)))
-    return charges
+    return [int(c) for c in result.per_dbc_shifts]
 
 
 def cost_from_arrays(
@@ -137,8 +100,7 @@ def cost_from_arrays(
     :meth:`Placement.as_arrays`, but callers may build them directly from a
     mutable individual without constructing a :class:`Placement`. Scoring
     whole populations goes through :func:`repro.engine.evaluate_batch`
-    (stack the candidates into ``(K, V)`` matrices) — see
-    :func:`shift_costs_batch` for the :class:`Placement`-level wrapper.
+    (stack the candidates into ``(K, V)`` matrices).
     """
     if codes.size <= 1:
         return 0
@@ -159,36 +121,3 @@ def stack_placement_lists(
         candidates, sequence.num_variables, code_of=sequence.index_of
     )
 
-
-def shift_costs_batch(
-    sequence: AccessSequence,
-    placements: Sequence[Placement],
-    ports: int = 1,
-    domains: int | None = None,
-    first_access_free: bool = True,
-) -> np.ndarray:
-    """Per-candidate totals for many placements of one sequence.
-
-    The :class:`Placement`-level view of the engine's batched evaluator:
-    stacks every candidate's code-indexed arrays and scores the whole
-    population in one vectorized pass. All candidates must place every
-    sequence variable. Cold start (``first_access_free=False``) requires
-    ``domains``, matching the simulator's charge exactly (the legacy
-    fill-based guess of :func:`per_dbc_shift_costs` is not replicated
-    here).
-    """
-    placements = list(placements)
-    if not placements:
-        return np.zeros(0, dtype=np.int64)
-    if not first_access_free and domains is None:
-        raise PlacementError("cold-start batch cost needs the track length (domains)")
-    num_dbcs = max(p.num_dbcs for p in placements)
-    n = sequence.num_variables
-    dbc_of = np.empty((len(placements), n), dtype=np.int64)
-    pos_of = np.empty((len(placements), n), dtype=np.int64)
-    for k, placement in enumerate(placements):
-        dbc_of[k], pos_of[k] = placement.as_arrays(sequence)
-    return evaluate_batch(
-        sequence.codes, dbc_of, pos_of, num_dbcs=num_dbcs, domains=domains,
-        ports=ports, warm_start=first_access_free,
-    )

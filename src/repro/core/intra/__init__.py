@@ -50,18 +50,5 @@ __all__ = [
     "port_aware_layout",
     "port_spread_layout",
     "INTRA_HEURISTICS",
-    "local_sequence",
 ]
 
-
-def local_sequence(sequence, variables):
-    """The DBC-local subsequence seen by an intra-DBC heuristic.
-
-    Separated here so all heuristics derive it identically (including the
-    degenerate case of a DBC whose variables are never accessed, which
-    yields no local accesses and makes any order optimal).
-    """
-    accessed = [v for v in variables if sequence.frequency(v) > 0]
-    if not accessed:
-        return None
-    return sequence.restricted_to(variables)

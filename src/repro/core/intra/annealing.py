@@ -44,17 +44,17 @@ def annealed_order(
     mutation). ``start_temperature`` defaults to a scale estimated from
     the trace (mean positional distance), which keeps acceptance rates
     sane across instance sizes. ``ports > 1`` anneals against the true
-    multi-port cost (``domains`` defaults to the number of variables —
-    the dense track — but should be the real track length): moves are
-    then priced by :class:`DeltaCost`'s exact per-DBC recomposition.
+    multi-port cost, which depends on the track length (``domains``,
+    then required): moves are priced by :class:`DeltaCost`'s exact
+    per-DBC recomposition.
     """
     if iterations < 1:
         raise SolverError(f"iterations must be >= 1, got {iterations}")
+    if ports > 1 and domains is None:
+        raise SolverError("multi-port ordering needs the track length (domains)")
     variables = list(variables)
     if len(variables) <= 2:
         return ofu_order(sequence, variables)
-    if ports > 1 and domains is None:
-        domains = len(variables)
     gen = ensure_rng(rng)
     local = sequence.restricted_to(variables)
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.intra.shifts_reduce import shifts_reduce_order
+from repro.engine.semantics import port_positions
 from repro.errors import PlacementError
-from repro.rtm.ports import port_positions
 from repro.trace.sequence import AccessSequence
 
 

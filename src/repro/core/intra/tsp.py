@@ -16,6 +16,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.engine import evaluate_batch
+from repro.errors import SolverError
 from repro.trace.graph import AccessGraph
 from repro.trace.sequence import AccessSequence
 
@@ -33,14 +34,14 @@ def tsp_order(
 ) -> list[str]:
     """Max-weight path construction followed by bounded 2-opt polishing.
 
-    ``ports > 1`` polishes against the true multi-port cost (``domains``
-    defaults to the number of variables, the dense track).
+    ``ports > 1`` polishes against the true multi-port cost, which
+    depends on the track length: ``domains`` is then required.
     """
+    if ports > 1 and domains is None:
+        raise SolverError("multi-port ordering needs the track length (domains)")
     variables = list(variables)
     if len(variables) <= 1:
         return variables
-    if ports > 1 and domains is None:
-        domains = len(variables)
     local = sequence.restricted_to(variables)
     order = _max_weight_path(local, variables)
     if (

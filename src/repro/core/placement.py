@@ -154,19 +154,3 @@ class Placement:
                 f"cannot pad {self.num_dbcs} DBCs down to {num_dbcs}"
             )
         return Placement(self._dbcs + ((),) * (num_dbcs - self.num_dbcs))
-
-    def with_intra_order(
-        self, dbc_index: int, order: Sequence[str | None]
-    ) -> "Placement":
-        """Replace one DBC's intra order (must place the same variables)."""
-        if not 0 <= dbc_index < self.num_dbcs:
-            raise PlacementError(f"no DBC {dbc_index} in {self.num_dbcs}-DBC placement")
-        current = sorted(v for v in self._dbcs[dbc_index] if v is not None)
-        proposed = sorted(v for v in order if v is not None)
-        if current != proposed:
-            raise PlacementError(
-                f"new order for DBC {dbc_index} is not a permutation of its contents"
-            )
-        dbcs = list(self._dbcs)
-        dbcs[dbc_index] = tuple(order)
-        return Placement(dbcs)

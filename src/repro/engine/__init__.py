@@ -47,7 +47,7 @@ from repro.engine.cursor import ShiftCursor
 from repro.engine.faults import FaultModel, FaultObservation
 from repro.engine.numpy_backend import NumpyBackend, single_port_warm_total
 from repro.engine.reference import ReferenceBackend
-from repro.engine.semantics import PortPolicy, port_positions, select_port, step
+from repro.engine.semantics import port_positions, select_port, step
 from repro.engine.types import ShiftRequest, ShiftResult
 from repro.errors import SimulationError
 
@@ -125,7 +125,6 @@ __all__ = [
     "FaultModel",
     "FaultObservation",
     "NumpyBackend",
-    "PortPolicy",
     "ReferenceBackend",
     "SharedTraceArena",
     "ShiftCursor",

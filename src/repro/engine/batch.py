@@ -32,7 +32,7 @@ from itertools import chain
 import numpy as np
 
 from repro.engine.numpy_backend import nearest_costs_flat
-from repro.engine.semantics import PortPolicy, port_boundaries, port_positions
+from repro.engine.semantics import port_boundaries, port_positions
 from repro.errors import SimulationError
 
 __all__ = ["DeltaCost", "evaluate_batch", "stack_candidate_arrays"]
@@ -160,24 +160,23 @@ def evaluate_batch(
     num_dbcs: int,
     domains: int | None = None,
     ports: int = 1,
-    policy: PortPolicy = PortPolicy.NEAREST,
-    warm_start: bool = True,
 ) -> np.ndarray:
-    """Shift cost of ``K`` candidate placements against one compiled trace.
+    """Warm-start shift cost of ``K`` candidates against one compiled trace.
 
     ``codes`` is the trace's per-access variable-code array (shape
     ``(N,)``); ``dbc_of``/``pos_of`` are ``(K, V)`` matrices giving each
     candidate's DBC index and intra-DBC slot per variable code (a single
     ``(V,)`` candidate is promoted to ``K=1``). Returns the ``(K,)``
     int64 per-candidate totals, identical to running each candidate
-    through an engine backend with default (cold, offset-0) initial
-    state.
+    through an engine backend from the default (offset-0, unaligned)
+    initial state with ``warm_start``: each DBC's first access is free,
+    the paper's cost convention.
 
     All paths are fully vectorized over the whole population. Single
-    port and STATIC flatten into one masked-``diff`` pass; nearest-port
-    multi-port flattens the candidate matrix into one long run-sorted
-    array and resolves every row's port-choice recurrences with a single
-    2-D monoid scan (see :func:`_batch_nearest`).
+    port flattens into one masked-``diff`` pass; nearest-port multi-port
+    flattens the candidate matrix into one long run-sorted array and
+    resolves every row's port-choice recurrences with a single 2-D
+    monoid scan (see :func:`_batch_nearest`).
     """
     codes = np.ascontiguousarray(codes, dtype=np.int64)
     if codes.ndim != 1:
@@ -215,13 +214,6 @@ def evaluate_batch(
             raise SimulationError(
                 "multi-port batch evaluation needs the track length (domains)"
             )
-        if not warm_start:
-            # The cold-start charge anchors on the track's port position;
-            # inferring the track from the population's max slot would make
-            # one candidate's cost depend on its batchmates.
-            raise SimulationError(
-                "cold-start batch evaluation needs the track length (domains)"
-            )
         domains = hi + 1
     if lo < 0 or hi >= domains:
         # Same fallback as the DBC check: only gathered slots must fit.
@@ -231,20 +223,15 @@ def evaluate_batch(
             raise SimulationError(
                 f"location {bad} outside track of {domains} domains"
             )
-    if ports == 1 or policy is PortPolicy.STATIC:
-        return _batch_anchored(dbc, slot, num_dbcs, domains, ports, warm_start)
-    return _batch_nearest(dbc, slot, num_dbcs, domains, ports, warm_start)
+    if ports == 1:
+        return _batch_single(dbc, slot, num_dbcs)
+    return _batch_nearest(dbc, slot, num_dbcs, domains, ports)
 
 
-def _batch_anchored(
-    dbc: np.ndarray,
-    slot: np.ndarray,
-    num_dbcs: int,
-    domains: int,
-    ports: int,
-    warm_start: bool,
+def _batch_single(
+    dbc: np.ndarray, slot: np.ndarray, num_dbcs: int
 ) -> np.ndarray:
-    """Single-port / STATIC costs for all rows in one flattened pass.
+    """Single-port costs for all rows in one flattened pass.
 
     The whole population is sorted at once: flattening row-major and
     stable-sorting by ``row * num_dbcs + dbc`` groups every (candidate,
@@ -255,11 +242,9 @@ def _batch_anchored(
     within radix-sort range.
     """
     k, n = dbc.shape
+    if n <= 1:
+        return np.zeros(k, dtype=np.int64)
     totals = np.empty(k, dtype=np.int64)
-    if n == 0:
-        totals[:] = 0
-        return totals
-    anchor = port_positions(domains, ports)[0]
     if n > _FLAT_MAX_ACCESSES:
         key = dbc.astype(np.uint16) if num_dbcs <= 0xFFFF + 1 else dbc
         for i in range(k):
@@ -267,34 +252,18 @@ def _batch_anchored(
             ds = key[i][order]
             ss = slot[i][order]
             same = ds[1:] == ds[:-1]
-            total = int(np.abs(np.diff(ss))[same].sum())
-            if not warm_start:
-                first = np.empty(n, dtype=bool)
-                first[0] = True
-                np.logical_not(same, out=first[1:])
-                total += int(np.abs(ss[first] - anchor).sum())
-            totals[i] = total
+            totals[i] = int(np.abs(np.diff(ss))[same].sum())
         return totals
     for start, rows, ss, first_idx in _sorted_chunks(dbc, slot, num_dbcs):
         move = np.diff(ss)
         np.abs(move, out=move)
         move[first_idx[1:] - 1] = 0  # run crossings
-        if n == 1:
-            chunk_totals = np.zeros(rows, dtype=np.int64)
-        else:
-            # Row r occupies the sorted range [r*n, (r+1)*n); its last
-            # pair slot is a masked-out row crossing, so plain n-strided
-            # segments sum exactly the intra-row moves.
-            chunk_totals = np.add.reduceat(
-                move, np.arange(0, rows * n - 1, n)
-            )
-        if not warm_start:
-            # Cold start charges each DBC's first access its alignment
-            # distance from port 0 (default offset-0 initial state).
-            np.add.at(
-                chunk_totals, first_idx // n, np.abs(ss[first_idx] - anchor)
-            )
-        totals[start : start + rows] = chunk_totals
+        # Row r occupies the sorted range [r*n, (r+1)*n); its last pair
+        # slot is a masked-out row crossing, so plain n-strided segments
+        # sum exactly the intra-row moves.
+        totals[start : start + rows] = np.add.reduceat(
+            move, np.arange(0, rows * n - 1, n)
+        )
     return totals
 
 
@@ -304,11 +273,10 @@ def _batch_nearest(
     num_dbcs: int,
     domains: int,
     ports: int,
-    warm_start: bool,
 ) -> np.ndarray:
     """Nearest-port costs for all rows through one 2-D monoid scan.
 
-    The same flattening trick as :func:`_batch_anchored`, applied to the
+    The same flattening trick as :func:`_batch_single`, applied to the
     sequential port-choice recurrence: stable-sorting the population by
     ``row * num_dbcs + dbc`` makes every (candidate, DBC) subsequence a
     contiguous run, and since each run's first access carries a
@@ -331,13 +299,12 @@ def _batch_nearest(
     k, n = dbc.shape
     totals = np.empty(k, dtype=np.int64)
     for start, rows, ss, first_idx in _sorted_chunks(dbc, slot, num_dbcs):
-        # Default initial state (offset 0, cold): the first target is the
-        # slot itself; warm start zeroes the first charge afterwards.
+        # Default initial state (offset 0): the first target is the slot
+        # itself, and warm start then zeroes the first charge.
         costs, _chosen = nearest_costs_flat(
             ss, first_idx, ss[first_idx], domains, ports
         )
-        if warm_start:
-            costs[first_idx] = 0
+        costs[first_idx] = 0
         totals[start : start + rows] = np.add.reduceat(
             costs, np.arange(0, rows * n, n)
         )
@@ -347,11 +314,11 @@ def _batch_nearest(
 class DeltaCost:
     """Incremental warm-start cost of neighbor moves under a fixed partition.
 
-    *Single port* (and STATIC, its cost-equivalent): compiles the trace
-    once into the per-DBC adjacency structure — the warm cost of a
-    placement is ``sum(w_ab * |pos[a] - pos[b]|)`` over the pairs ``(a,
-    b)`` of variables adjacent in some DBC's access subsequence, with
-    ``w_ab`` the number of times they are adjacent. Because the pair
+    *Single port*: compiles the trace once into the per-DBC adjacency
+    structure — the warm cost of a placement is ``sum(w_ab * |pos[a] -
+    pos[b]|)`` over the pairs ``(a, b)`` of variables adjacent in some
+    DBC's access subsequence, with ``w_ab`` the number of times they are
+    adjacent. Because the pair
     structure depends only on the *partition* (which DBC each variable
     lives in), any intra-DBC reordering can be re-priced by touching
     just the pairs incident to the moved variables — O(touched accesses)
@@ -383,7 +350,6 @@ class DeltaCost:
         *,
         domains: int | None = None,
         ports: int = 1,
-        policy: PortPolicy = PortPolicy.NEAREST,
     ) -> None:
         codes = np.ascontiguousarray(codes, dtype=np.int64)
         dbc_of = np.ascontiguousarray(dbc_of, dtype=np.int64)
@@ -394,7 +360,7 @@ class DeltaCost:
             raise SimulationError("dbc_of/pos_of must have equal length")
         self._num_vars = int(dbc_of.size)
         self._pos: list[int] = pos_of.tolist()
-        self._replay = ports > 1 and policy is not PortPolicy.STATIC
+        self._replay = ports > 1
         if self._replay:
             if domains is None:
                 raise SimulationError(

@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.faults import FaultModel, FaultObservation
-from repro.engine.semantics import PortPolicy
 from repro.engine.types import ShiftRequest, ShiftResult
 from repro.errors import SimulationError
 
@@ -55,7 +54,6 @@ class ShiftCursor:
         num_dbcs: int,
         domains: int,
         ports: int = 1,
-        policy: PortPolicy = PortPolicy.NEAREST,
         warm_start: bool = True,
         backend: object = None,
         init_offsets: np.ndarray | None = None,
@@ -71,7 +69,6 @@ class ShiftCursor:
         self.num_dbcs = int(num_dbcs)
         self.domains = int(domains)
         self.ports = int(ports)
-        self.policy = policy
         self.warm_start = warm_start
         self._backend = get_backend(backend)
         if fault is not None and fault.is_null:
@@ -132,7 +129,6 @@ class ShiftCursor:
                 num_dbcs=self.num_dbcs,
                 domains=self.domains,
                 ports=self.ports,
-                policy=self.policy,
                 warm_start=self.warm_start,
                 init_offsets=self._offsets,
                 init_aligned=self._aligned,

@@ -4,10 +4,10 @@ Accesses are stably sorted by DBC so every DBC's subsequence is a
 contiguous run that still preserves trace order (DBCs shift
 independently, so reordering across DBCs cannot change any cost).
 
-*Single port* (and the STATIC policy, which is single-port-equivalent):
-the track offset after serving slot ``s`` is always ``s - anchor``, so
-consecutive costs are plain ``|diff|`` of slots within each run — an
-argsort plus a masked ``diff`` and one ``bincount``.
+*Single port*: the track offset after serving slot ``s`` is always
+``s - anchor``, so consecutive costs are plain ``|diff|`` of slots
+within each run — an argsort plus a masked ``diff`` and one
+``bincount``.
 
 *Multi-port nearest*: the only state the nearest-port controller carries
 between accesses of a DBC is *which port served the previous access*
@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.engine.faults import empty_observation, observe_faults_sorted
-from repro.engine.semantics import PortPolicy, port_boundaries, port_positions
+from repro.engine.semantics import port_boundaries, port_positions
 from repro.engine.types import ShiftRequest, ShiftResult
 from repro.errors import SimulationError
 
@@ -130,7 +130,7 @@ class NumpyBackend:
         first_idx = np.flatnonzero(run_first)       # one per accessed DBC
         first_dbc = ds[first_idx]                   # unique, ascending
         last_idx = np.append(first_idx[1:] - 1, n - 1)
-        if request.ports == 1 or request.policy is PortPolicy.STATIC:
+        if request.ports == 1:
             costs, last_port = _anchored_costs(
                 ss, first_idx, first_dbc, positions, init_offsets
             )
@@ -148,9 +148,8 @@ class NumpyBackend:
             # Faults never feed back into the believed dynamics, so the
             # clean scan above stays untouched; the fault pass only
             # needs the *signed* per-access deltas it implies.
-            single = request.ports == 1 or request.policy is PortPolicy.STATIC
             delta = np.empty(n, dtype=np.int64)
-            if single:
+            if request.ports == 1:
                 delta[1:] = np.diff(ss)
                 delta[first_idx] = (
                     ss[first_idx] - positions[0] - init_offsets[first_dbc]
@@ -208,7 +207,7 @@ def _anchored_costs(
     positions: np.ndarray,
     init_offsets: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Costs when every access uses port 0 (single port or STATIC)."""
+    """Costs on a single-port track: every access uses port 0."""
     anchor = positions[0]
     costs = np.empty(ss.size, dtype=np.int64)
     costs[1:] = np.abs(np.diff(ss))

@@ -34,7 +34,7 @@ class ReferenceBackend:
         for d, s in zip(request.dbc.tolist(), request.slot.tolist()):
             offsets[d], cost = step(
                 positions, request.domains, offsets[d], aligned[d], s,
-                request.policy, request.warm_start,
+                request.warm_start,
             )
             aligned[d] = True
             per_dbc[d] += cost
@@ -70,7 +70,7 @@ class ReferenceBackend:
             old = offsets[d]
             offsets[d], cost = step(
                 positions, request.domains, old, was_aligned, s,
-                request.policy, request.warm_start,
+                request.warm_start,
             )
             aligned[d] = True
             per_dbc[d] += cost

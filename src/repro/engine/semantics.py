@@ -9,29 +9,16 @@ construction rather than by parallel implementation.
 
 A nanotrack with ``p`` ports has them spread evenly along its ``K``
 domains; all tracks of a DBC shift in lock-step (Sec. II-A of the
-paper), so port geometry is a per-DBC property. The *selection policy*
-decides which port serves an access; ``nearest`` is the standard
-minimal-shift controller behaviour (as in RTSim).
+paper), so port geometry is a per-DBC property. The controller serves
+each access through the nearest port, the standard minimal-shift
+behaviour (as in RTSim).
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 
 from repro.errors import GeometryError, SimulationError
-
-
-class PortPolicy(str, Enum):
-    """How the controller picks a port for an access."""
-
-    #: Use whichever port needs the fewest shifts (RTSim default).
-    NEAREST = "nearest"
-    #: Always use port 0 (pessimistic single-port-equivalent behaviour).
-    STATIC = "static"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 @lru_cache(maxsize=1024)
@@ -81,9 +68,8 @@ def select_port(
     positions: tuple[int, ...],
     offset: int,
     location: int,
-    policy: PortPolicy = PortPolicy.NEAREST,
 ) -> tuple[int, int]:
-    """Choose a port for accessing ``location`` given the track ``offset``.
+    """Choose the nearest port for accessing ``location`` at ``offset``.
 
     The track's current shift offset ``offset`` means the domain under
     port ``j`` is ``positions[j] + offset``. Returns ``(port_index,
@@ -91,8 +77,6 @@ def select_port(
     ``location`` under the chosen port (its absolute value is the shift
     count). Ties go to the lowest port index.
     """
-    if policy is PortPolicy.STATIC:
-        return 0, location - positions[0] - offset
     best_j, best_delta = 0, location - positions[0] - offset
     for j in range(1, len(positions)):
         delta = location - positions[j] - offset
@@ -107,7 +91,6 @@ def step(
     offset: int,
     aligned: bool,
     location: int,
-    policy: PortPolicy = PortPolicy.NEAREST,
     warm_start: bool = True,
 ) -> tuple[int, int]:
     """Advance one DBC by one access: ``(new_offset, charged_shifts)``.
@@ -121,7 +104,7 @@ def step(
         raise SimulationError(
             f"location {location} outside track of {domains} domains"
         )
-    _port, delta = select_port(positions, offset, location, policy)
+    _port, delta = select_port(positions, offset, location)
     new_offset = offset + delta
     # offset = location - port_position with both in [0, K-1], so any
     # reachable state satisfies |offset| <= K-1.

@@ -2,7 +2,7 @@
 
 A :class:`ShiftRequest` is the fully compiled form of "run these accesses
 against this DBC geometry": flat per-access DBC/slot arrays plus the
-track geometry, the port-selection policy and (optionally) the shift
+track geometry, the first-access convention and (optionally) the shift
 state the device is already in. A :class:`ShiftResult` carries the
 charged shift counters and the final device state, so stateful callers
 (the controller) can chain requests and stateless callers (the analytic
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.faults import FaultModel, FaultObservation
-from repro.engine.semantics import PortPolicy
 from repro.errors import SimulationError
 
 
@@ -36,9 +35,7 @@ class ShiftRequest:
     domains:
         Domains per track (``K``); slots must lie in ``[0, domains)``.
     ports:
-        Access ports per track.
-    policy:
-        Port-selection policy.
+        Access ports per track; each access uses the nearest one.
     warm_start:
         Whether a DBC's very first access aligns for free.
     init_offsets / init_aligned:
@@ -62,7 +59,6 @@ class ShiftRequest:
     num_dbcs: int
     domains: int
     ports: int = 1
-    policy: PortPolicy = PortPolicy.NEAREST
     warm_start: bool = True
     init_offsets: np.ndarray | None = None
     init_aligned: np.ndarray | None = None

@@ -277,12 +277,6 @@ def policy_specs(
     return specs
 
 
-def build_policies(names: Sequence[str], profile: EvalProfile) -> list[Policy]:
-    """Instantiate policies with the profile's search budgets applied."""
-    return [get_policy(name, **options)
-            for name, options in policy_specs(names, profile)]
-
-
 def load_suite(profile: EvalProfile) -> list[BenchmarkProgram]:
     """The profile's workload programs, resolved through the registry.
 

@@ -9,7 +9,7 @@ counts, runtime and an energy breakdown.
 
 from repro.rtm.geometry import RTMConfig, iso_capacity_sweep, TABLE1_DBC_COUNTS
 from repro.rtm.timing import MemoryParams, destiny_params, table1_rows
-from repro.rtm.ports import port_positions, PortPolicy
+from repro.engine.semantics import port_positions
 from repro.rtm.device import DBCState
 from repro.rtm.controller import RTMController
 from repro.rtm.report import SimReport
@@ -34,7 +34,6 @@ __all__ = [
     "destiny_params",
     "table1_rows",
     "port_positions",
-    "PortPolicy",
     "DBCState",
     "RTMController",
     "SimReport",

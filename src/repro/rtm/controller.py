@@ -21,10 +21,40 @@ from repro.engine import FaultModel, get_backend
 from repro.engine.cursor import ShiftCursor
 from repro.errors import PlacementError, SimulationError
 from repro.rtm.geometry import RTMConfig
-from repro.rtm.ports import PortPolicy
 from repro.rtm.report import SimReport
 from repro.rtm.timing import MemoryParams, params_for
 from repro.trace.trace import MemoryTrace
+
+
+def placement_locations(placement, config: RTMConfig) -> dict[str, tuple[int, int]]:
+    """``{name: (dbc, slot)}`` for a placement checked against ``config``.
+
+    The one placement check every trace controller shares: at most
+    ``config.dbcs`` DBCs, at most ``config.locations_per_dbc`` entries
+    per DBC (``None`` marks an explicitly empty location) and no
+    variable placed twice. Raises :class:`~repro.errors.PlacementError`
+    otherwise.
+    """
+    dbc_lists = [list(d) for d in placement.dbc_lists()]
+    if len(dbc_lists) > config.dbcs:
+        raise PlacementError(
+            f"placement uses {len(dbc_lists)} DBCs but the device has "
+            f"{config.dbcs}"
+        )
+    location: dict[str, tuple[int, int]] = {}
+    for dbc_index, variables in enumerate(dbc_lists):
+        if len(variables) > config.locations_per_dbc:
+            raise PlacementError(
+                f"DBC {dbc_index} holds {len(variables)} variables but has "
+                f"only {config.locations_per_dbc} locations"
+            )
+        for slot, name in enumerate(variables):
+            if name is None:  # explicitly empty location
+                continue
+            if name in location:
+                raise PlacementError(f"variable {name!r} placed twice")
+            location[name] = (dbc_index, slot)
+    return location
 
 
 class RTMController:
@@ -40,8 +70,6 @@ class RTMController:
         package's ``Placement`` satisfies this.
     params:
         Calibrated parameters; derived from ``config`` when omitted.
-    port_policy:
-        Port selection behaviour (nearest by default).
     warm_start:
         Whether each DBC's first access aligns for free (the paper's cost
         convention; see DESIGN.md §6).
@@ -68,34 +96,14 @@ class RTMController:
         config: RTMConfig,
         placement,
         params: MemoryParams | None = None,
-        port_policy: PortPolicy = PortPolicy.NEAREST,
         warm_start: bool = True,
         backend: object = None,
         fault: FaultModel | None = None,
         scrub_interval: int | None = None,
     ) -> None:
-        dbc_lists = [list(d) for d in placement.dbc_lists()]
-        if len(dbc_lists) > config.dbcs:
-            raise PlacementError(
-                f"placement uses {len(dbc_lists)} DBCs but the device has "
-                f"{config.dbcs}"
-            )
-        self._location: dict[str, tuple[int, int]] = {}
-        for dbc_index, variables in enumerate(dbc_lists):
-            if len(variables) > config.locations_per_dbc:
-                raise PlacementError(
-                    f"DBC {dbc_index} holds {len(variables)} variables but has "
-                    f"only {config.locations_per_dbc} locations"
-                )
-            for slot, name in enumerate(variables):
-                if name is None:  # explicitly empty location
-                    continue
-                if name in self._location:
-                    raise PlacementError(f"variable {name!r} placed twice")
-                self._location[name] = (dbc_index, slot)
+        self._location = placement_locations(placement, config)
         self.config = config
         self.params = params or params_for(config)
-        self.port_policy = port_policy
         self.warm_start = warm_start
         self._backend = get_backend(backend)
         if fault is not None and fault.is_null:
@@ -200,7 +208,6 @@ class RTMController:
             num_dbcs=self.config.dbcs,
             domains=self.config.domains_per_track,
             ports=self.config.ports_per_track,
-            policy=self.port_policy,
             warm_start=self.warm_start,
             backend=self._backend,
             init_offsets=self._offsets,

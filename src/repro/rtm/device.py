@@ -15,7 +15,7 @@ execution of whole traces goes through the engine backends instead.
 
 from __future__ import annotations
 
-from repro.engine.semantics import PortPolicy, port_positions, step
+from repro.engine.semantics import port_positions, step
 
 
 class DBCState:
@@ -35,13 +35,8 @@ class DBCState:
         self.accesses = 0
         self.max_excursion = 0
 
-    def access(
-        self,
-        location: int,
-        policy: PortPolicy = PortPolicy.NEAREST,
-        warm_start: bool = True,
-    ) -> int:
-        """Shift ``location`` under a port; returns the shifts performed.
+    def access(self, location: int, warm_start: bool = True) -> int:
+        """Shift ``location`` under its nearest port; returns the shifts.
 
         With ``warm_start`` the very first access aligns for free, which is
         the cost convention fixed by the paper's Fig. 3 arithmetic; without
@@ -49,7 +44,7 @@ class DBCState:
         """
         self.offset, cost = step(
             self.positions, self.domains, self.offset, self.aligned,
-            location, policy, warm_start,
+            location, warm_start,
         )
         self.aligned = True
         self.shifts += cost

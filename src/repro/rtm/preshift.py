@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.errors import PlacementError, SimulationError
+from repro.errors import SimulationError
+from repro.rtm.controller import placement_locations
 from repro.rtm.device import DBCState
 from repro.rtm.geometry import RTMConfig
-from repro.rtm.ports import PortPolicy
 from repro.rtm.timing import MemoryParams, params_for
 from repro.trace.trace import MemoryTrace
 
@@ -68,25 +68,9 @@ class PreshiftController:
         self.params = params or params_for(config)
         self.policy = PreshiftPolicy(policy)
         self.warm_start = warm_start
-        self._location: dict[str, tuple[int, int]] = {}
-        self._fill: list[int] = []
-        dbc_lists = [list(d) for d in placement.dbc_lists()]
-        if len(dbc_lists) > config.dbcs:
-            raise PlacementError(
-                f"placement uses {len(dbc_lists)} DBCs, device has {config.dbcs}"
-            )
-        for dbc_index, variables in enumerate(dbc_lists):
-            if len(variables) > config.locations_per_dbc:
-                raise PlacementError(f"DBC {dbc_index} over capacity")
-            self._fill.append(len(variables))
-            for slot, name in enumerate(variables):
-                if name is None:  # explicitly empty location
-                    continue
-                if name in self._location:
-                    raise PlacementError(f"variable {name!r} placed twice")
-                self._location[name] = (dbc_index, slot)
-        while len(self._fill) < config.dbcs:
-            self._fill.append(0)
+        self._location = placement_locations(placement, config)
+        self._fill = [len(d) for d in placement.dbc_lists()]
+        self._fill += [0] * (config.dbcs - len(self._fill))
         self._dbcs = [
             DBCState(config.domains_per_track, config.ports_per_track)
             for _ in range(config.dbcs)
@@ -126,7 +110,7 @@ class PreshiftController:
             target = self._predict(dbc_index)
             if target is not None and target != slot:
                 # idle-time alignment: energy, no latency contribution
-                idle += dbc.access(target, policy=PortPolicy.NEAREST)
+                idle += dbc.access(target)
         return PreshiftReport(
             demand_shifts=demand,
             idle_shifts=idle,

@@ -4,7 +4,10 @@
 a whole benchmark program (each access sequence independently, as in the
 offset-assignment methodology) and sums the reports. Both accept a
 ``backend`` selecting the shift-engine implementation (vectorized numpy
-by default; ``"reference"`` for the per-access oracle loop).
+by default; ``"reference"`` for the per-access oracle loop). Every
+access is served by its nearest port. ``warm_start=False`` charges each
+DBC's first alignment (``repro-sim --cold-start``); the analytic cost
+model and the searchers always price warm starts.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from collections.abc import Iterable
 from repro.engine import FaultModel
 from repro.rtm.controller import RTMController
 from repro.rtm.geometry import RTMConfig
-from repro.rtm.ports import PortPolicy
 from repro.rtm.report import SimReport
 from repro.rtm.timing import MemoryParams
 from repro.trace.trace import MemoryTrace
@@ -25,7 +27,6 @@ def simulate(
     placement,
     config: RTMConfig,
     params: MemoryParams | None = None,
-    port_policy: PortPolicy = PortPolicy.NEAREST,
     warm_start: bool = True,
     backend: object = None,
     fault: FaultModel | None = None,
@@ -33,9 +34,8 @@ def simulate(
 ) -> SimReport:
     """Simulate a single trace; see :class:`RTMController` for semantics."""
     controller = RTMController(
-        config, placement, params=params, port_policy=port_policy,
-        warm_start=warm_start, backend=backend, fault=fault,
-        scrub_interval=scrub_interval,
+        config, placement, params=params, warm_start=warm_start,
+        backend=backend, fault=fault, scrub_interval=scrub_interval,
     )
     return controller.execute(trace)
 
@@ -44,7 +44,6 @@ def simulate_program(
     pairs: Iterable[tuple[MemoryTrace, object]],
     config: RTMConfig,
     params: MemoryParams | None = None,
-    port_policy: PortPolicy = PortPolicy.NEAREST,
     warm_start: bool = True,
     backend: object = None,
     fault: FaultModel | None = None,
@@ -59,9 +58,8 @@ def simulate_program(
     total: SimReport | None = None
     for trace, placement in pairs:
         report = simulate(
-            trace, placement, config, params=params,
-            port_policy=port_policy, warm_start=warm_start, backend=backend,
-            fault=fault, scrub_interval=scrub_interval,
+            trace, placement, config, params=params, warm_start=warm_start,
+            backend=backend, fault=fault, scrub_interval=scrub_interval,
         )
         total = report if total is None else total + report
     if total is None:

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import PlacementError, SimulationError
+from repro.errors import SimulationError
+from repro.rtm.controller import placement_locations
 from repro.rtm.device import DBCState
 from repro.rtm.geometry import RTMConfig
-from repro.rtm.ports import PortPolicy
 from repro.rtm.report import SimReport
 from repro.rtm.timing import MemoryParams, params_for
 from repro.trace.trace import MemoryTrace
@@ -61,34 +61,17 @@ class SwappingController:
             raise SimulationError(f"threshold must be >= 1, got {threshold}")
         if saturate < threshold:
             raise SimulationError("saturate must be >= threshold")
-        dbc_lists = [list(d) for d in placement.dbc_lists()]
-        if len(dbc_lists) > config.dbcs:
-            raise PlacementError(
-                f"placement uses {len(dbc_lists)} DBCs, device has {config.dbcs}"
-            )
+        self._location = placement_locations(placement, config)
         self.config = config
         self.params = params or params_for(config)
         self.threshold = threshold
         self.saturate = saturate
         self.warm_start = warm_start
         # slot maps are mutable: swapping rewrites them during execution
-        self._slots: list[list[str | None]] = []
-        self._location: dict[str, tuple[int, int]] = {}
-        for dbc_index, variables in enumerate(dbc_lists):
-            if len(variables) > config.locations_per_dbc:
-                raise PlacementError(
-                    f"DBC {dbc_index} over capacity "
-                    f"({len(variables)} > {config.locations_per_dbc})"
-                )
-            self._slots.append(list(variables))
-            for slot, name in enumerate(variables):
-                if name is None:  # explicitly empty location
-                    continue
-                if name in self._location:
-                    raise PlacementError(f"variable {name!r} placed twice")
-                self._location[name] = (dbc_index, slot)
-        while len(self._slots) < config.dbcs:
-            self._slots.append([])
+        self._slots: list[list[str | None]] = [
+            list(d) for d in placement.dbc_lists()
+        ]
+        self._slots += [[] for _ in range(config.dbcs - len(self._slots))]
         self._dbcs = [
             DBCState(config.domains_per_track, config.ports_per_track)
             for _ in range(config.dbcs)
@@ -150,7 +133,7 @@ class SwappingController:
         for name, is_write in trace.operations():
             dbc_index, slot = self.location_of(name)
             moved = self._dbcs[dbc_index].access(
-                slot, policy=PortPolicy.NEAREST, warm_start=self.warm_start
+                slot, warm_start=self.warm_start
             )
             shifts += moved
             runtime += moved * p.shift_latency_ns

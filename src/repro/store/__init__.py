@@ -18,13 +18,11 @@ open cells, compute them, and commit results into the same cache.
 from repro.store.queue import ClaimedCell, QueueJob, WorkQueue
 from repro.store.schema import SCHEMA_VERSION
 from repro.store.serde import cell_from_payload, cell_to_payload
-from repro.store.store import ExperimentStore, open_store, store_from_env
+from repro.store.store import ExperimentStore
 
 __all__ = [
     "SCHEMA_VERSION",
     "ExperimentStore",
-    "open_store",
-    "store_from_env",
     "cell_from_payload",
     "cell_to_payload",
     "WorkQueue",

@@ -396,17 +396,3 @@ def _peek_schema_version(path: Path) -> int | None:
         conn.close()
     return int(row[0]) if row else None
 
-
-def open_store(path: str | Path) -> ExperimentStore:
-    """Open (creating if needed) the store at ``path``."""
-    return ExperimentStore(path)
-
-
-def store_from_env(var: str = "REPRO_STORE") -> ExperimentStore:
-    """Open the store named by the environment, or fail with guidance."""
-    path = os.environ.get(var)
-    if not path:
-        raise ExperimentError(
-            f"no store configured: set {var} or pass an explicit path"
-        )
-    return ExperimentStore(path)

@@ -79,24 +79,3 @@ class AccessGraph:
     def total_weight(self) -> int:
         """Sum of all edge weights; plus self transitions this is |S|-1."""
         return sum(w for _, _, w in self.edges())
-
-    def to_networkx(self):
-        """Export to :mod:`networkx` (optional dependency)."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(self.vertices)
-        for u, v, w in self.edges():
-            g.add_edge(u, v, weight=w)
-        return g
-
-    def to_dot(self, name: str = "access_graph") -> str:
-        """Graphviz DOT rendering (edge labels = weights, for papers/docs)."""
-        lines = [f"graph {name} {{"]
-        freq = {v: self._seq.frequency(v) for v in self.vertices}
-        for v in self.vertices:
-            lines.append(f'  "{v}" [label="{v} ({freq[v]})"];')
-        for u, v, w in self.edges():
-            lines.append(f'  "{u}" -- "{v}" [label="{w}", weight={w}];')
-        lines.append("}")
-        return "\n".join(lines)

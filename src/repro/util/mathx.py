@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -30,32 +30,6 @@ def geometric_mean(values: Iterable[float]) -> float:
         raise ValueError("geometric_mean requires non-negative values")
     clamped = np.maximum(arr, 1e-12)
     return float(np.exp(np.mean(np.log(clamped))))
-
-
-def normalize_to(values: Mapping[str, float], reference_key: str) -> dict[str, float]:
-    """Normalize a mapping of metric values to one of its entries.
-
-    Fig. 4 normalizes every policy's shift cost to the GA result; Fig. 5
-    normalizes energy to AFD-OFU. A zero reference maps everything to 0
-    (all-zero rows arise for degenerate single-access traces).
-    """
-    if reference_key not in values:
-        raise KeyError(f"reference {reference_key!r} missing from {sorted(values)}")
-    ref = values[reference_key]
-    return {k: safe_div(v, ref, default=0.0) for k, v in values.items()}
-
-
-def improvement_factor(baseline: float, improved: float) -> float:
-    """How many times smaller ``improved`` is than ``baseline`` (e.g. 3.54x).
-
-    Both costs zero counts as parity (1.0); an improved cost of zero with a
-    non-zero baseline is reported as infinity.
-    """
-    if baseline == 0 and improved == 0:
-        return 1.0
-    if improved == 0:
-        return float("inf")
-    return baseline / improved
 
 
 def percent_improvement(baseline: float, improved: float) -> float:

@@ -67,15 +67,3 @@ def format_table(
         )
     return "\n".join(lines)
 
-
-def format_markdown_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Render a GitHub-flavoured markdown table (used by EXPERIMENTS.md)."""
-    out = ["| " + " | ".join(header) + " |"]
-    out.append("|" + "|".join("---" for _ in header) + "|")
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError(
-                f"row has {len(row)} cells but header has {len(header)}: {row!r}"
-            )
-        out.append("| " + " | ".join(_render(v) for v in row) + " |")
-    return "\n".join(out)

@@ -173,6 +173,3 @@ def as_float(value: str, context: str) -> float:
             f"{context}: expected a number, got {value!r}"
         ) from None
 
-
-def as_str(value: str, context: str) -> str:
-    return value

@@ -26,11 +26,6 @@ class TestSingleDBC:
         seq = AccessSequence(["b"], variables=["a", "b"])
         assert shift_cost(seq, Placement([("a", "b")])) == 0
 
-    def test_first_access_charged_when_cold(self):
-        seq = AccessSequence(["b"], variables=["a", "b"])
-        cost = shift_cost(seq, Placement([("a", "b")]), first_access_free=False)
-        assert cost >= 0  # port at centre of a 2-slot track -> position 1
-
     def test_empty_sequence_costs_nothing(self):
         seq = AccessSequence([], variables=["a"])
         assert shift_cost(seq, Placement([("a",)])) == 0
@@ -81,40 +76,8 @@ class TestMultiPort:
         assert dual < single
 
 
-class TestColdStartGeometry:
-    """With real geometry, analytic cold-start must equal the simulator."""
-
-    @pytest.mark.parametrize("ports", [1, 2, 4])
-    @pytest.mark.parametrize("domains", [16, 64])
-    def test_cold_analytic_matches_simulator(self, small_sequence, ports,
-                                             domains):
-        from repro.core.policies import get_policy
-        from repro.rtm.geometry import RTMConfig
-        from repro.rtm.sim import simulate
-        from repro.trace.trace import MemoryTrace
-        placement = get_policy("DMA-SR").place(small_sequence, 4, domains)
-        config = RTMConfig(dbcs=4, domains_per_track=domains,
-                           ports_per_track=ports)
-        report = simulate(MemoryTrace(small_sequence), placement, config,
-                          warm_start=False)
-        analytic = per_dbc_shift_costs(
-            small_sequence, placement, ports=ports, domains=domains,
-            first_access_free=False,
-        )
-        assert sum(analytic) == report.shifts
-        assert tuple(analytic) == report.per_dbc_shifts
-
-    def test_geometry_beats_fill_guess(self):
-        # One variable at slot 0 of a 64-domain track: the simulator's
-        # cold start pays the 32 shifts from the centred port; the
-        # geometry-free legacy guess (track length = DBC fill of 1) pays 0.
-        seq = AccessSequence(["a"])
-        placement = Placement([("a",)])
-        with_geometry = shift_cost(seq, placement, domains=64,
-                                   first_access_free=False)
-        legacy = shift_cost(seq, placement, first_access_free=False)
-        assert with_geometry == 32
-        assert legacy == 0
+class TestGeometry:
+    """Passing the track length validates slots and keeps warm costs."""
 
     def test_warm_cost_ignores_domains(self, fig3_sequence):
         placement = Placement([("a", "g", "b", "d", "h"), ("e", "i", "c", "f")])
@@ -125,7 +88,7 @@ class TestColdStartGeometry:
         seq = AccessSequence(list("abc"))
         placement = Placement([("a", "b", "c")])
         with pytest.raises(PlacementError):
-            shift_cost(seq, placement, domains=2, first_access_free=False)
+            shift_cost(seq, placement, domains=2)
 
 
 class TestCostFromArrays:

@@ -6,26 +6,6 @@ from repro.core.placement import Placement
 from repro.trace.sequence import AccessSequence
 
 
-class TestColdStartAnalytic:
-    def test_cold_start_charges_first_access(self):
-        # two variables on a 2-slot DBC; port centred at slot 1.
-        seq = AccessSequence(["a"], variables=["a", "b"])
-        placement = Placement([("a", "b")])
-        warm = shift_cost(seq, placement, first_access_free=True)
-        cold = shift_cost(seq, placement, first_access_free=False)
-        assert warm == 0
-        assert cold >= warm
-
-    def test_cold_start_multiport(self):
-        seq = AccessSequence(list("ab"))
-        placement = Placement([("a", "b")])
-        cold = shift_cost(seq, placement, ports=2, domains=8,
-                          first_access_free=False)
-        warm = shift_cost(seq, placement, ports=2, domains=8,
-                          first_access_free=True)
-        assert cold >= warm
-
-
 class TestGADegenerateInstances:
     def test_single_variable_sequence(self):
         seq = AccessSequence(["a", "a", "a"])

@@ -106,16 +106,3 @@ class TestConversions:
     def test_padded_cannot_shrink(self, placement):
         with pytest.raises(PlacementError):
             placement.padded(2)
-
-    def test_with_intra_order(self, placement):
-        reordered = placement.with_intra_order(0, ["b", "a"])
-        assert reordered.location_of("b") == (0, 0)
-        assert placement.location_of("b") == (0, 1)  # original untouched
-
-    def test_with_intra_order_must_be_permutation(self, placement):
-        with pytest.raises(PlacementError):
-            placement.with_intra_order(0, ["a", "c"])
-
-    def test_with_intra_order_bad_index(self, placement):
-        with pytest.raises(PlacementError):
-            placement.with_intra_order(9, [])

@@ -55,11 +55,6 @@ class TestSparsePlacement:
         report = simulate(MemoryTrace(seq), sparse, config)
         assert report.shifts == shift_cost(seq, sparse)
 
-    def test_with_intra_order_handles_holes(self):
-        p = Placement([("a", None, "b")])
-        q = p.with_intra_order(0, ("b", None, "a"))
-        assert q.location_of("b") == (0, 0)
-
     def test_duplicate_across_holes_rejected(self):
         with pytest.raises(PlacementError):
             Placement([("a", None), (None, "a")])

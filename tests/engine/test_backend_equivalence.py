@@ -1,7 +1,7 @@
 """Property-style equivalence tests: numpy backend vs per-access oracle.
 
 The acceptance bar of the engine refactor: on randomized traces across
-port counts, warm/cold starts, policies and initial device states, the
+port counts, warm/cold starts and initial device states, the
 vectorized backend must reproduce the reference backend's shift counts,
 per-DBC split and final device state exactly.
 """
@@ -9,7 +9,7 @@ per-DBC split and final device state exactly.
 import numpy as np
 import pytest
 
-from repro.engine import PortPolicy, ShiftRequest, get_backend
+from repro.engine import ShiftRequest, get_backend
 
 REFERENCE = get_backend("reference")
 NUMPY = get_backend("numpy")
@@ -25,8 +25,7 @@ def assert_equivalent(request: ShiftRequest) -> None:
     assert np.array_equal(vec.final_aligned, ref.final_aligned)
 
 
-def random_request(rng, ports, warm_start, with_init=False,
-                   policy=PortPolicy.NEAREST):
+def random_request(rng, ports, warm_start, with_init=False):
     domains = int(rng.choice([ports, 8, 16, 63, 64, 257]))
     num_dbcs = int(rng.integers(1, 6))
     n = int(rng.integers(0, 300))
@@ -42,7 +41,6 @@ def random_request(rng, ports, warm_start, with_init=False,
         num_dbcs=num_dbcs,
         domains=domains,
         ports=ports,
-        policy=policy,
         warm_start=warm_start,
         **kwargs,
     )
@@ -74,16 +72,6 @@ class TestRandomizedEquivalence:
             assert_equivalent(
                 random_request(rng, 8, bool(rng.random() < 0.5),
                                with_init=bool(rng.random() < 0.5))
-            )
-
-    @pytest.mark.parametrize("ports", [2, 4])
-    def test_static_policy(self, ports):
-        rng = np.random.default_rng(55 + ports)
-        for _ in range(20):
-            assert_equivalent(
-                random_request(rng, ports, bool(rng.random() < 0.5),
-                               with_init=bool(rng.random() < 0.5),
-                               policy=PortPolicy.STATIC)
             )
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from repro.engine import (
     FaultModel,
-    PortPolicy,
     ShiftCursor,
     ShiftRequest,
     available_backends,
@@ -69,17 +68,6 @@ def test_monolithic_replay_matches_reference(backend, ports, warm_start):
     for seed in range(3):
         request = random_request(seed, ports, warm_start)
         assert backend.run(request) == oracle.run(request)
-
-
-@pytest.mark.parametrize("ports", [1, 4])
-def test_static_policy_matches_reference(backend, ports):
-    oracle = ReferenceBackend()
-    request = random_request(11, ports, True)
-    request = ShiftRequest(
-        dbc=request.dbc, slot=request.slot, num_dbcs=request.num_dbcs,
-        domains=request.domains, ports=ports, policy=PortPolicy.STATIC,
-    )
-    assert backend.run(request) == oracle.run(request)
 
 
 @pytest.mark.parametrize("warm_start", [True, False])

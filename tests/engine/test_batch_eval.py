@@ -11,13 +11,12 @@ which the regression pins at the bottom lock down.
 import numpy as np
 import pytest
 
-from repro.core.cost import cost_from_arrays, shift_cost, shift_costs_batch
+from repro.core.cost import cost_from_arrays, shift_cost
 from repro.core.ga import GAConfig, GeneticPlacer
 from repro.core.placement import Placement
 from repro.core.random_walk import random_walk_search
 from repro.engine import (
     DeltaCost,
-    PortPolicy,
     ShiftRequest,
     evaluate_batch,
     get_backend,
@@ -47,9 +46,8 @@ def reference_scores(codes, dbc_of, pos_of, num_dbcs, domains, ports, warm):
 class TestEvaluateBatch:
     @pytest.mark.parametrize("population", [1, 8, 64])
     @pytest.mark.parametrize("ports", [1, 2, 4])
-    @pytest.mark.parametrize("warm", [True, False])
-    def test_matches_reference_backend(self, population, ports, warm):
-        rng = np.random.default_rng(1000 * population + 10 * ports + warm)
+    def test_matches_reference_backend(self, population, ports):
+        rng = np.random.default_rng(1000 * population + 10 * ports + 1)
         for trial in range(4):
             num_vars = int(rng.integers(1, 14))
             accesses = int(rng.integers(0, 80))
@@ -60,10 +58,10 @@ class TestEvaluateBatch:
             pos_of = rng.integers(0, domains, (population, num_vars))
             got = evaluate_batch(
                 codes, dbc_of, pos_of, num_dbcs=num_dbcs, domains=domains,
-                ports=ports, warm_start=warm,
+                ports=ports,
             )
             want = reference_scores(
-                codes, dbc_of, pos_of, num_dbcs, domains, ports, warm
+                codes, dbc_of, pos_of, num_dbcs, domains, ports, True
             )
             assert list(got) == want
 
@@ -73,11 +71,9 @@ class TestEvaluateBatch:
         codes = rng.integers(0, 9, 700)
         dbc_of = rng.integers(0, 3, (5, 9))
         pos_of = rng.integers(0, 40, (5, 9))
-        got = evaluate_batch(
-            codes, dbc_of, pos_of, num_dbcs=3, domains=40, warm_start=False
-        )
+        got = evaluate_batch(codes, dbc_of, pos_of, num_dbcs=3, domains=40)
         assert list(got) == reference_scores(
-            codes, dbc_of, pos_of, 3, 40, 1, False
+            codes, dbc_of, pos_of, 3, 40, 1, True
         )
 
     def test_chunked_flat_key_range(self):
@@ -100,31 +96,6 @@ class TestEvaluateBatch:
         assert got.shape == (1,)
         assert int(got[0]) == cost_from_arrays(codes, dbc_of, pos_of, 2)
 
-    @pytest.mark.parametrize("warm", [True, False])
-    def test_static_policy_matches_reference(self, warm):
-        # STATIC multi-port takes the anchored path, so the cold branch
-        # must charge the |slot - port_positions[0]| anchor correctly.
-        rng = np.random.default_rng(6)
-        codes = rng.integers(0, 8, 64)
-        dbc_of = rng.integers(0, 2, (8, 8))
-        pos_of = rng.integers(0, 32, (8, 8))
-        got = evaluate_batch(
-            codes, dbc_of, pos_of, num_dbcs=2, domains=32, ports=4,
-            policy=PortPolicy.STATIC, warm_start=warm,
-        )
-        backend = get_backend("reference")
-        want = [
-            backend.run(
-                ShiftRequest(
-                    dbc=dbc_of[k][codes], slot=pos_of[k][codes], num_dbcs=2,
-                    domains=32, ports=4, policy=PortPolicy.STATIC,
-                    warm_start=warm,
-                )
-            ).shifts
-            for k in range(8)
-        ]
-        assert list(got) == want
-
     def test_empty_population_and_trace(self):
         assert evaluate_batch(
             np.empty(0, dtype=np.int64),
@@ -145,8 +116,6 @@ class TestEvaluateBatch:
             evaluate_batch(codes, ok, ok + 9, num_dbcs=2, domains=4)
         with pytest.raises(SimulationError):  # multi-port needs geometry
             evaluate_batch(codes, ok, ok, num_dbcs=2, ports=2)
-        with pytest.raises(SimulationError):  # cold start needs geometry too
-            evaluate_batch(codes, ok, ok, num_dbcs=2, warm_start=False)
         with pytest.raises(SimulationError):  # codes outside the candidates
             evaluate_batch(np.array([7]), ok, ok, num_dbcs=2, domains=4)
 
@@ -160,21 +129,6 @@ class TestEvaluateBatch:
         dbc_of, pos_of = stack_candidate_arrays([[[1, 0], [2]]], 3)
         assert dbc_of.tolist() == [[0, 0, 1]]
         assert pos_of.tolist() == [[1, 0, 0]]
-
-    def test_cold_cost_independent_of_batchmates(self):
-        # A candidate's cold-start cost must not depend on which other
-        # candidates share the batch (the track length is explicit).
-        codes = np.array([0, 1])
-        lone = evaluate_batch(
-            codes, np.zeros((1, 2), dtype=np.int64),
-            np.array([[0, 1]]), num_dbcs=1, domains=10, warm_start=False,
-        )
-        paired = evaluate_batch(
-            codes, np.zeros((2, 2), dtype=np.int64),
-            np.array([[0, 1], [0, 9]]), num_dbcs=1, domains=10,
-            warm_start=False,
-        )
-        assert int(lone[0]) == int(paired[0])
 
 
 class TestDeltaCost:
@@ -239,41 +193,6 @@ class TestDeltaCost:
         evaluator.swap_delta(0, 2)
         assert evaluator.cost == before
         assert evaluator.position_of(0) == 0
-
-
-class TestPlacementBatchWrapper:
-    def test_matches_scalar_shift_cost(self, fig3_sequence):
-        placements = [
-            Placement([("a", "g", "b", "d", "h"), ("e", "i", "c", "f")]),
-            Placement([tuple(fig3_sequence.variables)]),
-            Placement([(v,) for v in fig3_sequence.variables]),
-        ]
-        got = shift_costs_batch(fig3_sequence, placements)
-        assert got.tolist() == [
-            shift_cost(fig3_sequence, p) for p in placements
-        ]
-
-    def test_cold_start_matches(self, fig3_sequence):
-        placements = [
-            Placement([("a", "g", "b", "d", "h"), ("e", "i", "c", "f")]),
-        ]
-        got = shift_costs_batch(
-            fig3_sequence, placements, domains=64, first_access_free=False
-        )
-        want = shift_cost(
-            fig3_sequence, placements[0], domains=64, first_access_free=False
-        )
-        assert got.tolist() == [want]
-
-    def test_multi_port_matches(self, fig3_sequence):
-        placement = Placement([("a", "g", "b", "d", "h"), ("e", "i", "c", "f")])
-        got = shift_costs_batch(fig3_sequence, [placement], ports=2, domains=64)
-        assert got.tolist() == [
-            shift_cost(fig3_sequence, placement, ports=2, domains=64)
-        ]
-
-    def test_empty_population(self, fig3_sequence):
-        assert shift_costs_batch(fig3_sequence, []).tolist() == []
 
 
 class TestSearcherRegressions:

@@ -6,9 +6,9 @@ a blocked monoid scan in the 1-D backend, a population-level ``(K, N)``
 flattened kernel in ``evaluate_batch``, and an exact per-DBC replay mode
 in ``DeltaCost``. Everything here enforces the one invariant that makes
 the fast path usable: *bit-identical totals* against the per-access
-reference backend, across population sizes, port counts, warm/cold and
-both port policies — plus seed-pinned multi-port searcher runs so the
-wiring through GA/RW/annealing stays reproducible.
+reference backend, across population sizes and port counts — plus
+seed-pinned multi-port searcher runs so the wiring through
+GA/RW/annealing stays reproducible.
 """
 
 import numpy as np
@@ -21,7 +21,6 @@ from repro.core.placement import Placement
 from repro.core.random_walk import random_walk_search
 from repro.engine import (
     DeltaCost,
-    PortPolicy,
     ShiftRequest,
     evaluate_batch,
     get_backend,
@@ -38,8 +37,7 @@ from repro.trace.sequence import AccessSequence
 from tests.paperdata import FIG3_ACCESSES
 
 
-def reference_scores(codes, dbc_of, pos_of, num_dbcs, domains, ports,
-                     policy, warm):
+def reference_scores(codes, dbc_of, pos_of, num_dbcs, domains, ports):
     backend = get_backend("reference")
     out = []
     for k in range(dbc_of.shape[0]):
@@ -49,23 +47,17 @@ def reference_scores(codes, dbc_of, pos_of, num_dbcs, domains, ports,
         out.append(backend.run(ShiftRequest(
             dbc=dbc_of[k][codes], slot=pos_of[k][codes],
             num_dbcs=num_dbcs, domains=domains, ports=ports,
-            policy=policy, warm_start=warm,
         )).shifts)
     return out
 
 
 class TestMultiPortBatchEquivalence:
-    """K x ports x warm/cold x policy, bit-identical to the oracle."""
+    """K x ports, bit-identical to the oracle."""
 
     @pytest.mark.parametrize("population", [1, 8, 64])
     @pytest.mark.parametrize("ports", [2, 4, 8])
-    @pytest.mark.parametrize("warm", [True, False])
-    @pytest.mark.parametrize("policy", [PortPolicy.NEAREST, PortPolicy.STATIC])
-    def test_matches_reference_backend(self, population, ports, warm, policy):
-        rng = np.random.default_rng(
-            10_000 * population + 100 * ports + 10 * warm
-            + (policy is PortPolicy.STATIC)
-        )
+    def test_matches_reference_backend(self, population, ports):
+        rng = np.random.default_rng(10_000 * population + 100 * ports + 10)
         for _trial in range(3):
             num_vars = int(rng.integers(1, 14))
             accesses = int(rng.integers(0, 90))
@@ -76,10 +68,10 @@ class TestMultiPortBatchEquivalence:
             pos_of = rng.integers(0, domains, (population, num_vars))
             got = evaluate_batch(
                 codes, dbc_of, pos_of, num_dbcs=num_dbcs, domains=domains,
-                ports=ports, policy=policy, warm_start=warm,
+                ports=ports,
             )
             assert list(got) == reference_scores(
-                codes, dbc_of, pos_of, num_dbcs, domains, ports, policy, warm
+                codes, dbc_of, pos_of, num_dbcs, domains, ports
             )
 
     def test_long_rows_cross_the_chunk_budget(self):
@@ -91,11 +83,8 @@ class TestMultiPortBatchEquivalence:
         pos_of = rng.integers(0, 48, (7, 12))
         got = evaluate_batch(
             codes, dbc_of, pos_of, num_dbcs=3, domains=48, ports=2,
-            warm_start=False,
         )
-        assert list(got) == reference_scores(
-            codes, dbc_of, pos_of, 3, 48, 2, PortPolicy.NEAREST, False
-        )
+        assert list(got) == reference_scores(codes, dbc_of, pos_of, 3, 48, 2)
 
     @pytest.mark.parametrize("ports", [2, 4, 8])
     def test_blocked_scan_matches_doubling_scale(self, ports):
@@ -124,7 +113,6 @@ class TestMultiPortBatchEquivalence:
         )
         assert got.tolist() == reference_scores(
             codes, np.zeros((1, 3), dtype=np.int64), pos_of, 1, 4, 2,
-            PortPolicy.NEAREST, True,
         )
         # Accessed violations still raise.
         with pytest.raises(SimulationError):
@@ -190,7 +178,7 @@ class TestMultiPortDeltaCost:
         def oracle():
             return reference_scores(
                 codes, dbc_of[None, :], pos[None, :], num_dbcs, domains,
-                ports, PortPolicy.NEAREST, True,
+                ports,
             )[0]
 
         assert evaluator.cost == oracle()
@@ -217,27 +205,11 @@ class TestMultiPortDeltaCost:
         pos[[0, 1, 2]] = [30, 3, 0]
         want = reference_scores(
             codes, dbc_of[None, :], pos[None, :], 1, 32, 2,
-            PortPolicy.NEAREST, True,
         )[0]
         assert total == want
         assert priced == want - reference_scores(
             codes, dbc_of[None, :], pos_of[None, :], 1, 32, 2,
-            PortPolicy.NEAREST, True,
         )[0]
-
-    def test_static_multi_port_uses_pair_mode(self):
-        # STATIC is single-port-equivalent, so the pair structure stays
-        # valid and no replay bookkeeping is built.
-        codes = np.array([0, 1, 0, 2])
-        evaluator = DeltaCost(
-            codes, np.zeros(3, dtype=np.int64), np.arange(3, dtype=np.int64),
-            domains=16, ports=4, policy=PortPolicy.STATIC,
-        )
-        assert not evaluator._replay
-        single = DeltaCost(
-            codes, np.zeros(3, dtype=np.int64), np.arange(3, dtype=np.int64)
-        )
-        assert evaluator.cost == single.cost
 
     def test_multi_port_requires_domains(self):
         with pytest.raises(SimulationError):

@@ -108,15 +108,6 @@ class TestFaults:
         assert "scrub every 25" in result.title
 
 
-class TestGraphDot:
-    def test_dot_export(self, fig3_sequence):
-        from repro.trace.graph import AccessGraph
-        dot = AccessGraph(fig3_sequence).to_dot()
-        assert dot.startswith("graph access_graph {")
-        assert '"a" -- "b"' in dot or '"b" -- "a"' in dot
-        assert dot.rstrip().endswith("}")
-
-
 class TestCLIWiring:
     def test_cli_runs_ablation(self, capsys, monkeypatch):
         from repro.cli import main_experiment

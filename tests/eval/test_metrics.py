@@ -1,43 +1,13 @@
-"""Unit tests for eval metrics helpers and util.mathx."""
+"""Unit tests for util.mathx and the experiments' cost-ratio helper."""
 
 import pytest
 
-from repro.eval.metrics import (
-    benchmarks_of,
-    dbc_counts_of,
-    geomean_shift_ratio,
-    policies_of,
-    shift_ratio,
-    total_metric,
-)
-from repro.eval.runner import CellResult
-from repro.rtm.report import SimReport
+from repro.eval.experiments import _norm_ratio
 from repro.util.mathx import (
     geometric_mean,
-    improvement_factor,
-    normalize_to,
     percent_improvement,
     safe_div,
 )
-
-
-def _cell(bench, policy, dbcs, shifts, runtime=100.0):
-    report = SimReport(
-        dbcs=dbcs, accesses=10, reads=8, writes=2, shifts=shifts,
-        runtime_ns=runtime, read_energy_pj=1.0, write_energy_pj=1.0,
-        shift_energy_pj=float(shifts), leakage_energy_pj=5.0, area_mm2=0.01,
-    )
-    return CellResult(bench, policy, dbcs, shifts, report)
-
-
-@pytest.fixture
-def matrix():
-    return {
-        ("x", "A", 2): _cell("x", "A", 2, 40),
-        ("x", "B", 2): _cell("x", "B", 2, 10),
-        ("y", "A", 2): _cell("y", "A", 2, 90),
-        ("y", "B", 2): _cell("y", "B", 2, 30),
-    }
 
 
 class TestMathx:
@@ -58,45 +28,15 @@ class TestMathx:
         with pytest.raises(ValueError):
             geometric_mean([-1.0])
 
-    def test_normalize_to(self):
-        normed = normalize_to({"a": 10.0, "b": 5.0}, "a")
-        assert normed == {"a": 1.0, "b": 0.5}
-        with pytest.raises(KeyError):
-            normalize_to({"a": 1.0}, "zz")
-
-    def test_improvement_factor(self):
-        assert improvement_factor(39, 11) == pytest.approx(3.545, abs=1e-3)
-        assert improvement_factor(0, 0) == 1.0
-        assert improvement_factor(5, 0) == float("inf")
-
     def test_percent_improvement(self):
         assert percent_improvement(100, 50) == 50.0
         assert percent_improvement(0, 10) == 0.0
 
 
-class TestMatrixHelpers:
-    def test_introspection(self, matrix):
-        assert benchmarks_of(matrix) == ["x", "y"]
-        assert policies_of(matrix) == ["A", "B"]
-        assert dbc_counts_of(matrix) == [2]
+class TestNormRatio:
+    def test_ratio(self):
+        assert _norm_ratio(40, 10) == 4.0
 
-    def test_shift_ratio(self, matrix):
-        assert shift_ratio(matrix, "x", "A", "B", 2) == 4.0
-
-    def test_shift_ratio_degenerate(self):
-        m = {
-            ("x", "A", 2): _cell("x", "A", 2, 0),
-            ("x", "B", 2): _cell("x", "B", 2, 0),
-        }
-        assert shift_ratio(m, "x", "A", "B", 2) == 1.0
-
-    def test_geomean_shift_ratio(self, matrix):
-        assert geomean_shift_ratio(matrix, "A", "B", 2) == pytest.approx(
-            (4.0 * 3.0) ** 0.5
-        )
-
-    def test_total_metric_plain(self, matrix):
-        assert total_metric(matrix, "A", 2, "shifts") == 130
-
-    def test_total_metric_report_attr(self, matrix):
-        assert total_metric(matrix, "A", 2, "report.leakage_energy_pj") == 10.0
+    def test_degenerate(self):
+        assert _norm_ratio(0, 0) == 1.0  # 0/0 counts as parity
+        assert _norm_ratio(5, 0) == 5.0

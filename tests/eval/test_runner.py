@@ -19,7 +19,6 @@ from repro.errors import ExperimentError, SolverError
 from repro.eval.profiles import EvalProfile
 from repro.eval.runner import (
     CellRecipe,
-    build_policies,
     clear_cell_cache,
     last_matrix_stats,
     load_suite,
@@ -83,11 +82,6 @@ class TestRunMatrix:
 
 
 class TestBuildPolicies:
-    def test_profile_budgets_applied(self):
-        policies = build_policies(("GA", "RW", "DMA-SR"), TINY)
-        names = [p.name for p in policies]
-        assert names == ["GA", "RW", "DMA-SR"]
-
     def test_load_suite_respects_benchmark_list(self):
         suite = load_suite(TINY)
         assert [b.name for b in suite] == ["adpcm", "dct"]

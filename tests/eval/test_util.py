@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.util.rng import ensure_rng, spawn_rng
-from repro.util.tables import format_markdown_table, format_table
+from repro.util.tables import format_table
 
 
 class TestEnsureRng:
@@ -71,16 +71,3 @@ class TestFormatTable:
     def test_empty_rows_ok(self):
         text = format_table(["a"], [])
         assert "a" in text
-
-
-class TestMarkdownTable:
-    def test_structure(self):
-        text = format_markdown_table(["a", "b"], [[1, 2]])
-        lines = text.splitlines()
-        assert lines[0] == "| a | b |"
-        assert lines[1] == "|---|---|"
-        assert lines[2] == "| 1 | 2 |"
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            format_markdown_table(["a"], [[1, 2]])

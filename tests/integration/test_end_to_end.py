@@ -25,8 +25,9 @@ class TestSuiteThroughSimulator:
 
     @pytest.mark.parametrize("policy_name", PAPER_POLICIES)
     def test_policy_handles_whole_mini_suite(self, policy_name):
-        from repro.eval.runner import build_policies
-        policy = build_policies([policy_name], MINI)[0]
+        from repro.eval.runner import policy_specs
+        [(_, options)] = policy_specs([policy_name], MINI)
+        policy = get_policy(policy_name, **options)
         for name in MINI.benchmarks:
             program = load_benchmark(name, scale=MINI.suite_scale,
                                      seed=MINI.seed)

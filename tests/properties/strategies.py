@@ -48,3 +48,20 @@ def sequences_with_geometry(
     capacity = draw(st.integers(min_value=min_capacity,
                                 max_value=max(min_capacity, 16)))
     return seq, num_dbcs, capacity
+
+
+@st.composite
+def exact_instances(draw, max_vars: int = 7, max_length: int = 40):
+    """(sequence, num_dbcs, capacity) small enough for the exact solver.
+
+    2 to ``max_vars`` declared variables, 1 to 3 DBCs and a capacity
+    between the fewest slots that fit every variable and one slot per
+    variable.
+    """
+    seq = draw(access_sequences(max_vars=max_vars, max_length=max_length)
+               .filter(lambda s: s.num_variables >= 2))
+    num_dbcs = draw(st.integers(min_value=1, max_value=3))
+    min_capacity = -(-seq.num_variables // num_dbcs)  # ceil division
+    capacity = draw(st.integers(min_value=min_capacity,
+                                max_value=seq.num_variables))
+    return seq, num_dbcs, capacity

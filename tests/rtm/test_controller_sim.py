@@ -7,8 +7,10 @@ from repro.core.cost import shift_cost
 from repro.errors import PlacementError, SimulationError
 from repro.rtm.controller import RTMController
 from repro.rtm.geometry import RTMConfig, iso_capacity_sweep
+from repro.rtm.preshift import PreshiftController
 from repro.rtm.report import SimReport
 from repro.rtm.sim import simulate, simulate_program
+from repro.rtm.swapping import SwappingController
 from repro.rtm.timing import destiny_params
 from repro.trace import trace as trace_module
 from repro.trace.sequence import AccessSequence
@@ -66,6 +68,37 @@ class TestController:
         ctrl.reset()
         second = ctrl.execute(fig3_trace)
         assert first.shifts == second.shifts
+
+
+class _Lists:
+    """A placement-like object holding arbitrary (even invalid) DBC lists."""
+
+    def __init__(self, *dbcs):
+        self._dbcs = dbcs
+
+    def dbc_lists(self):
+        return self._dbcs
+
+
+class TestSharedPlacementCheck:
+    """Every trace controller rejects a malformed placement the same way."""
+
+    TINY = RTMConfig(dbcs=2, domains_per_track=2)
+
+    @pytest.mark.parametrize("controller", [
+        RTMController, PreshiftController, SwappingController,
+    ])
+    @pytest.mark.parametrize("placement,message", [
+        (_Lists(("a",), ("b",), ("c",)),
+         "placement uses 3 DBCs but the device has 2"),
+        (_Lists(("a", None, "b")),
+         "DBC 0 holds 3 variables but has only 2 locations"),
+        (_Lists(("a",), (None, "a")), "variable 'a' placed twice"),
+    ], ids=["too-many-dbcs", "over-capacity", "placed-twice"])
+    def test_same_message(self, controller, placement, message):
+        with pytest.raises(PlacementError) as excinfo:
+            controller(self.TINY, placement)
+        assert str(excinfo.value) == message
 
 
 class TestSimulatorAgreement:

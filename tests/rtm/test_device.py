@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.rtm.device import DBCState
-from repro.rtm.ports import PortPolicy
 
 
 class TestWarmStart:
@@ -48,12 +47,6 @@ class TestMultiPort:
         c1 = sum(one.access(x) for x in pattern)
         c2 = sum(two.access(x) for x in pattern)
         assert c2 < c1
-
-    def test_static_policy_single_port_equivalent(self):
-        dbc = DBCState(64, ports=2)
-        dbc.access(10, policy=PortPolicy.STATIC)
-        cost = dbc.access(50, policy=PortPolicy.STATIC)
-        assert cost == 40
 
 
 class TestInvariants:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import GeometryError
-from repro.rtm.ports import PortPolicy, port_positions, select_port
+from repro.engine.semantics import port_positions, select_port
 
 
 class TestPortPositions:
@@ -57,12 +57,6 @@ class TestSelectPort:
         port, delta = select_port(positions, offset=30, location=47)
         assert port == 0
         assert delta == 1
-
-    def test_static_always_port_zero(self):
-        positions = (16, 48)
-        port, delta = select_port(positions, 0, 50, PortPolicy.STATIC)
-        assert port == 0
-        assert delta == 34
 
     def test_alignment_invariant(self):
         """offset + position of chosen port always equals the location."""

@@ -12,8 +12,6 @@ from repro.store import (
     ExperimentStore,
     cell_from_payload,
     cell_to_payload,
-    open_store,
-    store_from_env,
 )
 from repro.store import schema
 from repro.errors import ExperimentError
@@ -104,15 +102,6 @@ class TestStoreBasics:
             store.put_cell("ka", make_cell(benchmark="adpcm"))
             rows = list(store.iter_cells())
             assert [r[1] for r in rows] == ["adpcm", "jpeg"]
-
-    def test_open_store_and_env(self, tmp_path, monkeypatch):
-        path = tmp_path / "env.db"
-        open_store(path).close()
-        monkeypatch.setenv("REPRO_STORE", str(path))
-        store_from_env().close()
-        monkeypatch.delenv("REPRO_STORE")
-        with pytest.raises(ExperimentError):
-            store_from_env()
 
 
 class TestSchemaVersion:

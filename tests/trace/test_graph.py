@@ -72,11 +72,3 @@ class TestStructure:
         g = AccessGraph(AccessSequence([], variables=["a"]))
         assert g.num_edges() == 0
         assert g.self_transitions == 0
-
-
-class TestNetworkxExport:
-    def test_to_networkx(self, fig3_sequence):
-        nx = pytest.importorskip("networkx")
-        g = AccessGraph(fig3_sequence).to_networkx()
-        assert g.number_of_nodes() == 9
-        assert g["a"]["b"]["weight"] == AccessGraph(fig3_sequence).weight("a", "b")
