@@ -9,8 +9,11 @@ Run as a script, the module additionally records the ``search_scale``
 quality-per-wall-time sweep the ROADMAP asked for — how much extra
 placement quality the scaled GA populations and RW iteration budgets
 buy per unit wall time now that generation scoring is one batched
-engine pass: ``PYTHONPATH=src python benchmarks/bench_ablation_ga_budget.py
---out BENCH_ga_budget.json``.
+engine pass — plus one GA run per seed at the paper's budget (mu =
+lambda = 100, 200 generations) on the same sequence, and the host and
+version provenance: ``PYTHONPATH=src python
+benchmarks/bench_ablation_ga_budget.py --out BENCH_ga_budget.json``.
+The script gates nothing.
 """
 
 import pytest
@@ -130,11 +133,39 @@ def _sweep_search_scale(scales, seeds, num_dbcs=4, capacity=256):
     return seq, rows
 
 
+def _paper_budget(seq, seeds, num_dbcs=4, capacity=256):
+    """Cost and wall time of the GA at the paper's default budget."""
+    import statistics
+    import time
+
+    costs, times, evaluations = [], [], []
+    for seed in seeds:
+        t0 = time.perf_counter()
+        result = GeneticPlacer(seq, num_dbcs, capacity, GAConfig(), rng=seed).run()
+        times.append(time.perf_counter() - t0)
+        costs.append(result.cost)
+        evaluations.append(result.evaluations)
+    cfg = GAConfig()
+    return {
+        "mu": cfg.mu,
+        "lam": cfg.lam,
+        "generations": cfg.generations,
+        "median_cost": statistics.median(costs),
+        "median_seconds": statistics.median(times),
+        "median_evaluations": statistics.median(evaluations),
+    }
+
+
 def main(argv=None) -> int:
     import argparse
     import json
-    import sys
+    import os
+    import platform
     from pathlib import Path
+
+    import numpy as np
+
+    import repro
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scales", type=float, nargs="+",
@@ -166,13 +197,25 @@ def main(argv=None) -> int:
               f"cost={row['rw']['median_cost']:>6} "
               f"in {row['rw']['median_seconds']:.2f}s")
 
+    paper = _paper_budget(seq, args.seeds)
+    print(f"paper budget: GA mu={paper['mu']} x {paper['generations']} "
+          f"generations cost={paper['median_cost']} "
+          f"in {paper['median_seconds']:.2f}s")
+
     payload = {
         "benchmark": "ga_budget_search_scale",
         "profile": PROFILE.name,
+        "provenance": {
+            "cores": os.cpu_count() or 1,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "repro": repro.__version__,
+        },
         "sequence": {"name": seq.name, "accesses": len(seq),
                      "variables": seq.num_variables},
         "seeds": args.seeds,
         "results": rows,
+        "paper_budget": paper,
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

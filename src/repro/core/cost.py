@@ -114,8 +114,8 @@ def stack_placement_lists(
     """``(K, V)`` candidate matrices from per-DBC variable-*name* lists.
 
     The sequence-aware twin of
-    :func:`repro.engine.stack_candidate_arrays`: each candidate is the
-    searchers' list-of-lists shape with variable names instead of codes.
+    :func:`repro.engine.stack_candidate_arrays`: each candidate is a
+    list of per-DBC lists of variable names instead of codes.
     """
     return stack_candidate_arrays(
         candidates, sequence.num_variables, code_of=sequence.index_of

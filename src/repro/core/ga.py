@@ -1,14 +1,23 @@
 """Genetic algorithm for complete RTM placements (Sec. III-C).
 
-Individuals are complete placements — lists of per-DBC ordered variable
-lists — evaluated by their analytic shift cost. The algorithm is a
-(mu + lambda) evolution strategy with tournament selection (best of 4),
-the paper's 2-fold crossover (swap the DBC membership of a contiguous
-range of variables in first-appearance order, preserving the intra-DBC
-order of everything else) and its three mutations (move a variable to
-another DBC / transpose two variables in one DBC / randomly permute every
-DBC), the destructive third skewed down 10 : 3. The initial population is
-seeded with the heuristic placements, as Sec. VI describes.
+Individuals are complete placements evaluated by their analytic shift
+cost. The algorithm is a (mu + lambda) evolution strategy with
+tournament selection (best of 4), the paper's 2-fold crossover (swap the
+DBC membership of a contiguous range of variables in first-appearance
+order, preserving the intra-DBC order of everything else) and its three
+mutations (move a variable to another DBC / transpose two variables in
+one DBC / randomly permute every DBC), the destructive third skewed down
+10 : 3. The initial population is seeded with the heuristic placements,
+as Sec. VI describes.
+
+A population is a pair of ``(K, V)`` int arrays, ``dbc_of`` and
+``pos_of``: row ``i`` gives each variable code's DBC and slot in
+individual ``i``, the candidate shape :func:`repro.engine.evaluate_batch`
+scores. Slots are dense, ``0..n-1`` in a DBC of ``n`` variables. The
+operators work on whole generations: crossover and mutation set each
+child's DBCs and an order key, one dense re-slotting per generation
+turns the keys into slots, and repair moves any DBC's overflow to free
+locations. Only the best row ever becomes a :class:`Placement`.
 """
 
 from __future__ import annotations
@@ -17,18 +26,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.cost import stack_placement_lists
 from repro.core.inter.afd import afd_partition
-from repro.core.inter.dma import dma_partition
-from repro.core.inter.random_inter import random_partition
+from repro.core.inter.dma import dma_placement
+from repro.core.inter.random_inter import group_ranks, random_partition_arrays
 from repro.core.intra import chen_order, ofu_order, shifts_reduce_order
 from repro.core.placement import Placement
-from repro.engine import evaluate_batch, stack_candidate_arrays
+from repro.engine import evaluate_batch
 from repro.errors import CapacityError, SolverError
 from repro.trace.liveness import Liveness
 from repro.trace.sequence import AccessSequence
 from repro.util.rng import ensure_rng
 
-Individual = list[list[int]]
+# random_partition and stack_candidate_arrays are unused here but stay
+# module attributes: the layer tracer in perfbench/spans.py wraps them
+# by name.
+from repro.core.inter.random_inter import random_partition  # noqa: F401
+from repro.engine import stack_candidate_arrays  # noqa: F401
+
+#: Mutation kinds, indexing :attr:`GAConfig.mutation_weights`; children
+#: left unmutated carry ``NO_MUTATION``.
+MOVE, TRANSPOSE, PERMUTE, NO_MUTATION = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -103,220 +121,245 @@ class GeneticPlacer:
         self.config = config or GAConfig()
         self.config.validate()
         self.rng = ensure_rng(rng)
+        weights = np.asarray(self.config.mutation_weights, dtype=float)
+        # Upper bounds of a uniform draw per kind, the last one the rate.
+        self._mutation_cdf = np.cumsum(weights) / weights.sum() * self.config.mutation_rate
+        self._mutation_cdf[-1] = self.config.mutation_rate
         self._codes = sequence.codes
-        # Crossover cut points index variables in first-appearance order.
-        live = Liveness(sequence)
-        self._xover_order = [sequence.index_of(v) for v in live.by_first_occurrence()]
+        # Crossover cut points index variables in first-appearance order:
+        # _xover_rank[code] is the code's position in that order.
+        order = Liveness(sequence).first_occurrence_order()
+        self._xover_rank = np.empty_like(order)
+        self._xover_rank[order] = np.arange(order.size)
         self.evaluations = 0
 
-    # -- fitness ---------------------------------------------------------------
+    # -- population ------------------------------------------------------------
 
-    def score_population(self, individuals: list[Individual]) -> list[int]:
-        """Shift costs of a whole population in one batched engine pass."""
-        if not individuals:
-            return []
-        dbc_of, pos_of = stack_candidate_arrays(
-            individuals, self.sequence.num_variables
-        )
-        costs = evaluate_batch(
+    def seed_individuals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Heuristic placements seeding the population, as ``(dbc_of, pos_of)``.
+
+        DMA with ShiftsReduce, Chen, OFU and no intra-DBC step, then AFD.
+        """
+        seq, q, cap = self.sequence, self.num_dbcs, self.capacity
+        seeds = [
+            dma_placement(seq, q, cap, intra=intra).dbc_lists()
+            for intra in (shifts_reduce_order, chen_order, ofu_order, None)
+        ]
+        seeds.append(afd_partition(seq, q, cap))
+        return stack_placement_lists(seq, seeds)
+
+    def score(self, dbc_of: np.ndarray, pos_of: np.ndarray) -> np.ndarray:
+        """Shift costs of population rows in one batched engine pass."""
+        self.evaluations += dbc_of.shape[0]
+        return evaluate_batch(
             self._codes, dbc_of, pos_of, num_dbcs=self.num_dbcs,
             domains=self.domains, ports=self.ports,
         )
-        self.evaluations += len(individuals)
-        return costs.tolist()
 
-    def fitness(self, individual: Individual) -> int:
-        """Shift cost of an individual (lower is better)."""
-        return self.score_population([individual])[0]
-
-    # -- individuals -------------------------------------------------------------
-
-    def _to_individual(self, dbc_lists: list[list[str]]) -> Individual:
-        index = self.sequence.index_of
-        ind = [[index(v) for v in dbc] for dbc in dbc_lists]
-        while len(ind) < self.num_dbcs:
-            ind.append([])
-        return ind
-
-    def seed_individuals(self) -> list[Individual]:
-        """Heuristic placements used to seed the initial population."""
-        seq, q, cap = self.sequence, self.num_dbcs, self.capacity
-        partition, k = dma_partition(seq, q, cap)
-        seeds: list[Individual] = []
-        for intra in (shifts_reduce_order, chen_order, ofu_order, None):
-            dbcs = [list(d) for d in partition]
-            if intra is not None:
-                for i in range(k, len(dbcs)):
-                    if len(dbcs[i]) > 1:
-                        dbcs[i] = intra(seq, dbcs[i])
-            seeds.append(self._to_individual(dbcs))
-        seeds.append(self._to_individual(afd_partition(seq, q, cap)))
-        return seeds
-
-    def random_individual(self) -> Individual:
-        dbcs = random_partition(self.sequence, self.num_dbcs, self.capacity, self.rng)
-        return self._to_individual(dbcs)
-
-    # -- genetic operators ---------------------------------------------------------
-
-    def crossover(self, parent_a: Individual, parent_b: Individual
-                  ) -> tuple[Individual, Individual]:
-        """The paper's 2-fold crossover: swap a variable interval's DBCs."""
-        n = len(self._xover_order)
-        if n < 2:
-            return [list(d) for d in parent_a], [list(d) for d in parent_b]
-        first = int(self.rng.integers(0, n - 1))
-        last = int(self.rng.integers(first + 1, n))
-        swap = set(self._xover_order[first : last + 1])
-        child_a = [list(d) for d in parent_a]
-        child_b = [list(d) for d in parent_b]
-        in_a = {v: i for i, dbc in enumerate(parent_a) for v in dbc}
-        in_b = {v: i for i, dbc in enumerate(parent_b) for v in dbc}
-        for v in swap:
-            ra, rb = in_a[v], in_b[v]
-            if ra == rb:
-                continue
-            child_a[ra].remove(v)
-            child_a[rb].append(v)
-            child_b[rb].remove(v)
-            child_b[ra].append(v)
-        self._repair(child_a)
-        self._repair(child_b)
-        return child_a, child_b
-
-    def mutate(self, individual: Individual) -> Individual:
-        """Apply one of the three mutations, skewed 10 : 10 : 3."""
-        ind = [list(d) for d in individual]
-        weights = np.asarray(self.config.mutation_weights, dtype=float)
-        kind = int(self.rng.choice(3, p=weights / weights.sum()))
-        if kind == 0:
-            self._mutate_move(ind)
-        elif kind == 1:
-            self._mutate_transpose(ind)
+    def initial_population(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first ``mu`` rows: the seeds when seeding, then random
+        placements drawn in one batch."""
+        mu, n = self.config.mu, self.sequence.num_variables
+        if self.config.seed_with_heuristics:
+            dbc_of, pos_of = (rows[:mu] for rows in self.seed_individuals())
         else:
-            self._mutate_permute(ind)
-        self._repair(ind)
-        return ind
+            dbc_of = pos_of = np.empty((0, n), dtype=np.int64)
+        if dbc_of.shape[0] < mu:
+            extra_dbc, extra_pos = random_partition_arrays(
+                n, self.num_dbcs, self.capacity, mu - dbc_of.shape[0], self.rng
+            )
+            dbc_of = np.concatenate([dbc_of, extra_dbc])
+            pos_of = np.concatenate([pos_of, extra_pos])
+        return dbc_of, pos_of
 
-    def _mutate_move(self, ind: Individual) -> None:
-        sources = [i for i, d in enumerate(ind) if d]
-        if not sources or len(ind) < 2:
+    # -- genetic operators -------------------------------------------------------
+
+    def tournament(self, costs: np.ndarray, count: int) -> np.ndarray:
+        """Winners of ``count`` tournaments over rows with ``costs``.
+
+        Each tournament draws ``tournament_size`` distinct rows (all rows
+        when there are fewer); the first cheapest drawn wins.
+        """
+        n = costs.size
+        size = min(self.config.tournament_size, n)
+        # The first columns of uniform row permutations: distinct draws.
+        picks = self.rng.random((count, n)).argsort(axis=1)[:, :size]
+        return picks[np.arange(count), np.argmin(costs[picks], axis=1)]
+
+    def crossover(
+        self, dbc_of: np.ndarray, pos_of: np.ndarray, parents: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The paper's 2-fold crossover of the ``(2, P)`` parent rows.
+
+        Pair ``i`` (rows ``parents[0, i]`` and ``parents[1, i]``) swaps
+        the DBCs of the variables whose first-occurrence rank lies in a
+        random interval of at least two ranks. A variable that changes
+        DBC goes to the tail of its new DBC (swapped variables in
+        first-occurrence order); every other variable keeps its relative
+        order. Returns the ``2P`` children's ``(dbc_of, key)``, pair
+        ``i``'s in rows ``i`` and ``P + i``, where ``key`` orders each
+        DBC's variables: its rank within the DBC is the slot.
+        """
+        dbc, key = dbc_of[parents], pos_of[parents]
+        n = dbc_of.shape[1]
+        if n >= 2:
+            first = _below(self.rng, np.full(parents.shape[1], n - 1))
+            last = first + 1 + _below(self.rng, n - 1 - first)
+            rank = self._xover_rank
+            swap = (rank >= first[:, None]) & (rank <= last[:, None])
+            # Past every slot, so moved variables follow the kept ones.
+            key = np.where(swap & (dbc[0] != dbc[1]), n + rank, key)
+            dbc = np.where(swap, dbc[::-1], dbc)
+        return dbc.reshape(-1, n), key.reshape(-1, n)
+
+    def mutation_kinds(self, count: int) -> np.ndarray:
+        """Per child: a mutation kind with ``mutation_rate``, else none.
+
+        One uniform draw per child decides both: below the rate it picks
+        the kind in proportion to ``mutation_weights``.
+        """
+        return np.searchsorted(
+            self._mutation_cdf, self.rng.random(count), side="right"
+        )
+
+    def mutate(self, dbc_of: np.ndarray, key: np.ndarray, kinds: np.ndarray) -> None:
+        """Apply mutation ``kinds[i]`` to row ``i`` of ``(dbc_of, key)`` in place.
+
+        * move: a uniform variable of a uniform non-empty DBC goes to the
+          tail of a uniform other DBC (none with a single DBC);
+        * transpose: two uniform distinct variables of a uniform DBC
+          holding at least two swap places (none without such a DBC);
+        * permute: every DBC takes a uniform random order.
+        """
+        rng, q = self.rng, self.num_dbcs
+        n = dbc_of.shape[1]
+        counts = _dbc_counts(dbc_of, q)
+        rows = np.flatnonzero(kinds == MOVE)
+        if rows.size and q > 1:
+            src = _uniform_true(rng, counts[rows] > 0)
+            var = _uniform_true(rng, dbc_of[rows] == src[:, None])
+            dst = _below(rng, np.full(rows.size, q - 1))
+            dbc_of[rows, var] = dst + (dst >= src)
+            key[rows, var] = 2 * n  # past every crossover key
+        rows = np.flatnonzero(kinds == TRANSPOSE)
+        eligible = counts[rows] >= 2
+        some = eligible.any(axis=1)
+        rows, eligible = rows[some], eligible[some]
+        if rows.size:
+            dbc = _uniform_true(rng, eligible)
+            draw = np.where(
+                dbc_of[rows] == dbc[:, None], rng.random((rows.size, n)), -1.0
+            )
+            # The two largest draws: two uniform distinct members.
+            pair = draw.argsort(axis=1)[:, -2:]
+            a, b = pair[:, 0], pair[:, 1]
+            key[rows, a], key[rows, b] = key[rows, b], key[rows, a]
+        rows = np.flatnonzero(kinds == PERMUTE)
+        if rows.size:
+            key[rows] = rng.random((rows.size, n)).argsort(axis=1)
+
+    def repair(self, dbc_of: np.ndarray, pos_of: np.ndarray) -> None:
+        """Move every DBC's overflow to free locations, in place.
+
+        The variables in slots at or past the capacity leave; each takes
+        a distinct uniform free location of its row, and the arrivals
+        of each DBC fill its next slots. The paper assumes ample room,
+        and with ``capacity >= V`` no DBC can overflow; iso-capacity
+        sweeps can.
+        """
+        cap, q = self.capacity, self.num_dbcs
+        if cap >= dbc_of.shape[1]:
             return
-        src = sources[int(self.rng.integers(0, len(sources)))]
-        slot = int(self.rng.integers(0, len(ind[src])))
-        v = ind[src].pop(slot)
-        targets = [i for i in range(len(ind)) if i != src]
-        dst = targets[int(self.rng.integers(0, len(targets)))]
-        ind[dst].append(v)
-
-    def _mutate_transpose(self, ind: Individual) -> None:
-        eligible = [i for i, d in enumerate(ind) if len(d) >= 2]
-        if not eligible:
+        rows, variables = np.nonzero(pos_of >= cap)
+        if not rows.size:
             return
-        i = eligible[int(self.rng.integers(0, len(eligible)))]
-        a, b = self.rng.choice(len(ind[i]), size=2, replace=False)
-        ind[i][a], ind[i][b] = ind[i][b], ind[i][a]
+        counts = _dbc_counts(dbc_of, q)
+        need = np.bincount(rows, minlength=dbc_of.shape[0])
+        free = np.where(need[:, None] > 0, np.maximum(cap - counts, 0), 0)
+        # One entry per free location, naming its (row, DBC) cell; rows
+        # ascend, and within a row the locations are shuffled.
+        cell = np.repeat(np.arange(free.size), free.ravel())
+        cell = cell[np.argsort(cell // q + self.rng.random(cell.size))]
+        room = free.sum(axis=1)
+        rank = np.arange(cell.size) - np.repeat(np.cumsum(room) - room, room)
+        cell = cell[rank < need[cell // q]]
+        dbc_of[rows, variables] = cell % q
+        pos_of[rows, variables] = (
+            counts.ravel()[cell] + group_ranks(cell[None, :], np.arange(cell.size))[0]
+        )
 
-    def _mutate_permute(self, ind: Individual) -> None:
-        for dbc in ind:
-            if len(dbc) >= 2:
-                perm = self.rng.permutation(len(dbc))
-                dbc[:] = [dbc[int(p)] for p in perm]
-
-    def _repair(self, ind: Individual) -> None:
-        """Restore the capacity invariant after an operator (paper assumes
-        ample room; iso-capacity sweeps can overflow a single DBC)."""
-        cap = self.capacity
-        for i, dbc in enumerate(ind):
-            while len(dbc) > cap:
-                v = dbc.pop()
-                spaces = [j for j, d in enumerate(ind) if j != i and len(d) < cap]
-                if not spaces:  # pragma: no cover - guarded by constructor
-                    raise SolverError("repair failed: no free location")
-                dst = spaces[int(self.rng.integers(0, len(spaces)))]
-                ind[dst].append(v)
-
-    def validate_individual(self, ind: Individual) -> None:
-        """Invariant check used by the test-suite: a permutation of V."""
-        seen = sorted(v for dbc in ind for v in dbc)
-        if seen != list(range(self.sequence.num_variables)):
-            raise SolverError("individual is not a permutation of the variables")
-        if len(ind) != self.num_dbcs:
-            raise SolverError(f"individual has {len(ind)} DBCs, want {self.num_dbcs}")
-        if any(len(d) > self.capacity for d in ind):
-            raise SolverError("individual violates DBC capacity")
+    def breed(
+        self, dbc_of: np.ndarray, pos_of: np.ndarray, costs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One generation's ``lam`` children of the population rows."""
+        lam = self.config.lam
+        parents = self.tournament(costs, 2 * (-(-lam // 2))).reshape(2, -1)
+        children, key = self.crossover(dbc_of, pos_of, parents)
+        children, key = children[:lam], key[:lam]
+        self.mutate(children, key, self.mutation_kinds(lam))
+        slots = group_ranks(children, key)
+        self.repair(children, slots)
+        return children, slots
 
     # -- main loop --------------------------------------------------------------------
-
-    def _tournament(self, scored: list[tuple[int, Individual]]) -> Individual:
-        k = min(self.config.tournament_size, len(scored))
-        picks = self.rng.choice(len(scored), size=k, replace=False)
-        best = min(picks, key=lambda i: scored[int(i)][0])
-        return scored[int(best)][1]
 
     def run(self) -> GAResult:
         """Evolve for the configured number of generations."""
         cfg = self.config
-        population: list[Individual] = []
-        if cfg.seed_with_heuristics:
-            population.extend(self.seed_individuals())
-        while len(population) < cfg.mu:
-            population.append(self.random_individual())
-        population = population[: cfg.mu]
-        scored = list(zip(self.score_population(population), population))
-        best_cost, best = min(scored, key=lambda t: t[0])
-        best = [list(d) for d in best]
+        dbc_of, pos_of = self.initial_population()
+        costs = self.score(dbc_of, pos_of)
+        best = int(np.argmin(costs))
+        best_cost, best_dbc, best_pos = int(costs[best]), dbc_of[best], pos_of[best]
         history = [best_cost]
         stale = 0
         generations_run = 0
         for _gen in range(cfg.generations):
             generations_run += 1
-            # Generate the whole brood first (fitness consumes no RNG, so
-            # deferring evaluation leaves the random stream untouched),
-            # then score the generation in one batched engine pass.
-            children: list[Individual] = []
-            while len(children) < cfg.lam:
-                pa = self._tournament(scored)
-                pb = self._tournament(scored)
-                for child in self.crossover(pa, pb):
-                    if self.rng.random() < cfg.mutation_rate:
-                        child = self.mutate(child)
-                    children.append(child)
-                    if len(children) >= cfg.lam:
-                        break
-            offspring = list(zip(self.score_population(children), children))
-            pool = scored + offspring
-            scored = [
-                (c, [list(d) for d in ind])
-                for c, ind in (
-                    min(
-                        (pool[int(i)] for i in self.rng.choice(
-                            len(pool),
-                            size=min(cfg.tournament_size, len(pool)),
-                            replace=False,
-                        )),
-                        key=lambda t: t[0],
-                    )
-                    for _ in range(cfg.mu)
-                )
-            ]
-            gen_best_cost, gen_best = min(pool, key=lambda t: t[0])
+            child_dbc, child_pos = self.breed(dbc_of, pos_of, costs)
+            pool_dbc = np.concatenate([dbc_of, child_dbc])
+            pool_pos = np.concatenate([pos_of, child_pos])
+            pool_costs = np.concatenate([costs, self.score(child_dbc, child_pos)])
+            keep = self.tournament(pool_costs, cfg.mu)
+            gen_best = int(np.argmin(pool_costs))
             if cfg.elitism:
-                scored[0] = (gen_best_cost, [list(d) for d in gen_best])
-            if gen_best_cost < best_cost:
-                best_cost, best = gen_best_cost, [list(d) for d in gen_best]
+                keep[0] = gen_best
+            dbc_of, pos_of, costs = pool_dbc[keep], pool_pos[keep], pool_costs[keep]
+            if pool_costs[gen_best] < best_cost:
+                best_cost = int(pool_costs[gen_best])
+                best_dbc, best_pos = pool_dbc[gen_best], pool_pos[gen_best]
                 stale = 0
             else:
                 stale += 1
             history.append(best_cost)
             if cfg.patience is not None and stale >= cfg.patience:
                 break
-        variables = self.sequence.variables
-        placement = Placement([[variables[v] for v in dbc] for dbc in best])
         return GAResult(
-            placement=placement,
+            placement=Placement.from_arrays(
+                self.sequence.variables, best_dbc, best_pos, self.num_dbcs
+            ),
             cost=best_cost,
             evaluations=self.evaluations,
             generations_run=generations_run,
             history=history,
         )
+
+
+def _dbc_counts(dbc_of: np.ndarray, num_dbcs: int) -> np.ndarray:
+    """``(K, q)`` number of variables per row and DBC."""
+    k = dbc_of.shape[0]
+    cells = np.arange(k)[:, None] * num_dbcs + dbc_of
+    return np.bincount(cells.ravel(), minlength=k * num_dbcs).reshape(k, num_dbcs)
+
+
+def _below(rng: np.random.Generator, high: np.ndarray) -> np.ndarray:
+    """A uniform int in ``[0, high[i])`` per entry, from one float draw.
+
+    Cheaper per call than ``Generator.integers`` on the GA's small
+    arrays; the bias, under ``high / 2**53``, is immaterial.
+    """
+    return (rng.random(high.shape) * high).astype(np.int64)
+
+
+def _uniform_true(rng: np.random.Generator, mask: np.ndarray) -> np.ndarray:
+    """Per row, the column of a uniform true entry (each row has one)."""
+    return np.argmax(np.where(mask, rng.random(mask.shape), -1.0), axis=1)

@@ -22,6 +22,8 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.placement import Placement
 from repro.errors import CapacityError
 from repro.trace.liveness import NEVER, Liveness
@@ -46,44 +48,77 @@ class DMASplit:
     disjoint_frequency_sum: int = 0
 
 
+#: Nested-sum matrix elements per row block: bounds the scan's working
+#: set whatever the number of variables.
+_BLOCK_ELEMENTS = 1 << 20
+
+#: Instance-dict entry holding a sequence's memoized split. Sequences are
+#: immutable and keep data derived from them alone in their ``__dict__``,
+#: as :attr:`AccessSequence.frequencies` does.
+_SPLIT_MEMO = "_dma_split"
+
+
 def dma_split(sequence: AccessSequence) -> DMASplit:
-    """Lines 1-12 of Algorithm 1: extract the disjoint-lifespan chain."""
+    """Lines 1-12 of Algorithm 1: extract the disjoint-lifespan chain.
+
+    The split depends on the sequence alone, so it is computed once per
+    sequence object and memoized on it.
+    """
+    memo = vars(sequence)
+    split = memo.get(_SPLIT_MEMO)
+    if split is None:
+        split = memo[_SPLIT_MEMO] = _scan(sequence)
+    return split
+
+
+def _scan(sequence: AccessSequence) -> DMASplit:
     live = Liveness(sequence)
     first = live.first_occurrences
     last = live.last_occurrences
-    freq = live.frequencies
-    idx = sequence.index_of
-
-    vndj: list[str] = live.by_first_occurrence()
-    vdj: list[str] = []
+    freq = sequence.frequencies
+    order = live.first_occurrence_order()
+    accessed = order[first[order] != NEVER]
+    nested = _nested_sums(last[accessed], freq[accessed])
+    # Line 10's sums are static: every variable already taken into Vdj
+    # first occurs before any later candidate, so it never lies inside a
+    # later candidate's lifespan and removing it changes no later sum.
+    picked: list[int] = []
     t_min = 0
-    # Iterate over a snapshot in ascending F order; membership tests for
-    # the nested-sum run against the *current* vndj, as in the pseudocode.
-    remaining = set(vndj)
-    for v in list(vndj):
-        iv = idx(v)
-        fv = int(first[iv])
-        if fv == NEVER or fv <= t_min:
-            continue
-        lv = int(last[iv])
-        nested_sum = sum(
-            int(freq[idx(u)])
-            for u in remaining
-            if u != v
-            and first[idx(u)] != NEVER
-            and int(first[idx(u)]) > fv
-            and int(last[idx(u)]) < lv
-        )
-        if int(freq[iv]) > nested_sum:
-            vdj.append(v)
-            remaining.discard(v)
-            t_min = lv
-    vndj = [v for v in vndj if v in remaining]
+    for code, f_v, l_v, a_v, n_v in zip(
+        accessed.tolist(), first[accessed].tolist(), last[accessed].tolist(),
+        freq[accessed].tolist(), nested.tolist(),
+    ):
+        if f_v > t_min and a_v > n_v:
+            picked.append(code)
+            t_min = l_v
+    variables = sequence.variables
+    taken = set(picked)
     return DMASplit(
-        vdj=tuple(vdj),
-        vndj=tuple(vndj),
-        disjoint_frequency_sum=sum(int(freq[idx(v)]) for v in vdj),
+        vdj=tuple(variables[c] for c in picked),
+        vndj=tuple(variables[c] for c in order.tolist() if c not in taken),
+        disjoint_frequency_sum=int(freq[picked].sum()),
     )
+
+
+def _nested_sums(last: np.ndarray, freq: np.ndarray) -> np.ndarray:
+    """Line 10's competitor sum of each accessed variable.
+
+    Inputs are in ascending first-occurrence order, so ``u`` starts
+    inside ``v``'s lifespan exactly when it comes later; it is nested
+    when it also ends earlier: ``nested[v] = sum(freq[u] for u > v with
+    last[u] < last[v])``. Computed over blocks of rows, each a few
+    vectorized calls.
+    """
+    n = last.size
+    nested = np.zeros(n, dtype=np.int64)
+    rows = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        # Candidates u > v of rows v in [start, stop): columns from start + 1.
+        later = np.arange(start + 1, n) > np.arange(start, stop)[:, None]
+        inside = later & (last[start + 1:] < last[start:stop, None])
+        nested[start:stop] = np.where(inside, freq[start + 1:], 0).sum(axis=1)
+    return nested
 
 
 def dma_partition(

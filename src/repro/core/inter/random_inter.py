@@ -80,7 +80,7 @@ def random_partition_arrays(
     rows = np.arange(count)
     labels = gen.integers(0, num_dbcs, size=(count, n))
     while rows.size:
-        ranks = _occurrence_ranks(labels)
+        ranks = group_ranks(labels, np.arange(labels.shape[1]))
         kept = ranks < capacity
         kept_per_row = kept.sum(axis=1)
         done = kept_per_row >= n
@@ -101,16 +101,22 @@ def random_partition_arrays(
             np.take_along_axis(step_slot, order, axis=1))
 
 
-def _occurrence_ranks(labels: np.ndarray) -> np.ndarray:
-    """Per row, how many earlier entries hold the same label."""
-    width = labels.shape[1]
-    order = np.argsort(labels, axis=1, kind="stable")
-    grouped = np.take_along_axis(labels, order, axis=1)
-    cols = np.arange(width)
-    starts = np.zeros(labels.shape, dtype=np.int64)
+def group_ranks(labels: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Per row, each entry's rank by ``key`` among the row's entries
+    holding the same label.
+
+    ``key`` broadcasts against the ``(K, W)`` ``labels``; its values are
+    non-negative and distinct among the entries of one label in a row.
+    With the column index as key, an entry's rank counts the earlier
+    entries holding its label; with labels the DBCs of a population, it
+    is each variable's dense slot in key order.
+    """
+    rows = np.arange(labels.shape[0])[:, None]
+    order = np.argsort(labels * (int(np.max(key, initial=0)) + 1) + key, axis=1)
+    grouped = labels[rows, order]
+    cols = np.arange(labels.shape[1])
+    starts = np.zeros_like(grouped)
     np.copyto(starts[:, 1:], cols[1:], where=grouped[:, 1:] != grouped[:, :-1])
     ranks = np.empty_like(labels)
-    ranks[np.arange(labels.shape[0])[:, None], order] = (
-        cols - np.maximum.accumulate(starts, axis=1)
-    )
+    ranks[rows, order] = cols - np.maximum.accumulate(starts, axis=1)
     return ranks

@@ -147,6 +147,24 @@ class Placement:
             raise PlacementError(f"unplaced sequence variables: {missing}")
         return dbc_of, pos_of
 
+    @classmethod
+    def from_arrays(
+        cls,
+        variables: Sequence[str],
+        dbc_of: np.ndarray,
+        pos_of: np.ndarray,
+        num_dbcs: int,
+    ) -> "Placement":
+        """The placement of one ``(dbc_of, pos_of)`` candidate row.
+
+        The inverse of :meth:`as_arrays` for gap-free slots: each DBC
+        lists its variables (``variables[code]``) in ascending slot order.
+        """
+        dbcs: list[list[str]] = [[] for _ in range(num_dbcs)]
+        for code in np.lexsort((pos_of, dbc_of)).tolist():
+            dbcs[dbc_of[code]].append(variables[code])
+        return cls(dbcs)
+
     def padded(self, num_dbcs: int) -> "Placement":
         """Extend with empty DBCs up to ``num_dbcs`` (device width)."""
         if num_dbcs < self.num_dbcs:

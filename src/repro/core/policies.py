@@ -52,6 +52,7 @@ PAPER_POLICIES: tuple[str, ...] = (
 #: keeps the keys it had before tags existed.
 STREAM_TAGS: dict[str, str] = {
     "RW": "rw-arrays",  # candidates drawn as (K, V) arrays, 512 per draw
+    "GA": "ga-arrays",  # populations kept and bred as (K, V) arrays
 }
 
 

@@ -102,12 +102,10 @@ def random_walk_search(
         k = int(np.argmin(costs))
         if costs[k] < best_cost:
             best_cost, best_dbc, best_pos = int(costs[k]), dbc_of[k], pos_of[k]
-    variables = sequence.variables
-    dbc_lists: list[list[str]] = [[] for _ in range(num_dbcs)]
-    for code in np.lexsort((best_pos, best_dbc)):
-        dbc_lists[best_dbc[code]].append(variables[code])
     return RandomWalkResult(
-        placement=Placement(dbc_lists),
+        placement=Placement.from_arrays(
+            sequence.variables, best_dbc, best_pos, num_dbcs
+        ),
         cost=best_cost,
         iterations=iterations,
         history=history,

@@ -49,17 +49,20 @@ def stack_candidate_arrays(
     ``code_of`` optionally maps list entries to codes during the flatten
     (e.g. a sequence's ``index_of`` when candidates hold variable
     names), avoiding an intermediate converted copy.
-    This is the one encoding step between the searchers' list-of-lists
-    individuals and :func:`evaluate_batch`. The whole population is
-    flattened in one pass and scattered with a constant number of numpy
-    calls — per-candidate calls would cost more than the interpreted
-    fill they replace on realistic (tens of variables) instances.
+    This encodes list-of-lists candidates, such as the heuristic
+    placements seeding the GA, for :func:`evaluate_batch`. The whole
+    population is flattened in one pass and scattered with a constant
+    number of numpy calls — per-candidate calls would cost more than the
+    interpreted fill they replace on realistic (tens of variables)
+    instances. A malformed candidate (too few or too many entries, a
+    code out of range, a code missing or duplicated) raises
+    :class:`~repro.errors.SimulationError`.
     """
     k = len(candidates)
     dbc_of = np.empty((k, num_vars), dtype=np.int64)
     # Poison-filled so an incomplete candidate is caught below instead of
-    # scoring leftover heap contents (a duplicate code necessarily leaves
-    # another cell unwritten — the element counts match by construction).
+    # scoring leftover heap contents (the entry counts are checked first,
+    # so a duplicate code necessarily leaves another cell unwritten).
     pos_of = np.full((k, num_vars), -1, dtype=np.int64)
     if k == 0:
         return dbc_of, pos_of
@@ -72,10 +75,27 @@ def stack_candidate_arrays(
     num_lists = int(lists_per.sum())
     flat_lists = chain.from_iterable(candidates)
     sizes = np.fromiter(map(len, flat_lists), dtype=np.int64, count=num_lists)
+    entries = np.bincount(
+        np.repeat(np.arange(k), lists_per), weights=sizes, minlength=k
+    )
+    wrong = entries != num_vars
+    if wrong.any():
+        bad = int(np.argmax(wrong))
+        raise SimulationError(
+            f"candidate {bad} has {int(entries[bad])} entries for "
+            f"{num_vars} variables"
+        )
     flat = chain.from_iterable(chain.from_iterable(candidates))
     if code_of is not None:
         flat = map(code_of, flat)
     codes = np.fromiter(flat, dtype=np.int64, count=k * num_vars)
+    outside = (codes < 0) | (codes >= num_vars)
+    if outside.any():
+        bad = int(np.argmax(outside))
+        raise SimulationError(
+            f"candidate {bad // num_vars} holds code {int(codes[bad])}, "
+            f"outside [0, {num_vars})"
+        )
     list_index = np.arange(num_lists, dtype=np.int64)
     candidate_start = np.repeat(np.cumsum(lists_per) - lists_per, lists_per)
     dbc_vals = np.repeat(list_index - candidate_start, sizes)

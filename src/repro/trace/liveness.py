@@ -131,11 +131,12 @@ class Liveness:
         unique) and unaccessed variables fall back to declaration order.
         """
         variables = self._seq.variables
-        order = sorted(
-            range(len(variables)),
-            key=lambda i: (self._first[i] == NEVER, self._first[i], i),
-        )
-        return [variables[i] for i in order]
+        return [variables[i] for i in self.first_occurrence_order().tolist()]
+
+    def first_occurrence_order(self) -> np.ndarray:
+        """Variable codes in :meth:`by_first_occurrence` order."""
+        first = self._first
+        return np.lexsort((np.arange(first.size), first, first == NEVER))
 
     def validate(self) -> None:
         """Internal consistency checks (used by property tests)."""

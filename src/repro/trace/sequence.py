@@ -158,12 +158,20 @@ class AccessSequence:
         unknown = wanted.difference(self._index)
         if unknown:
             raise TraceError(f"unknown variables in subset: {sorted(unknown)}")
-        keep_vars = [v for v in self._variables if v in wanted]
-        if not keep_vars:
+        if not wanted:
             raise TraceError("subset must contain at least one variable")
-        mask = np.isin(self._codes, [self._index[v] for v in keep_vars])
-        kept = [self._variables[c] for c in self._codes[mask]]
-        return AccessSequence(kept, variables=keep_vars, name=name or self._name)
+        kept = np.zeros(len(self._variables), dtype=bool)
+        kept[[self._index[v] for v in wanted]] = True
+        keep_codes = np.flatnonzero(kept)
+        # Old code -> new code, -1 for the variables left out.
+        local = np.full(kept.size, -1, dtype=np.int64)
+        local[keep_codes] = np.arange(keep_codes.size)
+        codes = local[self._codes]
+        return AccessSequence.from_codes(
+            [self._variables[c] for c in keep_codes.tolist()],
+            codes[codes >= 0],
+            name=name or self._name,
+        )
 
     @classmethod
     def from_codes(

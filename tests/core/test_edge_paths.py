@@ -1,9 +1,14 @@
 """Edge-path coverage for corners the main suites do not reach."""
 
+import numpy as np
+
 from repro.core.cost import shift_cost
 from repro.core.ga import GAConfig, GeneticPlacer
+from repro.core.inter.random_inter import group_ranks
 from repro.core.placement import Placement
 from repro.trace.sequence import AccessSequence
+
+from tests.core.test_ga import assert_placement_rows
 
 
 class TestGADegenerateInstances:
@@ -19,9 +24,12 @@ class TestGADegenerateInstances:
         placer = GeneticPlacer(
             seq, 2, 4, GAConfig(mu=4, lam=4, generations=1), rng=0
         )
-        a, b = placer.random_individual(), placer.random_individual()
-        for child in placer.crossover(a, b):
-            placer.validate_individual(child)
+        dbc_of, pos_of = placer.initial_population()
+        parents = np.array([[0, 1, 2], [3, 2, 1]])
+        children, key = placer.crossover(dbc_of, pos_of, parents)
+        # No interval of two ranks exists: children copy their parents.
+        assert np.array_equal(children, dbc_of[parents].reshape(6, 1))
+        assert_placement_rows(children, group_ranks(children, key), 2, 4)
 
     def test_single_dbc_device(self):
         seq = AccessSequence(list("abcab"))

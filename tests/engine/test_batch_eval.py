@@ -125,6 +125,11 @@ class TestEvaluateBatch:
         from repro.engine import stack_candidate_arrays
         with pytest.raises(SimulationError):
             stack_candidate_arrays([[[0, 0], [2]]], 3)
+        # More entries than variables, and a code out of range.
+        with pytest.raises(SimulationError, match="4 entries"):
+            stack_candidate_arrays([[[0, 1], [2, 0]]], 3)
+        with pytest.raises(SimulationError, match="code 5"):
+            stack_candidate_arrays([[[0, 5], [2]]], 3)
         # Well-formed candidates still pack exactly.
         dbc_of, pos_of = stack_candidate_arrays([[[1, 0], [2]]], 3)
         assert dbc_of.tolist() == [[0, 0, 1]]
@@ -227,14 +232,14 @@ class TestSearcherRegressions:
         placer = GeneticPlacer(
             fig3_sequence, 2, 512, self.GA_SMALL, rng=0
         )
-        population = [placer.random_individual() for _ in range(12)]
-        batch = placer.score_population(population)
-        singles = [placer.fitness(ind) for ind in population]
+        dbc_of, pos_of = placer.initial_population()
+        batch = placer.score(dbc_of, pos_of).tolist()
+        singles = [int(placer.score(dbc_of[i:i + 1], pos_of[i:i + 1])[0])
+                   for i in range(dbc_of.shape[0])]
         assert batch == singles
         # Both paths also agree with the scalar placement cost.
-        variables = fig3_sequence.variables
-        for ind, score in zip(population, batch):
-            placement = Placement(
-                [[variables[v] for v in dbc] for dbc in ind]
+        for row_dbc, row_pos, score in zip(dbc_of, pos_of, batch):
+            placement = Placement.from_arrays(
+                fig3_sequence.variables, row_dbc, row_pos, 2
             )
             assert score == shift_cost(fig3_sequence, placement)

@@ -1,15 +1,22 @@
 """Property-based tests for the GA's genetic operators.
 
 Sec. III-C claims the operators keep individuals valid and can reach any
-assignment; validity is exactly checkable, so hypothesis hammers it.
+assignment; validity is exactly checkable, so hypothesis hammers it on
+the array GA's whole-generation operators, at tight capacities (where
+repair runs) and on a single DBC (where no move is possible).
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cost import shift_cost
 from repro.core.ga import GAConfig, GeneticPlacer
+from repro.core.inter.random_inter import group_ranks
+from repro.core.placement import Placement
 
 from strategies import sequences_with_geometry
+from tests.core.test_ga import assert_placement_rows
 
 
 def _placer(seq, q, cap, seed):
@@ -17,45 +24,89 @@ def _placer(seq, q, cap, seed):
     return GeneticPlacer(seq, q, cap, cfg, rng=seed)
 
 
-@given(data=sequences_with_geometry(), seed=st.integers(0, 2**16))
-@settings(max_examples=100, deadline=None)
-def test_crossover_preserves_validity(data, seed):
+def _geometry(data, tight):
+    """The drawn geometry, or the same DBCs at the least capacity
+    ``ceil(V / q)``, where operators overflow DBCs and repair runs."""
     seq, q, cap = data
-    placer = _placer(seq, q, cap, seed)
-    a = placer.random_individual()
-    b = placer.random_individual()
-    for child in placer.crossover(a, b):
-        placer.validate_individual(child)
+    return seq, q, -(-seq.num_variables // q) if tight else cap
+
+
+def _parents(placer, dbc_of, pos_of, count=6):
+    return placer.tournament(placer.score(dbc_of, pos_of), 2 * count).reshape(2, -1)
 
 
 @given(data=sequences_with_geometry(), seed=st.integers(0, 2**16),
-       rounds=st.integers(1, 12))
+       tight=st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_mutation_chain_preserves_validity(data, seed, rounds):
-    seq, q, cap = data
+def test_crossover_preserves_validity(data, seed, tight):
+    seq, q, cap = _geometry(data, tight)
     placer = _placer(seq, q, cap, seed)
-    ind = placer.random_individual()
+    dbc_of, pos_of = placer.initial_population()
+    children, key = placer.crossover(dbc_of, pos_of, _parents(placer, dbc_of, pos_of))
+    slots = group_ranks(children, key)
+    placer.repair(children, slots)
+    assert_placement_rows(children, slots, q, cap)
+
+
+@given(data=sequences_with_geometry(), seed=st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_crossover_moves_swapped_variables_to_the_tail(data, seed):
+    """Variables changing DBC follow the kept ones, in first-occurrence
+    order; every other variable keeps its parent's relative order."""
+    seq, q, _ = data
+    placer = _placer(seq, q, seq.num_variables, seed)  # no repair
+    dbc_of, pos_of = placer.initial_population()
+    parents = _parents(placer, dbc_of, pos_of)
+    children, key = placer.crossover(dbc_of, pos_of, parents)
+    slots = group_ranks(children, key)
+    own = np.concatenate(parents)  # each child's own parent row
+    rank = placer._xover_rank
+    for child, parent in enumerate(own):
+        for d in range(q):
+            members = np.flatnonzero(children[child] == d)
+            moved = dbc_of[parent, members] != d
+            order = members[np.argsort(slots[child, members])]
+            came = moved[np.argsort(slots[child, members])]
+            assert not (came[:-1] & ~came[1:]).any()  # kept ones first
+            kept = order[~came]
+            assert (np.diff(pos_of[parent, kept]) > 0).all()
+            assert (np.diff(rank[order[came]]) > 0).all()
+
+
+@given(data=sequences_with_geometry(), seed=st.integers(0, 2**16),
+       rounds=st.integers(1, 12), tight=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_mutation_chain_preserves_validity(data, seed, rounds, tight):
+    seq, q, cap = _geometry(data, tight)
+    placer = _placer(seq, q, cap, seed)
+    dbc_of, pos_of = placer.initial_population()
     for _ in range(rounds):
-        ind = placer.mutate(ind)
-        placer.validate_individual(ind)
+        placer.mutate(dbc_of, pos_of, placer.rng.integers(0, 4, dbc_of.shape[0]))
+        pos_of = group_ranks(dbc_of, pos_of)
+        placer.repair(dbc_of, pos_of)
+        assert_placement_rows(dbc_of, pos_of, q, cap)
 
 
 @given(data=sequences_with_geometry(), seed=st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
 def test_fitness_matches_placement_cost(data, seed):
-    from repro.core.cost import shift_cost
-    from repro.core.placement import Placement
     seq, q, cap = data
     placer = _placer(seq, q, cap, seed)
-    ind = placer.random_individual()
-    names = [[seq.variables[v] for v in dbc] for dbc in ind]
-    assert placer.fitness(ind) == shift_cost(seq, Placement(names))
+    dbc_of, pos_of = placer.breed(*placer.initial_population(), np.zeros(4, dtype=np.int64))
+    for cost, row_dbc, row_pos in zip(placer.score(dbc_of, pos_of), dbc_of, pos_of):
+        placement = Placement.from_arrays(seq.variables, row_dbc, row_pos, q)
+        assert cost == shift_cost(seq, placement)
 
 
 @given(data=sequences_with_geometry(), seed=st.integers(0, 2**16))
 @settings(max_examples=30, deadline=None)
 def test_short_run_returns_valid_best(data, seed):
     seq, q, cap = data
-    result = _placer(seq, q, cap, seed).run()
+    placer = _placer(seq, q, cap, seed)
+    # The population holds the first mu seeds.
+    seeds = [rows[:placer.config.mu] for rows in placer.seed_individuals()]
+    cheapest_seed = int(placer.score(*seeds).min())
+    result = placer.run()
     result.placement.validate_for(seq, num_dbcs=q, capacity=cap)
-    assert result.cost >= 0
+    assert result.cost == shift_cost(seq, result.placement)
+    assert 0 <= result.cost <= cheapest_seed

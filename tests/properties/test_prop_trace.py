@@ -13,6 +13,7 @@ from repro.trace import streaming
 from repro.trace.graph import AccessGraph
 from repro.trace.io import addresses_to_trace, parse_traces, render_traces
 from repro.trace.liveness import NEVER, Liveness
+from repro.trace.sequence import AccessSequence
 from repro.trace.streaming import stream_address_trace
 from repro.trace.trace import MemoryTrace
 
@@ -74,6 +75,23 @@ def test_restriction_preserves_access_order(seq):
     local = seq.restricted_to(subset)
     expected = [a for a in seq.accesses if a in set(subset)]
     assert list(local.accesses) == expected
+
+
+@given(seq=access_sequences(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_restriction_equals_the_name_level_construction(seq, data):
+    """Built from remapped codes, the restriction equals the sequence
+    rebuilt from the kept access names, as it was built before."""
+    subset = data.draw(st.lists(st.sampled_from(seq.variables), min_size=1))
+    name = data.draw(st.sampled_from(["", "local"]))
+    local = seq.with_name("whole").restricted_to(subset, name=name)
+    wanted = set(subset)
+    keep_vars = [v for v in seq.variables if v in wanted]
+    expected = AccessSequence([a for a in seq.accesses if a in wanted],
+                              variables=keep_vars, name=name or "whole")
+    assert local.variables == expected.variables
+    assert local.codes.tolist() == expected.codes.tolist()
+    assert local.name == expected.name
 
 
 @st.composite
