@@ -12,10 +12,15 @@ batched-evaluation layer replaced:
   ``shift_cost``). Batched: stack the candidates into ``(K, V)``
   code-indexed arrays and score them through one
   :func:`repro.engine.evaluate_batch` pass — the stacking cost is
-  *inside* the timed region, as the searchers pay it per generation.
-* **generation** — the GA's own pre/post comparison: per-individual
-  Python buffer fill + ``cost_from_arrays`` (the deleted ``fitness``
-  loop) vs stacking + one batch pass. Gated as *non-regression* at
+  *inside* the timed region, as any caller holding list-of-lists
+  candidates pays it before scoring.
+* **generation** — the list-of-lists GA's pre/post comparison:
+  per-individual Python buffer fill + ``cost_from_arrays`` (the deleted
+  ``fitness`` loop) vs stacking + one batch pass. Since 1.15.0 the GA
+  keeps its population as ``(K, V)`` arrays and stacks only its seeds,
+  so this mode no longer measures a path the GA runs per generation;
+  it stays as a record of the stacking + batch path. Gated as
+  *non-regression* at
   1.3x rather than the 2x the other modes clear comfortably: both
   paths pay the identical per-(candidate, DBC) grouping sort — the
   irreducible kernel — so the batched win is bounded by the old loop's
@@ -130,8 +135,8 @@ def main(argv=None) -> int:
         return [shift_cost(sequence, Placement(lists)) for lists in candidates]
 
     def batched_population():
-        # Stacking is part of the timed path: searchers rebuild the
-        # candidate matrices every generation.
+        # Stacking is part of the timed path: list-of-lists candidates
+        # must be encoded before they are scored.
         dbc_of, pos_of = stack_placement_lists(sequence, candidates)
         return evaluate_batch(codes, dbc_of, pos_of, num_dbcs=args.dbcs)
 
@@ -169,7 +174,7 @@ def main(argv=None) -> int:
         return out
 
     def new_generation_pass():
-        # GA individuals are already code lists; no name mapping occurs.
+        # The list-era GA held code lists; no name mapping occurs.
         dbc_of, pos_of = stack_candidate_arrays(code_candidates, num_vars)
         return evaluate_batch(codes, dbc_of, pos_of, num_dbcs=args.dbcs)
 

@@ -26,23 +26,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.cost import stack_placement_lists
 from repro.core.inter.afd import afd_partition
 from repro.core.inter.dma import dma_placement
 from repro.core.inter.random_inter import group_ranks, random_partition_arrays
 from repro.core.intra import chen_order, ofu_order, shifts_reduce_order
 from repro.core.placement import Placement
-from repro.engine import evaluate_batch
+from repro.engine import evaluate_batch, stack_candidate_arrays
 from repro.errors import CapacityError, SolverError
 from repro.trace.liveness import Liveness
 from repro.trace.sequence import AccessSequence
 from repro.util.rng import ensure_rng
 
-# random_partition and stack_candidate_arrays are unused here but stay
-# module attributes: the layer tracer in perfbench/spans.py wraps them
-# by name.
+# random_partition is unused here but stays a module attribute: the
+# layer tracer in perfbench/spans.py wraps it by name.
 from repro.core.inter.random_inter import random_partition  # noqa: F401
-from repro.engine import stack_candidate_arrays  # noqa: F401
 
 #: Mutation kinds, indexing :attr:`GAConfig.mutation_weights`; children
 #: left unmutated carry ``NO_MUTATION``.
@@ -146,7 +143,7 @@ class GeneticPlacer:
             for intra in (shifts_reduce_order, chen_order, ofu_order, None)
         ]
         seeds.append(afd_partition(seq, q, cap))
-        return stack_placement_lists(seq, seeds)
+        return stack_candidate_arrays(seeds, seq.num_variables, code_of=seq.index_of)
 
     def score(self, dbc_of: np.ndarray, pos_of: np.ndarray) -> np.ndarray:
         """Shift costs of population rows in one batched engine pass."""
@@ -203,8 +200,8 @@ class GeneticPlacer:
         dbc, key = dbc_of[parents], pos_of[parents]
         n = dbc_of.shape[1]
         if n >= 2:
-            first = _below(self.rng, np.full(parents.shape[1], n - 1))
-            last = first + 1 + _below(self.rng, n - 1 - first)
+            first = self.rng.integers(n - 1, size=parents.shape[1])
+            last = first + 1 + self.rng.integers(n - 1 - first)
             rank = self._xover_rank
             swap = (rank >= first[:, None]) & (rank <= last[:, None])
             # Past every slot, so moved variables follow the kept ones.
@@ -238,7 +235,7 @@ class GeneticPlacer:
         if rows.size and q > 1:
             src = _uniform_true(rng, counts[rows] > 0)
             var = _uniform_true(rng, dbc_of[rows] == src[:, None])
-            dst = _below(rng, np.full(rows.size, q - 1))
+            dst = rng.integers(q - 1, size=rows.size)
             dbc_of[rows, var] = dst + (dst >= src)
             key[rows, var] = 2 * n  # past every crossover key
         rows = np.flatnonzero(kinds == TRANSPOSE)
@@ -349,15 +346,6 @@ def _dbc_counts(dbc_of: np.ndarray, num_dbcs: int) -> np.ndarray:
     k = dbc_of.shape[0]
     cells = np.arange(k)[:, None] * num_dbcs + dbc_of
     return np.bincount(cells.ravel(), minlength=k * num_dbcs).reshape(k, num_dbcs)
-
-
-def _below(rng: np.random.Generator, high: np.ndarray) -> np.ndarray:
-    """A uniform int in ``[0, high[i])`` per entry, from one float draw.
-
-    Cheaper per call than ``Generator.integers`` on the GA's small
-    arrays; the bias, under ``high / 2**53``, is immaterial.
-    """
-    return (rng.random(high.shape) * high).astype(np.int64)
 
 
 def _uniform_true(rng: np.random.Generator, mask: np.ndarray) -> np.ndarray:

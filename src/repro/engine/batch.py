@@ -68,9 +68,8 @@ def stack_candidate_arrays(
         return dbc_of, pos_of
     # Per-list bookkeeping over the flattened population: which slot run
     # each element falls in, and that list's DBC index in its candidate.
-    # chain/map keep the flattening inside the C iterator protocol — this
-    # is the GA's per-generation encoding step, where generator-expression
-    # overhead was most of the stacking cost.
+    # chain/map keep the flattening inside the C iterator protocol, where
+    # generator-expression overhead was most of the stacking cost.
     lists_per = np.fromiter(map(len, candidates), dtype=np.int64, count=k)
     num_lists = int(lists_per.sum())
     flat_lists = chain.from_iterable(candidates)

@@ -81,6 +81,7 @@ class TestOperators:
 
     def test_crossover_preserves_parent_union(self, placer):
         dbc_of, pos_of, pairs = _brood(placer, rounds=20)
+        moved = 0
         for parents in pairs:
             children, _ = placer.crossover(dbc_of, pos_of, parents)
             child_a, child_b = children.reshape(parents.shape + (-1,))
@@ -90,6 +91,8 @@ class TestOperators:
                                   np.minimum(parent_a, parent_b))
             assert np.array_equal(np.maximum(child_a, child_b),
                                   np.maximum(parent_a, parent_b))
+            moved += int((child_a != parent_a).sum())
+        assert moved  # some pair differed inside its swap interval
 
     def test_crossover_does_not_mutate_parents(self, placer):
         dbc_of, pos_of, pairs = _brood(placer)
