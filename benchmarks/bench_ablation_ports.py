@@ -65,27 +65,3 @@ def test_port_count_ablation(benchmark, sequences):
         # DMA-SR's advantage over AFD-OFU is port-count independent.
         assert totals[("DMA-SR", ports)] <= totals[("AFD-OFU", ports)], ports
 
-
-def test_port_aware_intra_layouts(benchmark, sequences):
-    """The adaptive port-aware layout never loses to dense SR, and wins
-    on cluster-alternating traffic (see test_sparse_port_aware.py)."""
-    from repro.core.intra import port_aware_layout, shifts_reduce_order
-    from repro.core.placement import Placement
-    domains = 256
-
-    def sweep():
-        dense_total = aware_total = 0
-        for seq in sequences:
-            vs = list(seq.variables)
-            dense = Placement([shifts_reduce_order(seq, vs)])
-            aware = Placement([port_aware_layout(seq, vs, domains, 4)])
-            dense_total += shift_cost(seq, dense, ports=4, domains=domains)
-            aware_total += shift_cost(seq, aware, ports=4, domains=domains)
-        return dense_total, aware_total
-
-    dense_total, aware_total = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    publish_text(
-        "A-2 port-aware intra layout (single DBC, 4 ports, 256 domains)",
-        f"dense SR: {dense_total} shifts\nport-aware: {aware_total} shifts",
-    )
-    assert aware_total <= dense_total

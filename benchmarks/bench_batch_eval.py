@@ -14,30 +14,19 @@ batched-evaluation layer replaced:
   :func:`repro.engine.evaluate_batch` pass — the stacking cost is
   *inside* the timed region, as any caller holding list-of-lists
   candidates pays it before scoring.
-* **generation** — the list-of-lists GA's pre/post comparison:
-  per-individual Python buffer fill + ``cost_from_arrays`` (the deleted
-  ``fitness`` loop) vs stacking + one batch pass. Since 1.15.0 the GA
-  keeps its population as ``(K, V)`` arrays and stacks only its seeds,
-  so this mode no longer measures a path the GA runs per generation;
-  it stays as a record of the stacking + batch path. Gated as
-  *non-regression* at
-  1.3x rather than the 2x the other modes clear comfortably: both
-  paths pay the identical per-(candidate, DBC) grouping sort — the
-  irreducible kernel — so the batched win is bounded by the old loop's
-  per-candidate call overhead (40-60% of its time at suite-median
-  sizes) and measures ~1.6-2.2x depending on machine load; the gate
-  sits below that band so a loaded CI runner cannot flake on it. The
-  chain/map stacking fast path and the bincount boundary derivation
-  already shaved what the batch side controls.
 * **neighbor** — price transposition moves on one candidate (the
   annealing/2-opt inner loop). Baseline: full rescoring through the
   scalar array kernel per move. Incremental:
   :meth:`repro.engine.DeltaCost.swap_delta`, which touches only the
   access pairs incident to the two swapped variables.
 
-Results go to ``BENCH_batch.json`` so the performance trajectory is
-tracked from PR to PR; the script exits non-zero when either speedup
-falls below ``--min-speedup`` so CI can gate on it.
+The GA breeds and scores ``(K, V)`` arrays directly; its real
+per-generation cost is perfbench's ``core.ga_self_s``, not a mode here.
+
+Results go to ``BENCH_batch.json``, with the core count and the Python,
+numpy and repro versions, so the performance trajectory is tracked from
+PR to PR; the script exits non-zero when either speedup falls below
+``--min-speedup`` so CI can gate on it.
 
 Usage::
 
@@ -50,24 +39,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+import repro
 from repro.core.cost import (
     cost_from_arrays,
     shift_cost,
     stack_placement_lists,
 )
 from repro.core.placement import Placement
-from repro.engine import (
-    DeltaCost,
-    clear_compile_caches,
-    evaluate_batch,
-    stack_candidate_arrays,
-)
+from repro.engine import DeltaCost, clear_compile_caches, evaluate_batch
 from repro.trace.generators.synthetic import zipf_sequence
 
 
@@ -110,11 +97,6 @@ def main(argv=None) -> int:
     parser.add_argument("--min-speedup", type=float, default=5.0,
                         help="fail below this speedup on the population/"
                              "neighbor modes (0 disables)")
-    parser.add_argument("--min-generation-speedup", type=float, default=1.3,
-                        help="non-regression gate for the generation mode, "
-                             "margined below the ~1.6x worst observed "
-                             "measurement so loaded CI runners don't flake "
-                             "(see module docstring; 0 disables)")
     parser.add_argument("--out", default="BENCH_batch.json")
     args = parser.parse_args(argv)
 
@@ -122,8 +104,6 @@ def main(argv=None) -> int:
     sequence = zipf_sequence(args.variables, args.accesses, rng=args.seed)
     candidates = random_candidates(sequence, args.dbcs, args.population, rng)
     codes = sequence.codes
-    num_vars = sequence.num_variables
-    index_of = sequence.index_of
 
     # -- population scoring --------------------------------------------------
     def scalar_population():
@@ -152,43 +132,6 @@ def main(argv=None) -> int:
         "scalar_candidates_per_s": args.population / t_scalar,
         "batch_candidates_per_s": args.population / t_batch,
         "speedup": t_scalar / t_batch,
-    }
-
-    # -- GA generation scoring (pre/post fitness path, informational) --------
-    code_candidates = [
-        [[index_of(v) for v in dbc] for dbc in lists] for lists in candidates
-    ]
-
-    def old_fitness_loop():
-        # The deleted GeneticPlacer.fitness: per-variable Python buffer
-        # fill, then the scalar array kernel, per individual.
-        dbc_buf = np.zeros(num_vars, dtype=np.int64)
-        pos_buf = np.zeros(num_vars, dtype=np.int64)
-        out = []
-        for ind in code_candidates:
-            for i, dbc in enumerate(ind):
-                for k, v in enumerate(dbc):
-                    dbc_buf[v] = i
-                    pos_buf[v] = k
-            out.append(cost_from_arrays(codes, dbc_buf, pos_buf, args.dbcs))
-        return out
-
-    def new_generation_pass():
-        # The list-era GA held code lists; no name mapping occurs.
-        dbc_of, pos_of = stack_candidate_arrays(code_candidates, num_vars)
-        return evaluate_batch(codes, dbc_of, pos_of, num_dbcs=args.dbcs)
-
-    assert old_fitness_loop() == list(new_generation_pass())
-    t_old = best_of(old_fitness_loop, args.repeats)
-    t_new = best_of(new_generation_pass, args.repeats)
-    generation_row = {
-        "mode": "generation",
-        "candidates": args.population,
-        "scalar_s": t_old,
-        "batch_s": t_new,
-        "speedup": t_old / t_new,
-        "gated": bool(args.min_generation_speedup),
-        "min_speedup": args.min_generation_speedup,
     }
 
     # -- neighbor-move pricing -----------------------------------------------
@@ -229,15 +172,21 @@ def main(argv=None) -> int:
         "speedup": t_full / t_delta,
     }
 
-    for row in (population_row, generation_row, neighbor_row):
+    for row in (population_row, neighbor_row):
         print(f"{row['mode']}: speedup {row['speedup']:.1f}x")
     payload = {
         "benchmark": "batched_candidate_evaluation",
+        "provenance": {
+            "cores": os.cpu_count() or 1,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "repro": repro.__version__,
+        },
         "variables": args.variables,
         "accesses": args.accesses,
         "dbcs": args.dbcs,
         "repeats": args.repeats,
-        "results": [population_row, generation_row, neighbor_row],
+        "results": [population_row, neighbor_row],
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -251,12 +200,6 @@ def main(argv=None) -> int:
             for row in (population_row, neighbor_row)
             if row["speedup"] < args.min_speedup
         ]
-    if args.min_generation_speedup and \
-            generation_row["speedup"] < args.min_generation_speedup:
-        failures.append(
-            f"generation ({generation_row['speedup']:.1f}x < "
-            f"{args.min_generation_speedup}x)"
-        )
     if failures:
         print(f"FAIL: {', '.join(failures)}", file=sys.stderr)
         return 1

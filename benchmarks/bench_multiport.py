@@ -1,47 +1,42 @@
 #!/usr/bin/env python
-"""Micro-benchmark: the multi-port fast path (2-D monoid scan).
+"""Micro-benchmark: multi-port replay (2-D monoid scan) vs the reference.
 
 PR 1's engine left multi-port nearest-port replay at 2.6-4.3x over the
-reference backend (vs ~17x single-port), and ``evaluate_batch`` scored
-nearest-port populations one row at a time. The multi-port tentpole
-closed both gaps; this benchmark tracks them:
+reference backend (vs ~17x single-port). The multi-port tentpole closed
+that gap; this benchmark tracks it with one **replay** row per port
+count: 1-D trace replay through the reference backend (per-access
+Python) vs numpy (per-gap transition tables + blocked monoid scan).
+Gated at ``--min-replay-speedup`` (default 8x) for the gate ports
+(default 2, 4 and 8 — narrow ports run the packed-table scan, 8 ports
+the constant-collapse state chase, all gated alike since the collapse
+scan closed the wide-port gap).
 
-* **replay** — 1-D trace replay per port count: reference (per-access
-  Python) vs numpy (per-gap transition tables + blocked monoid scan).
-  Gated at ``--min-replay-speedup`` (default 8x) for the gate ports
-  (default 2, 4 and 8 — narrow ports run the packed-table scan, 8
-  ports the constant-collapse state chase, all gated alike since the
-  collapse scan closed the wide-port gap).
-* **population** — nearest-port ``evaluate_batch`` over a GA-sized
-  candidate matrix vs the retired per-row fallback (one 1-D engine run
-  per candidate, reconstructed here as the baseline). Gated at
-  ``--min-batch-speedup`` (default 5x) at ``--population`` candidates.
-
-Every timed pair is first checked *bit-identical* — against the
-reference backend, not just between the two timed paths — so the
-speedups always compare the same numbers. Results go to
-``BENCH_multiport.json`` for the PR-to-PR trajectory; non-zero exit on
-a missed gate lets CI enforce it.
+Every timed pair is first checked *bit-identical*, so the speedups
+always compare the same numbers. Results go to ``BENCH_multiport.json``
+with the core count and the Python, numpy and repro versions; non-zero
+exit on a missed gate lets CI enforce it.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_multiport.py
     PYTHONPATH=src python benchmarks/bench_multiport.py \
-        --ports 2 4 8 --population 200 --out results/BENCH_multiport.json
+        --ports 2 4 8 --out results/BENCH_multiport.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.engine import ShiftRequest, evaluate_batch, get_backend
-from repro.engine.numpy_backend import NumpyBackend
+import repro
+from repro.engine import ShiftRequest, get_backend
 
 
 def best_of(fn, repeats: int) -> float:
@@ -86,63 +81,6 @@ def replay_rows(args) -> list[dict]:
     return rows
 
 
-def population_rows(args) -> list[dict]:
-    rng = np.random.default_rng(args.seed + 1)
-    codes = rng.integers(0, args.variables, args.trace)
-    dbc_of = rng.integers(0, args.dbcs, (args.population, args.variables))
-    pos_of = rng.integers(0, args.domains, (args.population, args.variables))
-    backend = NumpyBackend()
-    reference = get_backend("reference")
-    rows = []
-    for ports in args.gate_ports:
-        dbc = dbc_of[:, codes]
-        slot = pos_of[:, codes]
-
-        def per_row():
-            # The retired fallback: one full 1-D engine run per candidate.
-            return [
-                backend.run(ShiftRequest(
-                    dbc=dbc[i], slot=slot[i], num_dbcs=args.dbcs,
-                    domains=args.domains, ports=ports,
-                )).shifts
-                for i in range(args.population)
-            ]
-
-        def population():
-            return evaluate_batch(
-                codes, dbc_of, pos_of, num_dbcs=args.dbcs,
-                domains=args.domains, ports=ports,
-            )
-
-        want = [
-            reference.run(ShiftRequest(
-                dbc=dbc[i], slot=slot[i], num_dbcs=args.dbcs,
-                domains=args.domains, ports=ports,
-            )).shifts
-            for i in range(args.population)
-        ]
-        assert per_row() == want
-        assert list(population()) == want  # bit-identical to the oracle
-        t_row = best_of(per_row, args.repeats)
-        t_pop = best_of(population, args.repeats)
-        rows.append({
-            "mode": "population",
-            "ports": ports,
-            "candidates": args.population,
-            "per_row_s": t_row,
-            "population_s": t_pop,
-            "per_row_candidates_per_s": args.population / t_row,
-            "population_candidates_per_s": args.population / t_pop,
-            "speedup": t_row / t_pop,
-            "gated": True,
-        })
-        print(f"population ports={ports} K={args.population}: "
-              f"per-row {t_row * 1e3:.1f} ms, "
-              f"population {t_pop * 1e3:.1f} ms, "
-              f"speedup {rows[-1]['speedup']:.1f}x")
-    return rows
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--accesses", type=int, default=200_000,
@@ -152,33 +90,26 @@ def main(argv=None) -> int:
     parser.add_argument("--ports", type=int, nargs="+", default=[2, 4, 8],
                         help="port counts for the replay rows")
     parser.add_argument("--gate-ports", type=int, nargs="+", default=[2, 4, 8],
-                        help="port counts the gates apply to (replay gating "
-                             "and the population rows)")
-    # The population workload mirrors bench_batch_eval's suite-median
-    # GA generation (~32 variables, ~250 accesses, 200 candidates).
-    parser.add_argument("--population", type=int, default=200)
-    parser.add_argument("--variables", type=int, default=32)
-    parser.add_argument("--trace", type=int, default=250,
-                        help="population trace length")
+                        help="port counts the replay gate applies to")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--min-replay-speedup", type=float, default=8.0,
                         help="fail below this on gate ports (0 disables)")
-    parser.add_argument("--min-batch-speedup", type=float, default=5.0,
-                        help="fail below this on the population rows "
-                             "(0 disables)")
     parser.add_argument("--out", default="BENCH_multiport.json")
     args = parser.parse_args(argv)
 
-    rows = replay_rows(args) + population_rows(args)
+    rows = replay_rows(args)
     payload = {
         "benchmark": "multiport_fast_path",
+        "provenance": {
+            "cores": os.cpu_count() or 1,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "repro": repro.__version__,
+        },
         "accesses": args.accesses,
         "dbcs": args.dbcs,
         "domains": args.domains,
-        "population": args.population,
-        "variables": args.variables,
-        "trace": args.trace,
         "repeats": args.repeats,
         "results": rows,
     }
@@ -187,17 +118,12 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")
 
-    failures = []
-    for row in rows:
-        if not row["gated"]:
-            continue
-        bar = (args.min_replay_speedup if row["mode"] == "replay"
-               else args.min_batch_speedup)
-        if bar and row["speedup"] < bar:
-            failures.append(
-                f"{row['mode']} ports={row['ports']} "
-                f"({row['speedup']:.1f}x < {bar}x)"
-            )
+    bar = args.min_replay_speedup
+    failures = [
+        f"{row['mode']} ports={row['ports']} ({row['speedup']:.1f}x < {bar}x)"
+        for row in rows
+        if row["gated"] and bar and row["speedup"] < bar
+    ]
     if failures:
         print(f"FAIL: {', '.join(failures)}", file=sys.stderr)
         return 1

@@ -22,7 +22,7 @@ from operator import attrgetter
 from repro.core.cost import per_dbc_shift_costs
 from repro.core.policies import available_policies, get_policy
 from repro.engine import available_backends, describe_backends
-from repro.errors import ExperimentError, WorkloadError
+from repro.errors import ExperimentError, GeometryError, WorkloadError
 from repro.eval import experiments as exp
 from repro.eval.profiles import KNOBS, check_profile, profile_from_env
 from repro.eval.reporting import render_experiment, save_experiment
@@ -53,6 +53,15 @@ def _add_device_args(parser: argparse.ArgumentParser) -> None:
                              "REPRO_BACKEND)")
 
 
+def _device_config(parser: argparse.ArgumentParser, args) -> RTMConfig:
+    """The device the flags describe; a bad geometry is a usage error."""
+    try:
+        return RTMConfig(dbcs=args.dbcs, domains_per_track=args.domains,
+                         ports_per_track=args.ports)
+    except GeometryError as exc:
+        parser.error(str(exc))
+
+
 def main_place(argv: Sequence[str] | None = None) -> int:
     """Place the traces of a file and print per-DBC layouts and costs."""
     parser = argparse.ArgumentParser(
@@ -65,6 +74,7 @@ def main_place(argv: Sequence[str] | None = None) -> int:
         help="fuse all traces into one program and emit a single layout",
     )
     args = parser.parse_args(argv)
+    _device_config(parser, args)
     policy = get_policy(args.policy)
     traces = read_traces(args.trace_file)
     if args.program:
@@ -87,8 +97,7 @@ def main_place(argv: Sequence[str] | None = None) -> int:
         seq = trace.sequence
         placement = policy.place(seq, args.dbcs, args.domains, rng=args.seed)
         costs = per_dbc_shift_costs(
-            seq, placement, ports=args.ports,
-            domains=args.domains if args.ports > 1 else None,
+            seq, placement, ports=args.ports, domains=args.domains,
             backend=args.backend,
         )
         print(f"trace {seq.name}: {len(seq)} accesses, "
@@ -109,8 +118,7 @@ def main_sim(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--cold-start", action="store_true",
                         help="charge the initial alignment shifts")
     args = parser.parse_args(argv)
-    config = RTMConfig(dbcs=args.dbcs, domains_per_track=args.domains,
-                       ports_per_track=args.ports)
+    config = _device_config(parser, args)
     policy = get_policy(args.policy)
     for trace in read_traces(args.trace_file):
         seq = trace.sequence

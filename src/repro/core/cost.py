@@ -97,10 +97,11 @@ def cost_from_arrays(
     """Raw fast path for one candidate (single port, warm start).
 
     ``dbc_of``/``pos_of`` are indexed by variable code, as produced by
-    :meth:`Placement.as_arrays`, but callers may build them directly from a
-    mutable individual without constructing a :class:`Placement`. Scoring
-    whole populations goes through :func:`repro.engine.evaluate_batch`
-    (stack the candidates into ``(K, V)`` matrices).
+    :meth:`Placement.as_arrays`, but callers may pass any code-indexed
+    arrays (e.g. one row of a search population) without constructing a
+    :class:`Placement`. Scoring whole populations goes through
+    :func:`repro.engine.evaluate_batch` (stack the candidates into
+    ``(K, V)`` matrices).
     """
     if codes.size <= 1:
         return 0

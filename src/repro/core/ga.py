@@ -97,8 +97,6 @@ class GeneticPlacer:
         capacity: int,
         config: GAConfig | None = None,
         rng: int | np.random.Generator | None = None,
-        ports: int = 1,
-        domains: int | None = None,
     ) -> None:
         if sequence.num_variables > num_dbcs * capacity:
             raise CapacityError(
@@ -108,13 +106,6 @@ class GeneticPlacer:
         self.sequence = sequence
         self.num_dbcs = num_dbcs
         self.capacity = capacity
-        # Multi-port fitness: score against the real track geometry. The
-        # track length defaults to the DBC capacity (they are the same
-        # quantity in this library's geometry).
-        self.ports = ports
-        self.domains = domains if domains is not None else (
-            capacity if ports > 1 else None
-        )
         self.config = config or GAConfig()
         self.config.validate()
         self.rng = ensure_rng(rng)
@@ -148,10 +139,7 @@ class GeneticPlacer:
     def score(self, dbc_of: np.ndarray, pos_of: np.ndarray) -> np.ndarray:
         """Shift costs of population rows in one batched engine pass."""
         self.evaluations += dbc_of.shape[0]
-        return evaluate_batch(
-            self._codes, dbc_of, pos_of, num_dbcs=self.num_dbcs,
-            domains=self.domains, ports=self.ports,
-        )
+        return evaluate_batch(self._codes, dbc_of, pos_of, num_dbcs=self.num_dbcs)
 
     def initial_population(self) -> tuple[np.ndarray, np.ndarray]:
         """The first ``mu`` rows: the seeds when seeding, then random

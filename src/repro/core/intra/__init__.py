@@ -18,7 +18,6 @@ from repro.core.intra.optimal import optimal_order, optimal_intra_cost
 from repro.core.intra.random_intra import random_order
 from repro.core.intra.annealing import annealed_order
 from repro.core.intra.pyramid import pyramid_order
-from repro.core.intra.port_aware import port_aware_layout, port_spread_layout
 
 
 def _default_annealed(sequence, variables):
@@ -47,8 +46,6 @@ __all__ = [
     "random_order",
     "annealed_order",
     "pyramid_order",
-    "port_aware_layout",
-    "port_spread_layout",
     "INTRA_HEURISTICS",
 ]
 

@@ -35,23 +35,16 @@ def annealed_order(
     iterations: int = 2000,
     start_temperature: float | None = None,
     rng: int | np.random.Generator | None = None,
-    ports: int = 1,
-    domains: int | None = None,
 ) -> list[str]:
     """Simulated annealing over intra-DBC permutations.
 
     Geometric cooling; moves are random transpositions (the GA's second
     mutation). ``start_temperature`` defaults to a scale estimated from
     the trace (mean positional distance), which keeps acceptance rates
-    sane across instance sizes. ``ports > 1`` anneals against the true
-    multi-port cost, which depends on the track length (``domains``,
-    then required): moves are priced by :class:`DeltaCost`'s exact
-    per-DBC recomposition.
+    sane across instance sizes.
     """
     if iterations < 1:
         raise SolverError(f"iterations must be >= 1, got {iterations}")
-    if ports > 1 and domains is None:
-        raise SolverError("multi-port ordering needs the track length (domains)")
     variables = list(variables)
     if len(variables) <= 2:
         return ofu_order(sequence, variables)
@@ -65,8 +58,7 @@ def annealed_order(
     for slot, v in enumerate(current):
         pos_of[code_of[v]] = slot
     evaluator = DeltaCost(
-        local.codes, np.zeros(local.num_variables, dtype=np.int64), pos_of,
-        domains=domains, ports=ports,
+        local.codes, np.zeros(local.num_variables, dtype=np.int64), pos_of
     )
     current_cost = evaluator.cost
     best, best_cost = list(current), current_cost

@@ -16,7 +16,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.engine import evaluate_batch
-from repro.errors import SolverError
 from repro.trace.graph import AccessGraph
 from repro.trace.sequence import AccessSequence
 
@@ -26,19 +25,8 @@ _TWO_OPT_MAX_ACCESSES = 4000
 _TWO_OPT_MAX_PASSES = 4
 
 
-def tsp_order(
-    sequence: AccessSequence,
-    variables: Sequence[str],
-    ports: int = 1,
-    domains: int | None = None,
-) -> list[str]:
-    """Max-weight path construction followed by bounded 2-opt polishing.
-
-    ``ports > 1`` polishes against the true multi-port cost, which
-    depends on the track length: ``domains`` is then required.
-    """
-    if ports > 1 and domains is None:
-        raise SolverError("multi-port ordering needs the track length (domains)")
+def tsp_order(sequence: AccessSequence, variables: Sequence[str]) -> list[str]:
+    """Max-weight path construction followed by bounded 2-opt polishing."""
     variables = list(variables)
     if len(variables) <= 1:
         return variables
@@ -48,7 +36,7 @@ def tsp_order(
         len(variables) <= _TWO_OPT_MAX_VARS
         and len(local) <= _TWO_OPT_MAX_ACCESSES
     ):
-        order = _two_opt(local, order, ports, domains)
+        order = _two_opt(local, order)
     return order
 
 
@@ -110,12 +98,7 @@ def _max_weight_path(local: AccessSequence, variables: list[str]) -> list[str]:
     return ordered
 
 
-def _two_opt(
-    local: AccessSequence,
-    order: list[str],
-    ports: int = 1,
-    domains: int | None = None,
-) -> list[str]:
+def _two_opt(local: AccessSequence, order: list[str]) -> list[str]:
     """First-improvement 2-opt, scoring whole candidate rows per batch.
 
     Semantically identical to evaluating each ``(i, j)`` reversal one at
@@ -138,10 +121,7 @@ def _two_opt(
 
     best = code_of.copy()
     best_cost = int(
-        evaluate_batch(
-            codes, dbc_of, positions(best)[None, :], num_dbcs=1,
-            domains=domains, ports=ports,
-        )[0]
+        evaluate_batch(codes, dbc_of, positions(best)[None, :], num_dbcs=1)[0]
     )
     # One reusable all-DBC-0 matrix for every batch in the inner loop.
     dbc_rows = np.zeros((max(n - 1, 1), local.num_variables), dtype=np.int64)
@@ -162,10 +142,7 @@ def _two_opt(
                 rev = (spans >= i) & (spans <= js[:, None])
                 cols = np.where(rev, i + js[:, None] - spans, spans)
                 pos[row, best[cols]] = spans
-                costs = evaluate_batch(
-                    codes, dbc_rows[: js.size], pos, num_dbcs=1,
-                    domains=domains, ports=ports,
-                )
+                costs = evaluate_batch(codes, dbc_rows[: js.size], pos, num_dbcs=1)
                 better = np.flatnonzero(costs < best_cost)
                 if better.size == 0:
                     break

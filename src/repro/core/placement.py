@@ -21,9 +21,8 @@ class Placement:
 
     ``dbcs[i][k]`` is the variable at location ``k`` of DBC ``i``. Every
     variable appears exactly once across all DBCs. Entries may be
-    ``None``: an explicitly empty location (sparse layouts anchor
-    variable groups at specific track positions, e.g. around access
-    ports — see :mod:`repro.core.intra.port_aware`).
+    ``None``: an explicitly empty location (a sparse layout; the
+    distance across a hole counts in the cost).
     """
 
     __slots__ = ("_dbcs", "_loc", "__dict__")

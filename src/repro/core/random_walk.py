@@ -65,23 +65,17 @@ def random_walk_search(
     iterations: int = DEFAULT_ITERATIONS,
     rng: int | np.random.Generator | None = None,
     history_stride: int = 1000,
-    ports: int = 1,
-    domains: int | None = None,
 ) -> RandomWalkResult:
     """Best of ``iterations`` random placements.
 
     ``history_stride`` controls how often the best-so-far cost is sampled
-    into the result's history (for convergence plots). ``ports > 1``
-    scores candidates under the real multi-port geometry (``domains``
-    defaults to the DBC capacity, the track length in this library).
-    Ties keep the earliest candidate.
+    into the result's history (for convergence plots). Ties keep the
+    earliest candidate.
     """
     if iterations < 1:
         raise SolverError(f"iterations must be >= 1, got {iterations}")
     if history_stride < 1:
         raise SolverError(f"history_stride must be >= 1, got {history_stride}")
-    if ports > 1 and domains is None:
-        domains = capacity
     gen = ensure_rng(rng)
     codes = sequence.codes
     best_cost = np.iinfo(np.int64).max
@@ -92,10 +86,7 @@ def random_walk_search(
         dbc_of, pos_of = random_partition_arrays(
             sequence.num_variables, num_dbcs, capacity, chunk, gen
         )
-        costs = evaluate_batch(
-            codes, dbc_of, pos_of, num_dbcs=num_dbcs,
-            domains=domains, ports=ports,
-        )
+        costs = evaluate_batch(codes, dbc_of, pos_of, num_dbcs=num_dbcs)
         running = np.minimum(np.minimum.accumulate(costs), best_cost)
         steps = np.arange(start + 1, start + chunk + 1)
         history.extend(running[steps % history_stride == 0].tolist())

@@ -4,7 +4,11 @@ Search-based placement (GA, random walk, annealing, 2-opt polishing)
 evaluates thousands of candidate placements against *one* trace. Scoring
 them one at a time through the scalar cost path leaves most of the work
 in per-candidate Python overhead; this module scores a ``(K, V)`` matrix
-of candidates in a single vectorized pass instead:
+of candidates in a single vectorized pass instead. Both scorers price
+the paper's objective: one port per track, each DBC's first access free
+(warm start). Other port counts are a replay geometry of the engine
+backends (:func:`repro.core.cost.shift_cost` with ``ports``/``domains``),
+not a search objective.
 
 * :func:`evaluate_batch` — the population scorer. Candidates are given
   as stacked ``dbc_of``/``pos_of`` arrays indexed by variable code (the
@@ -20,19 +24,16 @@ of candidates in a single vectorized pass instead:
   only re-prices the pairs touching the moved variables: O(touched).
 
 Both agree exactly — integer arithmetic throughout — with scoring each
-candidate through the reference backend, which the equivalence tests
-enforce.
+candidate through the single-port reference backend, which the
+equivalence tests enforce.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import chain
 
 import numpy as np
 
-from repro.engine.numpy_backend import nearest_costs_flat
-from repro.engine.semantics import port_boundaries, port_positions
 from repro.errors import SimulationError
 
 __all__ = ["DeltaCost", "evaluate_batch", "stack_candidate_arrays"]
@@ -139,63 +140,25 @@ _FLAT_CHUNK_ELEMENTS = 32768
 _FLAT_MAX_ACCESSES = 512
 
 
-def _sorted_chunks(dbc: np.ndarray, slot: np.ndarray, num_dbcs: int):
-    """Yield ``(start, rows, sorted_slots, first_idx)`` per row chunk.
-
-    The shared flattening step of both population kernels: stable-sort
-    each chunk by ``row * num_dbcs + dbc`` so every (candidate, DBC)
-    subsequence is one contiguous run in trace order — row ``r`` of a
-    chunk occupies the sorted range ``[r*n, (r+1)*n)``. Chunks bound
-    both the key width (radix range) and the element count (the radix
-    sort's bucket scatter degrades sharply once its working set falls
-    out of cache). Group boundaries come from key counts, not from
-    comparing gathered keys: runs start at the exclusive prefix sums of
-    the key histogram.
-    """
-    k, n = dbc.shape
-    rows_per_chunk = max(
-        1, min(_FLAT_KEY_LIMIT // num_dbcs, _FLAT_CHUNK_ELEMENTS // n)
-    )
-    for start in range(0, k, rows_per_chunk):
-        cd = dbc[start : start + rows_per_chunk]
-        cs = slot[start : start + rows_per_chunk]
-        rows = cd.shape[0]
-        key = (
-            np.arange(rows, dtype=np.int64)[:, None] * num_dbcs + cd
-        ).ravel()
-        key = key.astype(np.uint16) if rows * num_dbcs <= 0xFFFF + 1 else key
-        order = np.argsort(key, kind="stable")
-        ss = cs.ravel()[order]
-        counts = np.bincount(key, minlength=rows * num_dbcs)
-        first_idx = (np.cumsum(counts) - counts)[counts > 0]
-        yield start, rows, ss, first_idx
-
-
 def evaluate_batch(
     codes: np.ndarray,
     dbc_of: np.ndarray,
     pos_of: np.ndarray,
     *,
     num_dbcs: int,
-    domains: int | None = None,
-    ports: int = 1,
 ) -> np.ndarray:
-    """Warm-start shift cost of ``K`` candidates against one compiled trace.
+    """Warm-start single-port shift cost of ``K`` candidates on one trace.
 
     ``codes`` is the trace's per-access variable-code array (shape
     ``(N,)``); ``dbc_of``/``pos_of`` are ``(K, V)`` matrices giving each
     candidate's DBC index and intra-DBC slot per variable code (a single
     ``(V,)`` candidate is promoted to ``K=1``). Returns the ``(K,)``
     int64 per-candidate totals, identical to running each candidate
-    through an engine backend from the default (offset-0, unaligned)
-    initial state with ``warm_start``: each DBC's first access is free,
-    the paper's cost convention.
-
-    All paths are fully vectorized over the whole population. Single
-    port flattens into one masked-``diff`` pass; nearest-port multi-port
-    flattens the candidate matrix into one long run-sorted array and
-    resolves every row's port-choice recurrences with a single 2-D
-    monoid scan (see :func:`_batch_nearest`).
+    through an engine backend at one port from the default (offset-0,
+    unaligned) initial state with ``warm_start``: each DBC's first
+    access is free, the paper's cost convention. Single-port costs are
+    slot differences, so no track length is needed; slots only have to
+    be non-negative.
     """
     codes = np.ascontiguousarray(codes, dtype=np.int64)
     if codes.ndim != 1:
@@ -227,24 +190,9 @@ def evaluate_batch(
         int(dbc.min()) < 0 or int(dbc.max()) >= num_dbcs
     ):
         raise SimulationError(f"dbc indices must lie in [0, {num_dbcs})")
-    lo, hi = int(pos_of.min()), int(pos_of.max())
-    if domains is None:
-        if ports > 1:
-            raise SimulationError(
-                "multi-port batch evaluation needs the track length (domains)"
-            )
-        domains = hi + 1
-    if lo < 0 or hi >= domains:
-        # Same fallback as the DBC check: only gathered slots must fit.
-        lo, hi = int(slot.min()), int(slot.max())
-        if lo < 0 or hi >= domains:
-            bad = lo if lo < 0 else hi
-            raise SimulationError(
-                f"location {bad} outside track of {domains} domains"
-            )
-    if ports == 1:
-        return _batch_single(dbc, slot, num_dbcs)
-    return _batch_nearest(dbc, slot, num_dbcs, domains, ports)
+    if int(pos_of.min()) < 0 and int(slot.min()) < 0:
+        raise SimulationError(f"location {int(slot.min())} outside the track")
+    return _batch_single(dbc, slot, num_dbcs)
 
 
 def _batch_single(
@@ -254,11 +202,15 @@ def _batch_single(
 
     The whole population is sorted at once: flattening row-major and
     stable-sorting by ``row * num_dbcs + dbc`` groups every (candidate,
-    DBC) subsequence contiguously while preserving trace order, so the
-    per-candidate costs are one masked ``diff`` plus a segmented sum —
-    1-D kernels throughout, which numpy executes far faster than their
-    ``axis=1`` counterparts. Rows are chunked to keep the combined key
-    within radix-sort range.
+    DBC) subsequence contiguously while preserving trace order — row
+    ``r`` of a chunk occupies the sorted range ``[r*n, (r+1)*n)`` — so
+    the per-candidate costs are one masked ``diff`` plus a segmented
+    sum: 1-D kernels throughout, which numpy executes far faster than
+    their ``axis=1`` counterparts. Chunks bound both the key width
+    (radix range) and the element count (the radix sort's bucket
+    scatter degrades sharply once its working set falls out of cache).
+    Run boundaries come from key counts, not from comparing gathered
+    keys: runs start at the exclusive prefix sums of the key histogram.
     """
     k, n = dbc.shape
     if n <= 1:
@@ -273,92 +225,51 @@ def _batch_single(
             same = ds[1:] == ds[:-1]
             totals[i] = int(np.abs(np.diff(ss))[same].sum())
         return totals
-    for start, rows, ss, first_idx in _sorted_chunks(dbc, slot, num_dbcs):
-        move = np.diff(ss)
+    rows_per_chunk = max(
+        1, min(_FLAT_KEY_LIMIT // num_dbcs, _FLAT_CHUNK_ELEMENTS // n)
+    )
+    for start in range(0, k, rows_per_chunk):
+        cd = dbc[start : start + rows_per_chunk]
+        cs = slot[start : start + rows_per_chunk]
+        rows = cd.shape[0]
+        key = (
+            np.arange(rows, dtype=np.int64)[:, None] * num_dbcs + cd
+        ).ravel()
+        key = key.astype(np.uint16) if rows * num_dbcs <= 0xFFFF + 1 else key
+        order = np.argsort(key, kind="stable")
+        move = np.diff(cs.ravel()[order])
         np.abs(move, out=move)
+        counts = np.bincount(key, minlength=rows * num_dbcs)
+        first_idx = (np.cumsum(counts) - counts)[counts > 0]
         move[first_idx[1:] - 1] = 0  # run crossings
-        # Row r occupies the sorted range [r*n, (r+1)*n); its last pair
-        # slot is a masked-out row crossing, so plain n-strided segments
-        # sum exactly the intra-row moves.
+        # Row r's last pair slot is a masked-out row crossing, so plain
+        # n-strided segments sum exactly the intra-row moves.
         totals[start : start + rows] = np.add.reduceat(
             move, np.arange(0, rows * n - 1, n)
         )
     return totals
 
 
-def _batch_nearest(
-    dbc: np.ndarray,
-    slot: np.ndarray,
-    num_dbcs: int,
-    domains: int,
-    ports: int,
-) -> np.ndarray:
-    """Nearest-port costs for all rows through one 2-D monoid scan.
-
-    The same flattening trick as :func:`_batch_single`, applied to the
-    sequential port-choice recurrence: stable-sorting the population by
-    ``row * num_dbcs + dbc`` makes every (candidate, DBC) subsequence a
-    contiguous run, and since each run's first access carries a
-    *constant* port map, one monoid scan over the whole flattened
-    population resolves every row's recurrence at once — candidates
-    cannot leak port state into each other, exactly as DBC runs cannot
-    in the 1-D kernel. Chunking keeps the sort key within radix range
-    and the scan's intermediates (the per-access transition maps and
-    in-block prefixes) cache-resident; past the chunk budget the loop
-    degrades gracefully to a few rows — eventually one — per pass, which
-    still beats per-row engine calls (no per-request validation, no
-    per-row result objects). This retired the old ``_batch_per_row``
-    fallback entirely. Port widths beyond the packed-table bound
-    (``p**p > 256``) inherit the constant-collapse scan
-    (:func:`~repro.engine.numpy_backend._scan_collapse`) through
-    :func:`~repro.engine.numpy_backend.nearest_costs_flat`, so K=200
-    population scoring at 8 ports runs the same collapsed state chase
-    as replay.
-    """
-    k, n = dbc.shape
-    totals = np.empty(k, dtype=np.int64)
-    for start, rows, ss, first_idx in _sorted_chunks(dbc, slot, num_dbcs):
-        # Default initial state (offset 0): the first target is the slot
-        # itself, and warm start then zeroes the first charge.
-        costs, _chosen = nearest_costs_flat(
-            ss, first_idx, ss[first_idx], domains, ports
-        )
-        costs[first_idx] = 0
-        totals[start : start + rows] = np.add.reduceat(
-            costs, np.arange(0, rows * n, n)
-        )
-    return totals
-
-
 class DeltaCost:
-    """Incremental warm-start cost of neighbor moves under a fixed partition.
+    """Incremental warm-start single-port cost of moves under a fixed partition.
 
-    *Single port*: compiles the trace once into the per-DBC adjacency
-    structure — the warm cost of a placement is ``sum(w_ab * |pos[a] -
-    pos[b]|)`` over the pairs ``(a, b)`` of variables adjacent in some
-    DBC's access subsequence, with ``w_ab`` the number of times they are
-    adjacent. Because the pair
-    structure depends only on the *partition* (which DBC each variable
-    lives in), any intra-DBC reordering can be re-priced by touching
-    just the pairs incident to the moved variables — O(touched accesses)
-    instead of O(trace) per move.
-
-    *Multi-port nearest* (``ports > 1``, requires ``domains``): port
-    choices carry sequential state, so the cost is not a pair sum — but
-    DBCs are still independent. The trace is compiled once into per-DBC
-    access subsequences, and a move re-replays exactly the touched DBCs
-    (exact per-DBC recomposition): O(accesses of touched DBCs) per move,
-    against O(trace) for a full rescore. The replay is the same
-    boundary-bisect arithmetic as the vectorized kernel, in pure Python
-    — touched subsequences are short and interpreter arithmetic beats
-    numpy's per-call setup at that size.
+    Compiles the trace once into the per-DBC adjacency structure — the
+    warm cost of a placement is ``sum(w_ab * |pos[a] - pos[b]|)`` over
+    the pairs ``(a, b)`` of variables adjacent in some DBC's access
+    subsequence, with ``w_ab`` the number of times they are adjacent.
+    Because the pair structure depends only on the *partition* (which
+    DBC each variable lives in), any intra-DBC reordering can be
+    re-priced by touching just the pairs incident to the moved variables
+    — O(touched accesses) instead of O(trace) per move. The pricing
+    loops are pure Python: touched pair lists are short, and interpreter
+    arithmetic beats numpy's per-call setup at that size.
 
     ``delta`` prices a move without committing it; ``apply`` commits.
     Moves keep every variable's DBC by construction (only slots are
     assigned). :meth:`resync` recomputes the total from scratch (the
     arithmetic is exact integers, so this is a verification hook, not a
-    drift correction). Both modes agree exactly with the reference
-    backend's warm-start totals.
+    drift correction). Totals agree exactly with the single-port
+    reference backend's warm-start totals.
     """
 
     def __init__(
@@ -366,9 +277,6 @@ class DeltaCost:
         codes: np.ndarray,
         dbc_of: np.ndarray,
         pos_of: np.ndarray,
-        *,
-        domains: int | None = None,
-        ports: int = 1,
     ) -> None:
         codes = np.ascontiguousarray(codes, dtype=np.int64)
         dbc_of = np.ascontiguousarray(dbc_of, dtype=np.int64)
@@ -377,30 +285,11 @@ class DeltaCost:
             raise SimulationError("codes/dbc_of/pos_of must be 1-D arrays")
         if dbc_of.shape != pos_of.shape:
             raise SimulationError("dbc_of/pos_of must have equal length")
-        self._num_vars = int(dbc_of.size)
         self._pos: list[int] = pos_of.tolist()
-        self._replay = ports > 1
-        if self._replay:
-            if domains is None:
-                raise SimulationError(
-                    "multi-port delta pricing needs the track length (domains)"
-                )
-            self._positions = port_positions(domains, ports)
-            self._bounds = port_boundaries(domains, ports)
-            self._dbc: list[int] = dbc_of.tolist()
-            #: DBC index -> its access subsequence (codes, trace order).
-            self._dbc_codes: dict[int, list[int]] = {}
-            for c in codes.tolist():
-                self._dbc_codes.setdefault(self._dbc[c], []).append(c)
-            self._dbc_cost: dict[int, int] = {}
-            self._total = self.resync()
-            return
         a, b, w = self._compile_pairs(codes, dbc_of)
         self._a, self._b, self._w = a, b, w
         #: code -> [(neighbour code, adjacency weight)]
-        self._adj: list[list[tuple[int, int]]] = [
-            [] for _ in range(self._num_vars)
-        ]
+        self._adj: list[list[tuple[int, int]]] = [[] for _ in range(dbc_of.size)]
         for pa, pb, pw in zip(a.tolist(), b.tolist(), w.tolist()):
             self._adj[pa].append((pb, pw))
             self._adj[pb].append((pa, pw))
@@ -430,59 +319,6 @@ class DeltaCost:
         pair_key, w = np.unique(lo * num_vars + hi, return_counts=True)
         return pair_key // num_vars, pair_key % num_vars, w.astype(np.int64)
 
-    # -- multi-port replay ---------------------------------------------------
-
-    def _replay_dbc(self, dbc_index: int) -> int:
-        """Warm-start nearest-port cost of one DBC at the current slots.
-
-        The scalar twin of the vectorized kernel: track the offset, pick
-        the nearest port by bisecting the decision boundaries, charge
-        the remaining distance. The first access aligns for free.
-        """
-        codes_d = self._dbc_codes.get(dbc_index)
-        if not codes_d:
-            return 0
-        pos = self._pos
-        positions = self._positions
-        bounds = self._bounds
-        slot = pos[codes_d[0]]
-        base = slot - positions[bisect_left(bounds, slot)]
-        total = 0
-        for c in codes_d[1:]:
-            target = pos[c] - base
-            j = bisect_left(bounds, target)
-            total += abs(target - positions[j])
-            base = pos[c] - positions[j]
-        return total
-
-    def _replay_delta(self, moves: dict[int, int]) -> int:
-        """Price ``moves`` by re-replaying exactly the touched DBCs."""
-        affected = {self._dbc[c] for c in moves}
-        pos = self._pos
-        saved = [(c, pos[c]) for c in moves]
-        for c, new_slot in moves.items():
-            pos[c] = new_slot
-        try:
-            priced = sum(
-                self._replay_dbc(d) - self._dbc_cost.get(d, 0)
-                for d in affected
-            )
-        finally:
-            for c, old_slot in saved:
-                pos[c] = old_slot
-        return priced
-
-    def _replay_commit(self, moves: dict[int, int]) -> int:
-        for c, new_slot in moves.items():
-            self._pos[c] = new_slot
-        for d in {self._dbc[c] for c in moves}:
-            fresh = self._replay_dbc(d)
-            self._total += fresh - self._dbc_cost.get(d, 0)
-            self._dbc_cost[d] = fresh
-        return self._total
-
-    # -- pricing ------------------------------------------------------------
-
     @property
     def cost(self) -> int:
         """The current candidate's total shift cost."""
@@ -498,8 +334,6 @@ class DeltaCost:
         partition-specific); swapping or permuting slots within DBCs is
         exactly that.
         """
-        if self._replay:
-            return self._replay_delta(moves)
         pos = self._pos
         d = 0
         for c, new_c in moves.items():
@@ -519,13 +353,8 @@ class DeltaCost:
 
         Pass the ``delta`` already obtained from :meth:`delta` for the
         same moves to commit without re-pricing (accept loops price
-        first, then commit). The multi-port mode re-replays the touched
-        DBCs either way — its per-DBC totals must stay current — so the
-        passed delta only skips work on the single-port path; results
-        are identical.
+        first, then commit).
         """
-        if self._replay:
-            return self._replay_commit(moves)
         self._total += self.delta(moves) if delta is None else delta
         for c, new_c in moves.items():
             self._pos[c] = new_c
@@ -534,10 +363,6 @@ class DeltaCost:
     def swap_delta(self, code_a: int, code_b: int) -> int:
         """Price transposing two variables' slots (the annealing move)."""
         pos = self._pos
-        if self._replay:
-            return self._replay_delta(
-                {code_a: pos[code_b], code_b: pos[code_a]}
-            )
         pa, pb = pos[code_a], pos[code_b]
         d = 0
         for o, w in self._adj[code_a]:
@@ -554,26 +379,16 @@ class DeltaCost:
         """Commit the transposition and return the new total.
 
         ``delta`` takes a price already computed by :meth:`swap_delta`
-        for the same pair, skipping the second pricing pass (single-port
-        path only; see :meth:`apply`).
+        for the same pair, skipping the second pricing pass (see
+        :meth:`apply`).
         """
         pos = self._pos
-        if self._replay:
-            return self._replay_commit(
-                {code_a: pos[code_b], code_b: pos[code_a]}
-            )
         self._total += self.swap_delta(code_a, code_b) if delta is None else delta
         pos[code_a], pos[code_b] = pos[code_b], pos[code_a]
         return self._total
 
     def resync(self) -> int:
         """Recompute the total from scratch (verification hook)."""
-        if self._replay:
-            self._dbc_cost = {
-                d: self._replay_dbc(d) for d in self._dbc_codes
-            }
-            self._total = sum(self._dbc_cost.values())
-            return self._total
         pos = np.asarray(self._pos, dtype=np.int64)
         self._total = int((self._w * np.abs(pos[self._a] - pos[self._b])).sum())
         return self._total

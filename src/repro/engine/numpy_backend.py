@@ -81,8 +81,9 @@ def boundaries_array(domains: int, ports: int) -> np.ndarray:
 def single_port_warm_total(dbc: np.ndarray, slot: np.ndarray) -> int:
     """Total warm-start single-port shifts for per-access dbc/slot arrays.
 
-    The minimal kernel behind the analytic cost model's fast path (the
-    GA's fitness loop): sum of intra-DBC consecutive slot distances.
+    The minimal kernel behind :func:`repro.core.cost.cost_from_arrays`,
+    the one-candidate fast path: sum of intra-DBC consecutive slot
+    distances.
     """
     if dbc.size <= 1:
         return 0

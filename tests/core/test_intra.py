@@ -5,7 +5,6 @@ import pytest
 from repro.core.cost import shift_cost
 from repro.core.intra import (
     INTRA_HEURISTICS,
-    annealed_order,
     chen_order,
     ofu_order,
     optimal_order,
@@ -14,7 +13,6 @@ from repro.core.intra import (
     tsp_order,
 )
 from repro.core.placement import Placement
-from repro.errors import SolverError
 from repro.trace.sequence import AccessSequence
 
 HEURISTICS = [ofu_order, chen_order, shifts_reduce_order, tsp_order]
@@ -156,21 +154,3 @@ class TestRegistry:
     def test_registry_contains_paper_heuristics(self):
         assert {"OFU", "Chen", "SR"} <= set(INTRA_HEURISTICS)
 
-
-class TestMultiPortNeedsTrackLength:
-    """Multi-port cost depends on the track length, so it is never guessed.
-
-    On Fig. 3 with two ports, a track as long as the DBC's variable count
-    prices ``dcifbahge`` at 17 shifts; on a 512-domain track it costs 73.
-    """
-
-    @pytest.mark.parametrize("order_fn", [tsp_order, annealed_order])
-    def test_ports_without_domains_rejected(self, fig3_sequence, order_fn):
-        with pytest.raises(SolverError, match="domains"):
-            order_fn(fig3_sequence, fig3_sequence.variables, ports=2)
-
-    @pytest.mark.parametrize("order_fn", [tsp_order, annealed_order])
-    def test_ports_with_domains_accepted(self, fig3_sequence, order_fn):
-        order = order_fn(fig3_sequence, fig3_sequence.variables, ports=2,
-                         domains=512)
-        assert sorted(order) == sorted(fig3_sequence.variables)

@@ -52,14 +52,13 @@ class TestRandomWalk:
             random_walk_search(fig3_sequence, 2, 512, iterations=10,
                                history_stride=stride)
 
-    @pytest.mark.parametrize("ports", [1, 2])
     @pytest.mark.parametrize("accesses,num_dbcs,capacity", [
         (FIG3_ACCESSES, 2, 512),
         (FIG3_ACCESSES, 3, 3),  # every location filled
         (list("abcacb"), 3, 1),  # every candidate costs 0: the first drawn wins
     ], ids=["fig3", "fig3-full", "all-tied"])
     def test_result_follows_from_the_scored_candidates(
-        self, monkeypatch, accesses, num_dbcs, capacity, ports
+        self, monkeypatch, accesses, num_dbcs, capacity
     ):
         """Holds on any RNG stream: the result is the first cheapest
         candidate scored, and the history is the running minimum."""
@@ -73,16 +72,15 @@ class TestRandomWalk:
             return costs
 
         monkeypatch.setattr(random_walk, "evaluate_batch", spy)
-        domains = 64 if ports > 1 else None
         result = random_walk_search(
             sequence, num_dbcs, capacity, iterations=1300, rng=5,
-            history_stride=250, ports=ports, domains=domains,
+            history_stride=250,
         )
         dbc_of, pos_of, costs = (np.concatenate(a) for a in zip(*scored))
         assert costs.size == 1300
         first = int(np.argmin(costs))
         assert result.cost == costs[first] == shift_cost(
-            sequence, result.placement, ports=ports, domains=domains
+            sequence, result.placement
         )
         result.placement.validate_for(
             sequence, num_dbcs=num_dbcs, capacity=capacity

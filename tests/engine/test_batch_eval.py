@@ -2,7 +2,8 @@
 
 The contract: :func:`repro.engine.evaluate_batch` and
 :class:`repro.engine.DeltaCost` must agree *exactly* — same integers —
-with scoring each candidate through the per-access reference backend.
+with scoring each candidate through the per-access reference backend
+at one port.
 The searchers built on top (GA, RW, annealing) must keep producing
 seed-for-seed identical results to the pre-batch scalar implementations,
 which the regression pins at the bottom lock down.
@@ -24,8 +25,8 @@ from repro.engine import (
 from repro.errors import SimulationError
 
 
-def reference_scores(codes, dbc_of, pos_of, num_dbcs, domains, ports, warm):
-    """Per-candidate totals through the per-access oracle backend."""
+def reference_scores(codes, dbc_of, pos_of, num_dbcs, domains, warm):
+    """Per-candidate single-port totals through the per-access oracle."""
     backend = get_backend("reference")
     out = []
     for k in range(dbc_of.shape[0]):
@@ -35,8 +36,7 @@ def reference_scores(codes, dbc_of, pos_of, num_dbcs, domains, ports, warm):
         result = backend.run(
             ShiftRequest(
                 dbc=dbc_of[k][codes], slot=pos_of[k][codes],
-                num_dbcs=num_dbcs, domains=domains, ports=ports,
-                warm_start=warm,
+                num_dbcs=num_dbcs, domains=domains, warm_start=warm,
             )
         )
         out.append(result.shifts)
@@ -45,9 +45,8 @@ def reference_scores(codes, dbc_of, pos_of, num_dbcs, domains, ports, warm):
 
 class TestEvaluateBatch:
     @pytest.mark.parametrize("population", [1, 8, 64])
-    @pytest.mark.parametrize("ports", [1, 2, 4])
-    def test_matches_reference_backend(self, population, ports):
-        rng = np.random.default_rng(1000 * population + 10 * ports + 1)
+    def test_matches_reference_backend(self, population):
+        rng = np.random.default_rng(1000 * population + 11)
         for trial in range(4):
             num_vars = int(rng.integers(1, 14))
             accesses = int(rng.integers(0, 80))
@@ -56,12 +55,9 @@ class TestEvaluateBatch:
             codes = rng.integers(0, num_vars, accesses)
             dbc_of = rng.integers(0, num_dbcs, (population, num_vars))
             pos_of = rng.integers(0, domains, (population, num_vars))
-            got = evaluate_batch(
-                codes, dbc_of, pos_of, num_dbcs=num_dbcs, domains=domains,
-                ports=ports,
-            )
+            got = evaluate_batch(codes, dbc_of, pos_of, num_dbcs=num_dbcs)
             want = reference_scores(
-                codes, dbc_of, pos_of, num_dbcs, domains, ports, True
+                codes, dbc_of, pos_of, num_dbcs, domains, True
             )
             assert list(got) == want
 
@@ -71,9 +67,9 @@ class TestEvaluateBatch:
         codes = rng.integers(0, 9, 700)
         dbc_of = rng.integers(0, 3, (5, 9))
         pos_of = rng.integers(0, 40, (5, 9))
-        got = evaluate_batch(codes, dbc_of, pos_of, num_dbcs=3, domains=40)
+        got = evaluate_batch(codes, dbc_of, pos_of, num_dbcs=3)
         assert list(got) == reference_scores(
-            codes, dbc_of, pos_of, 3, 40, 1, True
+            codes, dbc_of, pos_of, 3, 40, True
         )
 
     def test_chunked_flat_key_range(self):
@@ -82,9 +78,9 @@ class TestEvaluateBatch:
         codes = rng.integers(0, 20, 50)
         dbc_of = rng.integers(0, 600, (150, 20))
         pos_of = rng.integers(0, 64, (150, 20))
-        got = evaluate_batch(codes, dbc_of, pos_of, num_dbcs=600, domains=64)
+        got = evaluate_batch(codes, dbc_of, pos_of, num_dbcs=600)
         assert list(got) == reference_scores(
-            codes, dbc_of, pos_of, 600, 64, 1, True
+            codes, dbc_of, pos_of, 600, 64, True
         )
 
     def test_single_candidate_promotion(self):
@@ -92,7 +88,7 @@ class TestEvaluateBatch:
         codes = rng.integers(0, 6, 30)
         dbc_of = rng.integers(0, 2, 6)
         pos_of = rng.integers(0, 8, 6)
-        got = evaluate_batch(codes, dbc_of, pos_of, num_dbcs=2, domains=8)
+        got = evaluate_batch(codes, dbc_of, pos_of, num_dbcs=2)
         assert got.shape == (1,)
         assert int(got[0]) == cost_from_arrays(codes, dbc_of, pos_of, 2)
 
@@ -102,7 +98,6 @@ class TestEvaluateBatch:
             np.empty((3, 4), dtype=np.int64),
             np.empty((3, 4), dtype=np.int64),
             num_dbcs=2,
-            domains=8,
         ).tolist() == [0, 0, 0]
 
     def test_validation(self):
@@ -110,14 +105,37 @@ class TestEvaluateBatch:
         ok = np.zeros((2, 2), dtype=np.int64)
         with pytest.raises(SimulationError):
             evaluate_batch(codes, ok, np.zeros((3, 2)), num_dbcs=1)
+        with pytest.raises(SimulationError, match="num_dbcs"):
+            evaluate_batch(codes, ok, ok, num_dbcs=0)
         with pytest.raises(SimulationError):
-            evaluate_batch(codes, ok + 5, ok, num_dbcs=2, domains=4)
-        with pytest.raises(SimulationError):
-            evaluate_batch(codes, ok, ok + 9, num_dbcs=2, domains=4)
-        with pytest.raises(SimulationError):  # multi-port needs geometry
-            evaluate_batch(codes, ok, ok, num_dbcs=2, ports=2)
+            evaluate_batch(codes, ok + 5, ok, num_dbcs=2)
+        with pytest.raises(SimulationError):  # negative slots
+            evaluate_batch(codes, ok, ok - 1, num_dbcs=2)
         with pytest.raises(SimulationError):  # codes outside the candidates
-            evaluate_batch(np.array([7]), ok, ok, num_dbcs=2, domains=4)
+            evaluate_batch(np.array([7]), ok, ok, num_dbcs=2)
+
+    def test_placeholder_entries_on_unaccessed_variables_stay_legal(self):
+        # The range checks prefer the (K, V) matrices but the contract
+        # only constrains entries the trace gathers: placeholder DBC /
+        # slot values on never-accessed variables must not raise.
+        codes = np.array([0, 1, 0, 1])
+        dbc_of = np.array([[0, 0, 99]])  # variable 2 never accessed
+        pos_of = np.array([[0, 1, -7]])
+        got = evaluate_batch(codes, dbc_of, pos_of, num_dbcs=1)
+        assert got.tolist() == reference_scores(
+            codes, dbc_of, pos_of, 1, 2, True
+        )
+        # Accessed violations still raise.
+        with pytest.raises(SimulationError, match="location -7"):
+            evaluate_batch(
+                codes, np.zeros((1, 3), dtype=np.int64),
+                np.array([[0, -7, 1]]), num_dbcs=1,
+            )
+        with pytest.raises(SimulationError, match="dbc indices"):
+            evaluate_batch(
+                codes, np.array([[0, 99, 0]]), np.array([[0, 1, 2]]),
+                num_dbcs=1,
+            )
 
     def test_malformed_candidate_rejected(self):
         # Right element count, but one code duplicated and one missing:
@@ -152,7 +170,7 @@ class TestDeltaCost:
         def oracle():
             return reference_scores(
                 codes, dbc_of[None, :], pos[None, :], num_dbcs,
-                int(pos.max()) + 1, 1, True,
+                int(pos.max()) + 1, True,
             )[0]
 
         assert evaluator.cost == oracle()

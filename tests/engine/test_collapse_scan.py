@@ -1,4 +1,4 @@
-"""Bit-identity of the constant-collapse wide-port scan vs the oracle.
+"""Bit-identity of the multi-port replay scans vs the oracle.
 
 Wide ports (``p**p > 256``) replay through ``_scan_collapse``: maps are
 ``(const, rows)`` pairs, prefix states collapse to scalars at the first
@@ -7,6 +7,9 @@ map rows. These tests pin every dispatch path — Hillis–Steele doubling
 (``n <= _DOUBLING_MAX``), the collapse chase beyond it, block-boundary
 lengths, and the degenerate all-constant / constant-free map streams —
 against the per-access reference backend, across ``p in {3, 5, 8}``.
+The blocked scan past ``_DOUBLING_MAX`` is also pinned at 2 and 4 ports
+(the packed-table path), together with the cached geometry tables both
+paths read.
 """
 
 import numpy as np
@@ -18,6 +21,9 @@ from repro.engine.numpy_backend import (
     _SCAN_BLOCK,
     _gap_maps,
     _scan_collapse,
+    _transition_tables,
+    boundaries_array,
+    positions_array,
 )
 
 REFERENCE = get_backend("reference")
@@ -77,6 +83,21 @@ class TestScanPathDispatch:
         assert_equivalent(
             request_for(slots, ports, domains=200_000, seed=ports)
         )
+
+    @pytest.mark.parametrize("ports", [2, 4, 8])
+    def test_blocked_scan_matches_doubling_scale(self, ports):
+        # One request past _DOUBLING_MAX exercises the blocked two-level
+        # scan (packed for ports <= 4, explicit maps for 8).
+        rng = np.random.default_rng(ports)
+        n = _DOUBLING_MAX + 1500
+        req = ShiftRequest(
+            dbc=rng.integers(0, 6, n), slot=rng.integers(0, 64, n),
+            num_dbcs=6, domains=64, ports=ports,
+            init_offsets=rng.integers(-20, 21, 6),
+            init_aligned=rng.integers(0, 2, 6).astype(bool),
+            warm_start=False,
+        )
+        assert NUMPY.run(req) == REFERENCE.run(req)
 
 
 class TestBlockBoundaries:
@@ -144,23 +165,22 @@ class TestDegenerateMapStreams:
         assert_equivalent(request_for(slots, ports, dbcs=2, seed=ports))
 
 
-class TestPopulationInheritsCollapse:
-    @pytest.mark.parametrize("ports", WIDE_PORTS)
-    def test_evaluate_batch_matches_reference(self, ports):
-        from repro.engine import evaluate_batch
+class TestCachedGeometryTables:
+    """Per-(domains, ports) tables are built once and shared."""
 
-        rng = np.random.default_rng(41 + ports)
-        variables, trace, k, dbcs, domains = 16, 700, 12, 4, 64
-        codes = rng.integers(0, variables, trace)
-        dbc_of = rng.integers(0, dbcs, (k, variables))
-        pos_of = rng.integers(0, domains, (k, variables))
-        got = evaluate_batch(codes, dbc_of, pos_of, num_dbcs=dbcs,
-                             domains=domains, ports=ports)
-        want = [
-            REFERENCE.run(ShiftRequest(
-                dbc=dbc_of[i, codes], slot=pos_of[i, codes],
-                num_dbcs=dbcs, domains=domains, ports=ports,
-            )).shifts
-            for i in range(k)
-        ]
-        assert list(got) == want
+    def test_tables_are_cached_and_frozen(self):
+        for fn in (positions_array, boundaries_array, _transition_tables):
+            a = fn(128, 4)
+            assert fn(128, 4) is a  # identity: no rebuild per matrix cell
+            assert not a.flags.writeable
+
+    def test_transition_table_shapes(self):
+        packed = _transition_tables(64, 2)     # packed: one int per gap
+        assert packed.shape == (127,)
+        rows, const = _gap_maps(64, 8)         # wide: rows plus const lane
+        assert rows.shape == (127, 8)
+        assert const.shape == (127,)
+        # Constant lane agrees with the rows it summarizes.
+        is_const = rows[:, 0] == rows[:, -1]
+        assert np.array_equal(const >= 0, is_const)
+        assert np.array_equal(const[is_const], rows[is_const, 0])

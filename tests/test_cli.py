@@ -40,6 +40,26 @@ class TestSim:
         assert "shifts" in capsys.readouterr().out
 
 
+class TestDeviceArgs:
+    """A device the flags cannot build is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--ports", "0", "ports"),
+        ("--dbcs", "0", "dbcs"),
+        ("--domains", "0", "domains"),
+        ("--ports", "300", "ports"),  # more ports than the 256 domains
+    ], ids=["ports-0", "dbcs-0", "domains-0", "ports-300"])
+    @pytest.mark.parametrize("main", [main_place, main_sim],
+                             ids=["place", "sim"])
+    def test_bad_geometry_exits_2(self, trace_file, capsys, main, flag,
+                                  value, field):
+        with pytest.raises(SystemExit) as exc:
+            main([trace_file, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert field in err and value in err
+
+
 class TestSuite:
     def test_lists_programs(self, capsys):
         assert main_suite(["--scale", "0.12", "adpcm", "dct"]) == 0
