@@ -27,12 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.inter.afd import afd_partition
-from repro.core.inter.dma import dma_placement
+from repro.core.inter.dma import dma_partition
 from repro.core.inter.random_inter import group_ranks, random_partition_arrays
 from repro.core.intra import chen_order, ofu_order, shifts_reduce_order
-from repro.core.placement import Placement
+from repro.core.placement import Placement, check_room, intra_pass
 from repro.engine import evaluate_batch, stack_candidate_arrays
-from repro.errors import CapacityError, SolverError
+from repro.errors import SolverError
 from repro.trace.liveness import Liveness
 from repro.trace.sequence import AccessSequence
 from repro.util.rng import ensure_rng
@@ -98,11 +98,7 @@ class GeneticPlacer:
         config: GAConfig | None = None,
         rng: int | np.random.Generator | None = None,
     ) -> None:
-        if sequence.num_variables > num_dbcs * capacity:
-            raise CapacityError(
-                f"{sequence.num_variables} variables exceed {num_dbcs} x "
-                f"{capacity} locations"
-            )
+        check_room(sequence.num_variables, num_dbcs, capacity)
         self.sequence = sequence
         self.num_dbcs = num_dbcs
         self.capacity = capacity
@@ -126,11 +122,13 @@ class GeneticPlacer:
     def seed_individuals(self) -> tuple[np.ndarray, np.ndarray]:
         """Heuristic placements seeding the population, as ``(dbc_of, pos_of)``.
 
-        DMA with ShiftsReduce, Chen, OFU and no intra-DBC step, then AFD.
+        DMA with ShiftsReduce, Chen, OFU and no intra-DBC step, all from
+        one DMA partition, then AFD.
         """
         seq, q, cap = self.sequence, self.num_dbcs, self.capacity
+        dbcs, k = dma_partition(seq, q, cap)
         seeds = [
-            dma_placement(seq, q, cap, intra=intra).dbc_lists()
+            intra_pass(seq, dbcs, k, intra).dbc_lists()
             for intra in (shifts_reduce_order, chen_order, ofu_order, None)
         ]
         seeds.append(afd_partition(seq, q, cap))

@@ -8,8 +8,10 @@ lifespan (line 10's test) — i.e. when dedicating the port to it wins more
 self-accesses than it forfeits. ``Vdj`` is packed into the first
 ``K = ceil(|Vdj| / N)`` DBCs in access order (so serving it costs at most
 ``|Vdj| - 1`` shifts per DBC); the remaining variables go to the other
-DBCs by descending frequency, where any single-DBC heuristic (OFU, Chen,
-ShiftsReduce, ...) can then optimize each DBC independently.
+DBCs by AFD's deal (:func:`~repro.core.inter.afd.frequency_deal`), where
+any single-DBC heuristic (OFU, Chen, ShiftsReduce, ...) can then optimize
+each DBC independently. With no disjoint DBC (``K = 0``) DMA deals
+exactly as AFD.
 
 On the paper's running example this reproduces Fig. 3-(d/e) exactly:
 ``Vdj = {b, c, d, e, h}`` with total frequency 11, and the final
@@ -19,18 +21,14 @@ placement costs 11 shifts against AFD's 39.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.placement import Placement
-from repro.errors import CapacityError
+from repro.core.inter.afd import frequency_deal
+from repro.core.placement import IntraHeuristic, Placement, check_room, intra_pass
 from repro.trace.liveness import NEVER, Liveness
 from repro.trace.sequence import AccessSequence
-
-#: An intra-DBC heuristic: (full sequence, DBC variables) -> ordered variables.
-IntraHeuristic = Callable[[AccessSequence, Sequence[str]], list[str]]
 
 
 @dataclass(frozen=True)
@@ -152,66 +150,32 @@ def dma_partition(
     is capped at ``q - 1`` and the excess (largest first occurrences)
     rejoins the non-disjoint set.
     """
-    if num_dbcs < 1:
-        raise CapacityError(f"need at least one DBC, got {num_dbcs}")
-    if capacity < 1:
-        raise CapacityError(f"capacity must be >= 1, got {capacity}")
-    if sequence.num_variables > num_dbcs * capacity:
-        raise CapacityError(
-            f"{sequence.num_variables} variables exceed {num_dbcs} DBCs x "
-            f"{capacity} locations"
-        )
+    check_room(sequence.num_variables, num_dbcs, capacity)
     split = dma_split(sequence)
     vdj = list(split.vdj)
     vndj = list(split.vndj)
 
-    k = math.ceil(len(vdj) / capacity) if vdj else 0
+    k = math.ceil(len(vdj) / capacity)
     if fairness_guard and vdj:
         var_share = len(vdj) / sequence.num_variables
         total_accesses = max(len(sequence), 1)
         access_share = split.disjoint_frequency_sum / total_accesses
         fair = math.floor(num_dbcs * max(var_share, access_share) + 0.5)
         k = min(k, fair)
-        if k == 0:
-            vndj = vdj + vndj
-            vdj = []
     if vndj and k >= num_dbcs:
         k = num_dbcs - 1
-    if len(vdj) > k * capacity:  # trim to the DBCs actually granted
-        keep = k * capacity
-        vdj, overflow = vdj[:keep], vdj[keep:]
-        vndj = overflow + vndj  # overflow keeps precedence by early F
+    # Trim Vdj to the DBCs granted; the excess joins the frequency deal.
+    vndj += vdj[k * capacity:]
+    del vdj[k * capacity:]
 
     dbcs: list[list[str]] = [[] for _ in range(num_dbcs)]
     # Lines 14-17: deal Vdj round-robin over DBCs 0..K-1 in ascending F.
     for i, v in enumerate(vdj):
         dbcs[i % k].append(v)
 
-    # Lines 18-21: deal Vndj over DBCs K..q-1 by descending frequency.
-    freq = sequence.frequencies
-    vndj.sort(key=lambda v: (-int(freq[sequence.index_of(v)]), sequence.index_of(v)))
-    targets = list(range(k, num_dbcs)) or list(range(num_dbcs))
-    cursor = 0
-    spill: list[str] = []
-    for v in vndj:
-        placed = False
-        for _ in range(len(targets)):
-            dbc = dbcs[targets[cursor % len(targets)]]
-            cursor += 1
-            if len(dbc) < capacity:
-                dbc.append(v)
-                placed = True
-                break
-        if not placed:
-            spill.append(v)
-    # Spill into disjoint DBCs' remaining tail slots (documented deviation).
-    for v in spill:
-        for dbc in dbcs:
-            if len(dbc) < capacity:
-                dbc.append(v)
-                break
-        else:  # pragma: no cover - excluded by the capacity pre-check
-            raise CapacityError("no free location left during DMA distribution")
+    # Lines 18-21: AFD's deal of Vndj over DBCs K..q-1. Overflow spills
+    # into the disjoint DBCs' tail slots (documented deviation).
+    frequency_deal(sequence, dbcs, vndj, k, capacity)
     return dbcs, k
 
 
@@ -232,8 +196,4 @@ def dma_placement(
     dbcs, k = dma_partition(
         sequence, num_dbcs, capacity, fairness_guard=fairness_guard
     )
-    if intra is not None:
-        for i in range(k, len(dbcs)):
-            if len(dbcs[i]) > 1:
-                dbcs[i] = intra(sequence, dbcs[i])
-    return Placement(dbcs)
+    return intra_pass(sequence, dbcs, k, intra)

@@ -5,21 +5,19 @@ in the same DBC and in different DBCs — instead of the single chain
 Algorithm 1 extracts. This module implements that: it repeatedly runs the
 DMA scan on the still-unassigned variables, harvesting successive
 disjoint chains, then packs the chains into DBCs (each chain keeps its
-access order; chains stacked in one DBC are separated naturally by their
-ordering) and deals whatever remains by frequency.
+access order; chains stacked in one DBC are merged into first-occurrence
+order) and deals whatever remains over the other DBCs with AFD's deal
+(:func:`~repro.core.inter.afd.frequency_deal`), exactly as single-set
+DMA deals its non-disjoint variables.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-
+from repro.core.inter.afd import frequency_deal
 from repro.core.inter.dma import dma_split
-from repro.core.placement import Placement
-from repro.errors import CapacityError
+from repro.core.placement import IntraHeuristic, Placement, check_room, intra_pass
 from repro.trace.liveness import Liveness
 from repro.trace.sequence import AccessSequence
-
-IntraHeuristic = Callable[[AccessSequence, Sequence[str]], list[str]]
 
 
 def extract_disjoint_sets(
@@ -65,15 +63,7 @@ def multiset_dma_partition(
     like Algorithm 1 does for ``Vdj``. Returns ``(dbc_lists,
     num_chain_dbcs)``.
     """
-    if num_dbcs < 1:
-        raise CapacityError(f"need at least one DBC, got {num_dbcs}")
-    if capacity < 1:
-        raise CapacityError(f"capacity must be >= 1, got {capacity}")
-    if sequence.num_variables > num_dbcs * capacity:
-        raise CapacityError(
-            f"{sequence.num_variables} variables exceed {num_dbcs} DBCs x "
-            f"{capacity} locations"
-        )
+    check_room(sequence.num_variables, num_dbcs, capacity)
     chains, leftovers = extract_disjoint_sets(sequence, max_sets=max_sets)
     freq = sequence.frequencies
     total_accesses = max(len(sequence), 1)
@@ -121,31 +111,9 @@ def multiset_dma_partition(
         for i in merged:
             dbcs[i].sort(key=live.first)
 
-    leftovers = sorted(
-        dict.fromkeys(leftovers),
-        key=lambda v: (-int(freq[sequence.index_of(v)]), sequence.index_of(v)),
-    )
-    targets = list(range(used, num_dbcs)) or list(range(num_dbcs))
-    cursor = 0
-    spill: list[str] = []
-    for v in leftovers:
-        placed = False
-        for _ in range(len(targets)):
-            dbc = dbcs[targets[cursor % len(targets)]]
-            cursor += 1
-            if len(dbc) < capacity:
-                dbc.append(v)
-                placed = True
-                break
-        if not placed:
-            spill.append(v)
-    for v in spill:
-        for dbc in dbcs:
-            if len(dbc) < capacity:
-                dbc.append(v)
-                break
-        else:  # pragma: no cover - excluded by the capacity pre-check
-            raise CapacityError("no free location left during multi-set DMA")
+    # The leftovers take AFD's deal over the DBCs no chain claimed (over
+    # every DBC when chains hold them all).
+    frequency_deal(sequence, dbcs, leftovers, used, capacity)
     return dbcs, used
 
 
@@ -160,8 +128,4 @@ def multiset_dma_placement(
     dbcs, used = multiset_dma_partition(
         sequence, num_dbcs, capacity, max_sets=max_sets
     )
-    if intra is not None:
-        for i in range(used, len(dbcs)):
-            if len(dbcs[i]) > 1:
-                dbcs[i] = intra(sequence, dbcs[i])
-    return Placement(dbcs)
+    return intra_pass(sequence, dbcs, used, intra)

@@ -4,21 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import CapacityError
+from repro.core.placement import check_room
 from repro.trace.sequence import AccessSequence
 from repro.util.rng import ensure_rng
-
-
-def _check_room(num_variables: int, num_dbcs: int, capacity: int) -> None:
-    if num_dbcs < 1:
-        raise CapacityError(f"need at least one DBC, got {num_dbcs}")
-    if capacity < 1:
-        raise CapacityError(f"capacity must be >= 1, got {capacity}")
-    if num_variables > num_dbcs * capacity:
-        raise CapacityError(
-            f"{num_variables} variables exceed {num_dbcs} DBCs x "
-            f"{capacity} locations"
-        )
 
 
 def random_partition(
@@ -33,7 +21,7 @@ def random_partition(
     among DBCs with free locations, so both the partition and the
     resulting intra-DBC insertion orders are random.
     """
-    _check_room(sequence.num_variables, num_dbcs, capacity)
+    check_room(sequence.num_variables, num_dbcs, capacity)
     gen = ensure_rng(rng)
     variables = list(sequence.variables)
     gen.shuffle(variables)
@@ -71,7 +59,7 @@ def random_partition_arrays(
     redrawing would favour rows that filled fast and bias the DBC sizes.
     While ``num_variables <= capacity`` no label is ever skipped.
     """
-    _check_room(num_variables, num_dbcs, capacity)
+    check_room(num_variables, num_dbcs, capacity)
     gen = ensure_rng(rng)
     n = num_variables
     # Per row, the DBC and slot of each placement step, in step order.

@@ -7,7 +7,7 @@ list of variables stored in that DBC — list position = intra-DBC location.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 
 import numpy as np
@@ -171,3 +171,40 @@ class Placement:
                 f"cannot pad {self.num_dbcs} DBCs down to {num_dbcs}"
             )
         return Placement(self._dbcs + ((),) * (num_dbcs - self.num_dbcs))
+
+
+#: An intra-DBC heuristic: (full sequence, DBC variables) -> ordered variables.
+IntraHeuristic = Callable[[AccessSequence, Sequence[str]], list[str]]
+
+
+def check_room(num_variables: int, num_dbcs: int, capacity: int | None) -> None:
+    """Raise :class:`CapacityError` unless ``num_variables`` fit ``num_dbcs
+    >= 1`` DBCs of ``capacity >= 1`` locations (``None``: unbounded)."""
+    if num_dbcs < 1:
+        raise CapacityError(f"need at least one DBC, got {num_dbcs}")
+    if capacity is None:
+        return
+    if capacity < 1:
+        raise CapacityError(f"capacity must be >= 1, got {capacity}")
+    if num_variables > num_dbcs * capacity:
+        raise CapacityError(
+            f"{num_variables} variables exceed {num_dbcs} DBCs x "
+            f"{capacity} locations"
+        )
+
+
+def intra_pass(
+    sequence: AccessSequence,
+    dbcs: Sequence[Sequence[str]],
+    kept: int,
+    intra: IntraHeuristic | None,
+) -> Placement:
+    """The placement of partition ``dbcs`` (left unmodified) after ``intra``
+    orders each DBC from index ``kept`` on that holds two or more
+    variables; ``intra=None`` keeps every DBC's order."""
+    if intra is not None:
+        dbcs = [
+            intra(sequence, list(d)) if i >= kept and len(d) > 1 else d
+            for i, d in enumerate(dbcs)
+        ]
+    return Placement(dbcs)

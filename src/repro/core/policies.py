@@ -5,6 +5,11 @@ and ``DMA-SR`` (the contribution paired with intra-DBC optimizers),
 ``GA`` and ``RW``. This registry adds the raw Fig. 3 variants and the
 extension policies (TSP intra, multi-set DMA) used by the ablations.
 
+Every deterministic policy is a pair (partition, intra): AFD, DMA or
+multi-set DMA yields the DBC lists and the count ``kept`` of leading
+DBCs whose order is final (DMA's chains; 0 for AFD), then
+:func:`~repro.core.placement.intra_pass` orders the rest with ``intra``.
+
 Every policy maps ``(sequence, num_dbcs, capacity[, rng])`` to a
 :class:`~repro.core.placement.Placement`; deterministic policies ignore
 the rng.
@@ -12,15 +17,15 @@ the rng.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.ga import GAConfig, GeneticPlacer
-from repro.core.inter.afd import afd_partition, afd_placement
-from repro.core.inter.dma import dma_placement
-from repro.core.inter.multiset import multiset_dma_placement
+from repro.core.inter.afd import afd_partition
+from repro.core.inter.dma import dma_partition
+from repro.core.inter.multiset import multiset_dma_partition
 from repro.core.intra import (
     INTRA_HEURISTICS,
     _default_annealed,
@@ -29,7 +34,7 @@ from repro.core.intra import (
     shifts_reduce_order,
     tsp_order,
 )
-from repro.core.placement import Placement
+from repro.core.placement import IntraHeuristic, Placement, intra_pass
 from repro.core.random_walk import DEFAULT_ITERATIONS, random_walk_search
 from repro.errors import SolverError
 from repro.trace.sequence import AccessSequence
@@ -38,6 +43,10 @@ from repro.util.rng import ensure_rng
 PlaceFn = Callable[
     [AccessSequence, int, int, np.random.Generator], Placement
 ]
+
+#: An inter-DBC partition: ``(sequence, q, capacity) -> (dbc_lists,
+#: kept)``, where the intra pass leaves DBCs ``0..kept-1`` as they are.
+Partition = Callable[[AccessSequence, int, int], tuple[list[list[str]], int]]
 
 #: The six configurations evaluated throughout Sec. IV.
 PAPER_POLICIES: tuple[str, ...] = (
@@ -81,43 +90,18 @@ class Policy:
         return placement.padded(num_dbcs)
 
 
-def _apply_intra(
-    sequence: AccessSequence,
-    dbcs: Sequence[Sequence[str]],
-    intra: Callable[[AccessSequence, Sequence[str]], list[str]],
-) -> Placement:
-    return Placement(
-        [intra(sequence, list(d)) if len(d) > 1 else list(d) for d in dbcs]
-    )
+def _afd(seq, q, cap) -> tuple[list[list[str]], int]:
+    return afd_partition(seq, q, cap), 0
 
 
-def _afd_raw(seq, q, cap, _rng) -> Placement:
-    return afd_placement(seq, q, cap)
+def _heuristic(partition: Partition, intra: IntraHeuristic | None = None):
+    """The registry builder of the deterministic policy partition x intra."""
 
-
-def _afd_with(intra) -> PlaceFn:
     def fn(seq, q, cap, _rng) -> Placement:
-        return _apply_intra(seq, afd_partition(seq, q, cap), intra)
+        dbcs, kept = partition(seq, q, cap)
+        return intra_pass(seq, dbcs, kept, intra)
 
-    return fn
-
-
-def _dma_raw(seq, q, cap, _rng) -> Placement:
-    return dma_placement(seq, q, cap, intra=None)
-
-
-def _dma_with(intra) -> PlaceFn:
-    def fn(seq, q, cap, _rng) -> Placement:
-        return dma_placement(seq, q, cap, intra=intra)
-
-    return fn
-
-
-def _mdma_with(intra) -> PlaceFn:
-    def fn(seq, q, cap, _rng) -> Placement:
-        return multiset_dma_placement(seq, q, cap, intra=intra)
-
-    return fn
+    return lambda: (fn, True)
 
 
 def _ga_policy(**options) -> PlaceFn:
@@ -142,22 +126,22 @@ def _rw_policy(iterations: int = DEFAULT_ITERATIONS) -> PlaceFn:
 
 _BUILDERS: dict[str, Callable[..., tuple[PlaceFn, bool]]] = {
     # Paper's six configurations.
-    "AFD-OFU": lambda: (_afd_with(ofu_order), True),
-    "DMA-OFU": lambda: (_dma_with(ofu_order), True),
-    "DMA-Chen": lambda: (_dma_with(chen_order), True),
-    "DMA-SR": lambda: (_dma_with(shifts_reduce_order), True),
+    "AFD-OFU": _heuristic(_afd, ofu_order),
+    "DMA-OFU": _heuristic(dma_partition, ofu_order),
+    "DMA-Chen": _heuristic(dma_partition, chen_order),
+    "DMA-SR": _heuristic(dma_partition, shifts_reduce_order),
     "GA": lambda **kw: (_ga_policy(**kw), False),
     "RW": lambda **kw: (_rw_policy(**kw), False),
     # Raw Fig. 3 variants (no intra-DBC optimization).
-    "AFD": lambda: (_afd_raw, True),
-    "DMA": lambda: (_dma_raw, True),
+    "AFD": _heuristic(_afd),
+    "DMA": _heuristic(dma_partition),
     # Cross products and extensions for the ablation studies.
-    "AFD-Chen": lambda: (_afd_with(chen_order), True),
-    "AFD-SR": lambda: (_afd_with(shifts_reduce_order), True),
-    "DMA-TSP": lambda: (_dma_with(tsp_order), True),
-    "DMA-SA": lambda: (_dma_with(_default_annealed), True),
-    "MDMA-OFU": lambda: (_mdma_with(ofu_order), True),
-    "MDMA-SR": lambda: (_mdma_with(shifts_reduce_order), True),
+    "AFD-Chen": _heuristic(_afd, chen_order),
+    "AFD-SR": _heuristic(_afd, shifts_reduce_order),
+    "DMA-TSP": _heuristic(dma_partition, tsp_order),
+    "DMA-SA": _heuristic(dma_partition, _default_annealed),
+    "MDMA-OFU": _heuristic(multiset_dma_partition, ofu_order),
+    "MDMA-SR": _heuristic(multiset_dma_partition, shifts_reduce_order),
 }
 
 

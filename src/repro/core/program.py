@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.cost import shift_cost
-from repro.core.placement import Placement
+from repro.core.placement import Placement, check_room
 from repro.core.policies import Policy, get_policy
-from repro.errors import CapacityError, PlacementError
+from repro.errors import PlacementError
 from repro.trace.generators.synthetic import concat_sequences
 from repro.trace.sequence import AccessSequence
 
@@ -90,11 +90,7 @@ def place_program(
     if isinstance(policy, str):
         policy = get_policy(policy)
     fused = fuse_sequences(sequences)
-    if fused.num_variables > num_dbcs * capacity:
-        raise CapacityError(
-            f"program needs {fused.num_variables} locations, device has "
-            f"{num_dbcs} x {capacity}"
-        )
+    check_room(fused.num_variables, num_dbcs, capacity)
     placement = policy.place(fused, num_dbcs, capacity, rng=rng)
     return ProgramPlacement(
         placement=placement,

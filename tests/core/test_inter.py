@@ -161,6 +161,15 @@ class TestMultiset:
         multi = multiset_dma_placement(seq, 4, 256, intra=shifts_reduce_order)
         assert shift_cost(seq, multi) <= shift_cost(seq, single) * 1.5
 
+    def test_leftovers_deal_over_every_dbc_when_chains_hold_all(self):
+        # Chain abcdef takes both DBCs; chain xyz fits no chain DBC and
+        # is given up, so the deal round-robins over every DBC.
+        seq = AccessSequence(list("axaaa" "bybbb" "czccc" "dddd" "eeee" "ffff"))
+        assert extract_disjoint_sets(seq) == ([list("abcdef"), list("xyz")], [])
+        dbcs, used = multiset_dma_partition(seq, 2, 5)
+        assert used == 2
+        assert dbcs == [list("acexz"), list("bdfy")]
+
     def test_placement_applies_intra_to_leftover_dbcs(self, small_sequence):
         placement = multiset_dma_placement(
             small_sequence, 4, 64, intra=shifts_reduce_order
