@@ -200,6 +200,22 @@ class ShiftCursor:
             faults=faults,
         )
 
+    def fork(self) -> "ShiftCursor":
+        """A cursor that continues this one's device state — offsets,
+        alignment, drift, the corruption flag and the access count —
+        with every counter at zero."""
+        child = ShiftCursor(
+            self.num_dbcs, self.domains, self.ports, self.warm_start,
+            self._backend,
+            init_offsets=self._offsets,
+            init_aligned=self._aligned,
+            fault=self.fault,
+            access_base=self.access_base + self._accesses,
+            init_drifts=self._drifts,
+        )
+        child._corrupted = self._corrupted
+        return child
+
     def reset(self) -> None:
         """Return to the cold initial state (offset 0, unaligned, zeros)."""
         self._offsets = np.zeros(self.num_dbcs, dtype=np.int64)

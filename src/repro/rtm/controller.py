@@ -8,9 +8,9 @@ memory or streamed from disk — replays the same way: each of its
 :meth:`~repro.trace.trace.MemoryTrace.chunks` is compiled to flat
 ``(dbc, slot)`` arrays and advanced through one
 :class:`~repro.engine.ShiftCursor` on an engine backend (vectorized
-numpy by default, the per-access reference loop on request), with the
-per-DBC shift state carried between ``execute`` calls exactly as the
-old per-access device loop did.
+numpy by default, the per-access reference loop on request). The
+device state carries over between ``execute`` calls; each report
+counts its own call's accesses and shifts.
 """
 
 from __future__ import annotations
@@ -121,12 +121,7 @@ class RTMController:
                 )
             scrub_interval = int(scrub_interval)
         self.scrub_interval = scrub_interval
-        self._offsets = np.zeros(config.dbcs, dtype=np.int64)
-        self._aligned = np.zeros(config.dbcs, dtype=bool)
-        self._per_dbc_shifts = np.zeros(config.dbcs, dtype=np.int64)
-        self._drifts = np.zeros(config.dbcs, dtype=np.int64)
-        self._corrupted = False
-        self._accesses_done = 0
+        self.reset()
 
     # -- execution -----------------------------------------------------------
 
@@ -147,28 +142,20 @@ class RTMController:
                 var_dbc[code], var_slot[code] = loc
         return var_dbc, var_slot
 
-    def _report(
-        self,
-        reads: int,
-        writes: int,
-        shifts: int,
-        *,
-        scrub_shifts: int = 0,
-        scrub_events: int = 0,
-        fault_injected: int = 0,
-        fault_misaligned: int = 0,
-    ) -> SimReport:
-        """Price integer access/shift totals into one :class:`SimReport`.
+    def _report(self, reads: int, writes: int, cursor: ShiftCursor) -> SimReport:
+        """Price one ``execute``'s integer totals into a :class:`SimReport`.
 
-        Building the report once from accumulated *integer* counters
-        (instead of summing per-chunk float reports) is what keeps it
-        float-bit-identical for any chunk size. Scrub shifts are real
-        device shifts — they pay latency and shift energy like any
-        other — but stay out of ``shifts``/``per_dbc_shifts`` so
-        placement traffic remains comparable across fault settings.
+        ``cursor`` replayed exactly that call's accesses. Building the
+        report once from its *integer* counters (instead of summing
+        per-chunk float reports) is what keeps it float-bit-identical
+        for any chunk size. Scrub shifts are real device shifts — they
+        pay latency and shift energy like any other — but stay out of
+        ``shifts``/``per_dbc_shifts`` so placement traffic remains
+        comparable across fault settings.
         """
         p = self.params
-        device_shifts = shifts + scrub_shifts
+        shifts = cursor.shifts
+        device_shifts = shifts + cursor.scrub_shifts
         runtime = (
             device_shifts * p.shift_latency_ns
             + reads * p.read_latency_ns
@@ -176,7 +163,7 @@ class RTMController:
         )
         histogram: tuple[tuple[int, int], ...] = ()
         if self.fault is not None:
-            drifts = self._drifts[self._drifts != 0]
+            drifts = cursor.drifts[cursor.drifts != 0]
             values, counts = np.unique(drifts, return_counts=True)
             histogram = tuple(
                 (int(v), int(c)) for v, c in zip(values, counts)
@@ -193,28 +180,13 @@ class RTMController:
             shift_energy_pj=device_shifts * p.shift_energy_pj,
             leakage_energy_pj=p.leakage_mw * runtime,
             area_mm2=p.area_mm2,
-            per_dbc_shifts=tuple(int(s) for s in self._per_dbc_shifts),
-            fault_injected=fault_injected,
-            fault_misaligned=fault_misaligned,
-            fault_corrupted=self._corrupted,
-            scrub_shifts=scrub_shifts,
-            scrub_events=scrub_events,
+            per_dbc_shifts=tuple(int(s) for s in cursor.per_dbc_shifts),
+            fault_injected=cursor.fault_injected,
+            fault_misaligned=cursor.fault_misaligned,
+            fault_corrupted=cursor.corrupted,
+            scrub_shifts=cursor.scrub_shifts,
+            scrub_events=cursor.scrub_events,
             drift_histogram=histogram,
-        )
-
-    def _make_cursor(self) -> ShiftCursor:
-        """A cursor seeded with the controller's full carried state."""
-        return ShiftCursor(
-            num_dbcs=self.config.dbcs,
-            domains=self.config.domains_per_track,
-            ports=self.config.ports_per_track,
-            warm_start=self.warm_start,
-            backend=self._backend,
-            init_offsets=self._offsets,
-            init_aligned=self._aligned,
-            fault=self.fault,
-            access_base=self._accesses_done,
-            init_drifts=self._drifts if self.fault is not None else None,
         )
 
     def _replay_scrubbed(
@@ -242,16 +214,6 @@ class RTMController:
             if (cursor.access_base + cursor.accesses) % interval == 0:
                 cursor.scrub()
 
-    def _absorb_cursor(self, cursor: ShiftCursor) -> None:
-        """Carry a finished cursor's state back into the controller."""
-        self._offsets = cursor.offsets
-        self._aligned = cursor.aligned
-        self._per_dbc_shifts += cursor.per_dbc_shifts
-        self._accesses_done += cursor.accesses
-        if self.fault is not None:
-            self._drifts = np.asarray(cursor.drifts, dtype=np.int64)
-            self._corrupted = self._corrupted or cursor.corrupted
-
     def execute(self, trace: MemoryTrace) -> SimReport:
         """Run one trace to completion and report counters and energy."""
         return self.execute_stream(trace)
@@ -262,10 +224,10 @@ class RTMController:
         ``trace`` is anything with ``variables`` and ``chunks()``
         yielding :class:`~repro.trace.trace.TraceChunk`-shaped objects —
         a :class:`~repro.trace.trace.MemoryTrace` or a
-        :class:`~repro.trace.streaming.StreamingTrace`. A
-        :class:`~repro.engine.ShiftCursor` seeded with the controller's
-        carried shift state advances over the chunks, so chained
-        ``execute`` calls keep their semantics; by the cursor's
+        :class:`~repro.trace.streaming.StreamingTrace`. A fork of the
+        controller's device cursor (its state, zeroed counters) advances
+        over the chunks, so chained ``execute`` calls continue one device
+        and each report counts its own call; by the cursor's
         associativity contract the report is bit-identical — integer
         counters *and* derived floats — for any chunk size.
 
@@ -282,7 +244,7 @@ class RTMController:
         var_dbc, var_slot = self._variable_luts(variables)
         unplaced = var_dbc < 0
         check = bool(unplaced.any())
-        cursor = self._make_cursor()
+        cursor = self._device.fork()
         reads = writes = 0
         for chunk in trace.chunks():
             codes = chunk.codes
@@ -298,24 +260,16 @@ class RTMController:
             reads += int(codes.size) - w
             for hook in chunk_hooks:
                 hook(chunk, dbc, slot)
-        self._absorb_cursor(cursor)
-        return self._report(
-            reads, writes, cursor.shifts,
-            scrub_shifts=cursor.scrub_shifts,
-            scrub_events=cursor.scrub_events,
-            fault_injected=cursor.fault_injected,
-            fault_misaligned=cursor.fault_misaligned,
-        )
+        self._device = cursor
+        return self._report(reads, writes, cursor)
 
     def reset(self) -> None:
         """Return all DBCs to the unaligned initial state."""
-        self._offsets = np.zeros(self.config.dbcs, dtype=np.int64)
-        self._aligned = np.zeros(self.config.dbcs, dtype=bool)
-        self._per_dbc_shifts = np.zeros(self.config.dbcs, dtype=np.int64)
-        self._drifts = np.zeros(self.config.dbcs, dtype=np.int64)
-        self._corrupted = False
-        self._accesses_done = 0
-
-    @property
-    def total_shifts(self) -> int:
-        return int(self._per_dbc_shifts.sum())
+        self._device = ShiftCursor(
+            num_dbcs=self.config.dbcs,
+            domains=self.config.domains_per_track,
+            ports=self.config.ports_per_track,
+            warm_start=self.warm_start,
+            backend=self._backend,
+            fault=self.fault,
+        )

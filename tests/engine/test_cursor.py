@@ -107,6 +107,20 @@ class TestCursorApi:
         cursor.replay_chunk(dbc, slot, writes=np.array([True] * 5 + [False] * 3))
         assert cursor.writes == 5
 
+    def test_fork_continues_state_with_zeroed_counters(self):
+        dbc, slot = random_accesses(seed=5, n=20)
+        whole = ShiftCursor(NUM_DBCS, DOMAINS)
+        whole.replay_chunk(dbc[:10], slot[:10])
+        fork = whole.fork()
+        assert fork.accesses == fork.shifts == 0
+        assert fork.access_base == 10
+        second = fork.replay_chunk(dbc[10:], slot[10:])
+        assert fork.shifts == second.shifts
+        assert fork.per_dbc_shifts.tolist() == list(second.per_dbc_shifts)
+        whole.replay_chunk(dbc[10:], slot[10:])
+        assert np.array_equal(fork.offsets, whole.offsets)
+        assert np.array_equal(fork.aligned, whole.aligned)
+
     def test_reset_returns_to_cold_state(self):
         dbc, slot = random_accesses(seed=5, n=8)
         cursor = ShiftCursor(NUM_DBCS, DOMAINS)

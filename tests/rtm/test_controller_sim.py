@@ -62,6 +62,17 @@ class TestController:
         with pytest.raises(PlacementError):
             RTMController(config, FakePlacement())
 
+    def test_chained_executes_count_their_own_shifts(self):
+        """A reused controller continues one device, and each report
+        counts its own call's shifts, per DBC as in total."""
+        ctrl = RTMController(RTMConfig(dbcs=2, domains_per_track=8),
+                             Placement([("a", "b", "c"), ("d", "e")]))
+        first = ctrl.execute(MemoryTrace.from_accesses(list("abcadeab")))
+        second = ctrl.execute(MemoryTrace.from_accesses(list("cbaedc")))
+        assert (first.shifts, second.shifts) == (6, 6)
+        for report in (first, second, first + second):
+            assert sum(report.per_dbc_shifts) == report.shifts
+
     def test_reset_between_traces(self, config, fig3_trace, fig3_placement):
         ctrl = RTMController(config, fig3_placement)
         first = ctrl.execute(fig3_trace)
