@@ -292,7 +292,7 @@ def ablation_swapping(
     totals = {"AFD-OFU": 0, "AFD-OFU+swap": 0, "DMA-SR": 0}
     swaps = 0
     for trace in bench.traces:
-        seq = trace.sequence
+        seq = trace.placement_sequence()
         afd = get_policy("AFD-OFU").place(seq, num_dbcs, cap)
         dma = get_policy("DMA-SR").place(seq, num_dbcs, cap)
         totals["AFD-OFU"] += simulate(trace, afd, config).shifts

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.errors import SimulationError
-from repro.rtm.controller import placement_locations
+from repro.rtm.controller import placement_locations, trace_operations
 from repro.rtm.device import DBCState
 from repro.rtm.geometry import RTMConfig
 from repro.rtm.timing import MemoryParams, params_for
-from repro.trace.trace import MemoryTrace
 
 
 class PreshiftPolicy(str, Enum):
@@ -91,11 +90,11 @@ class PreshiftController:
         predicted = last + self._last_stride[dbc_index]
         return max(0, min(predicted, self.config.domains_per_track - 1))
 
-    def execute(self, trace: MemoryTrace) -> PreshiftReport:
+    def execute(self, trace) -> PreshiftReport:
         p = self.params
         demand = idle = 0
         latency = 0.0
-        for name, is_write in trace.operations():
+        for name, is_write in trace_operations(trace):
             dbc_index, slot = self._location.get(name, (None, None))
             if dbc_index is None:
                 raise SimulationError(f"variable {name!r} has no location")

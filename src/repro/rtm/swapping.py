@@ -20,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
-from repro.rtm.controller import placement_locations
+from repro.rtm.controller import placement_locations, trace_operations
 from repro.rtm.device import DBCState
 from repro.rtm.geometry import RTMConfig
 from repro.rtm.report import SimReport
 from repro.rtm.timing import MemoryParams, params_for
-from repro.trace.trace import MemoryTrace
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ class SwappingController:
             self._location[neighbour] = (dbc_index, slot)
         return 1, extra_shifts, 2
 
-    def execute(self, trace: MemoryTrace) -> tuple[SimReport, SwapStats]:
+    def execute(self, trace) -> tuple[SimReport, SwapStats]:
         """Run the trace; returns the usual report plus swap statistics.
 
         Swap costs are folded into the report (shift counters, read/write
@@ -130,7 +129,7 @@ class SwappingController:
         reads = writes = shifts = 0
         swaps = swap_shifts = swap_moves = 0
         runtime = 0.0
-        for name, is_write in trace.operations():
+        for name, is_write in trace_operations(trace):
             dbc_index, slot = self.location_of(name)
             moved = self._dbcs[dbc_index].access(
                 slot, warm_start=self.warm_start

@@ -1,5 +1,9 @@
 """Unit tests for the library-level ablation experiments."""
 
+from dataclasses import replace
+
+import numpy as np
+
 from repro.eval.ablations import (
     ablation_faults,
     ablation_multiset,
@@ -47,6 +51,19 @@ class TestSwapping:
         result = ablation_swapping(TINY, benchmark="jpeg")
         assert [r[0] for r in result.rows] == \
             ["AFD-OFU", "AFD-OFU+swap", "DMA-SR"]
+
+    def test_streamed_workload_matches_in_memory(self, tmp_path):
+        path = tmp_path / "app.trc"
+        rng = np.random.default_rng(4)
+        path.write_text("".join(
+            f"0x{0x400 + 8 * a:x}\n" for a in rng.integers(0, 24, 300)
+        ))
+        bare, streamed = (
+            ablation_swapping(replace(TINY, workloads=(spec,)))
+            for spec in (f"file:{path}", f"file:{path},stream=1")
+        )
+        assert streamed.rows == bare.rows
+        assert streamed.summary == bare.summary
 
 
 class TestDbcSweep:

@@ -88,3 +88,24 @@ class TestReport:
         placement = Placement([tuple("abcd")])
         report = execute(config, placement, list("abcd"), PreshiftPolicy.NONE)
         assert report.accesses == 4
+
+
+@pytest.mark.parametrize("policy", list(PreshiftPolicy))
+def test_streamed_trace_replays_as_in_memory(tmp_path, policy):
+    import numpy as np
+
+    from repro.core.policies import get_policy
+    from repro.trace.streaming import stream_address_trace
+
+    path = tmp_path / "app.trc"
+    words = np.random.default_rng(4).integers(0, 24, 300)
+    path.write_text("".join(f"0x{0x400 + 8 * w:x}\n" for w in words))
+    streamed = stream_address_trace(path, chunk=7)
+    config = RTMConfig(dbcs=2, domains_per_track=64)
+    placement = get_policy("AFD-OFU").place(streamed.placement_sequence(), 2, 64)
+    reports = [
+        PreshiftController(config, placement, policy=policy).execute(trace)
+        for trace in (streamed, streamed.materialize())
+    ]
+    assert reports[0] == reports[1]
+    assert reports[0].accesses == 300
