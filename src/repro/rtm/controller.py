@@ -15,8 +15,6 @@ counts its own call's accesses and shifts.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
 from repro.engine import FaultModel, get_backend
@@ -57,20 +55,6 @@ def placement_locations(placement, config: RTMConfig) -> dict[str, tuple[int, in
                 raise PlacementError(f"variable {name!r} placed twice")
             location[name] = (dbc_index, slot)
     return location
-
-
-def trace_operations(trace) -> Iterator[tuple[str, bool]]:
-    """``(variable, is_write)`` per access of a trace, in order.
-
-    The access loop of the per-access controllers (swapping and
-    pre-shifting): like :class:`RTMController` it reads ``variables``
-    and :meth:`~repro.trace.trace.MemoryTrace.chunks`, so it takes an
-    in-memory or a streamed trace alike.
-    """
-    variables = trace.variables
-    for chunk in trace.chunks():
-        for code, is_write in zip(chunk.codes.tolist(), chunk.writes.tolist()):
-            yield variables[code], is_write
 
 
 class RTMController:

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.errors import SimulationError
-from repro.rtm.controller import placement_locations, trace_operations
+from repro.rtm.controller import placement_locations
 from repro.rtm.device import DBCState
 from repro.rtm.geometry import RTMConfig
 from repro.rtm.timing import MemoryParams, params_for
+from repro.trace.trace import trace_operations
 
 
 class PreshiftPolicy(str, Enum):

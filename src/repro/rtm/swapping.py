@@ -20,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
-from repro.rtm.controller import placement_locations, trace_operations
+from repro.rtm.controller import placement_locations
 from repro.rtm.device import DBCState
 from repro.rtm.geometry import RTMConfig
 from repro.rtm.report import SimReport
 from repro.rtm.timing import MemoryParams, params_for
+from repro.trace.trace import trace_operations
 
 
 @dataclass(frozen=True)

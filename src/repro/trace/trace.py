@@ -10,13 +10,14 @@ here and the disk-backed
 ``variables`` (the universe), ``len()``, :meth:`~MemoryTrace.chunks`
 (read-only :class:`TraceChunk`\\ s of at most :data:`REPLAY_CHUNK`
 accesses) and :meth:`~MemoryTrace.placement_sequence` (the
-:class:`AccessSequence` placement policies see). Only the in-memory
-trace also exposes its whole ``sequence`` and ``writes``.
+:class:`AccessSequence` placement policies see), and
+:func:`trace_operations` walks either one access at a time. Only the
+in-memory trace also exposes its whole ``sequence`` and ``writes``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,10 +172,18 @@ class MemoryTrace:
         """The sequence placement policies see: the whole trace."""
         return self._seq
 
-    def operations(self) -> Iterable[tuple[str, bool]]:
-        """Yield ``(variable, is_write)`` per access, in order."""
-        for name, w in zip(self._seq, self._writes):
-            yield name, bool(w)
+
+def trace_operations(trace) -> Iterator[tuple[str, bool]]:
+    """``(variable, is_write)`` per access of any trace, in order.
+
+    It reads only ``variables`` and ``chunks()``, so the per-access
+    controllers (swapping, pre-shifting) that replay through it take an
+    in-memory or a streamed trace alike, as the simulator does.
+    """
+    variables = trace.variables
+    for chunk in trace.chunks():
+        for code, is_write in zip(chunk.codes.tolist(), chunk.writes.tolist()):
+            yield variables[code], is_write
 
 
 def _first_access_writes(sequence: AccessSequence) -> np.ndarray:

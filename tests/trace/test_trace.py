@@ -5,14 +5,14 @@ import pytest
 
 from repro.errors import TraceError
 from repro.trace.sequence import AccessSequence
-from repro.trace.trace import MemoryTrace
+from repro.trace.trace import MemoryTrace, trace_operations
 
 
 class TestDefaults:
     def test_first_access_of_each_variable_is_write(self, fig3_sequence):
         trace = MemoryTrace(fig3_sequence)
         firsts = {}
-        for i, (name, is_write) in enumerate(trace.operations()):
+        for i, (name, is_write) in enumerate(trace_operations(trace)):
             if name not in firsts:
                 firsts[name] = i
                 assert is_write, f"first access of {name} should be a write"
@@ -78,7 +78,7 @@ class TestProtocol:
 
     def test_operations_order(self):
         trace = MemoryTrace.from_accesses(["x", "y"])
-        ops = list(trace.operations())
+        ops = list(trace_operations(trace))
         assert [n for n, _ in ops] == ["x", "y"]
 
     def test_variables_exposed(self, fig3_trace):
