@@ -115,7 +115,6 @@ class GeneticPlacer:
         order = Liveness(sequence).first_occurrence_order()
         self._xover_rank = np.empty_like(order)
         self._xover_rank[order] = np.arange(order.size)
-        self.evaluations = 0
 
     # -- population ------------------------------------------------------------
 
@@ -136,7 +135,6 @@ class GeneticPlacer:
 
     def score(self, dbc_of: np.ndarray, pos_of: np.ndarray) -> np.ndarray:
         """Shift costs of population rows in one batched engine pass."""
-        self.evaluations += dbc_of.shape[0]
         return evaluate_batch(self._codes, dbc_of, pos_of, num_dbcs=self.num_dbcs)
 
     def initial_population(self) -> tuple[np.ndarray, np.ndarray]:
@@ -291,6 +289,7 @@ class GeneticPlacer:
         cfg = self.config
         dbc_of, pos_of = self.initial_population()
         costs = self.score(dbc_of, pos_of)
+        evaluations = costs.size
         best = int(np.argmin(costs))
         best_cost, best_dbc, best_pos = int(costs[best]), dbc_of[best], pos_of[best]
         history = [best_cost]
@@ -301,7 +300,9 @@ class GeneticPlacer:
             child_dbc, child_pos = self.breed(dbc_of, pos_of, costs)
             pool_dbc = np.concatenate([dbc_of, child_dbc])
             pool_pos = np.concatenate([pos_of, child_pos])
-            pool_costs = np.concatenate([costs, self.score(child_dbc, child_pos)])
+            child_costs = self.score(child_dbc, child_pos)
+            evaluations += child_costs.size
+            pool_costs = np.concatenate([costs, child_costs])
             keep = self.tournament(pool_costs, cfg.mu)
             gen_best = int(np.argmin(pool_costs))
             if cfg.elitism:
@@ -321,7 +322,7 @@ class GeneticPlacer:
                 self.sequence.variables, best_dbc, best_pos, self.num_dbcs
             ),
             cost=best_cost,
-            evaluations=self.evaluations,
+            evaluations=evaluations,
             generations_run=generations_run,
             history=history,
         )

@@ -1,9 +1,11 @@
 """Resumable chunked replay: the :class:`ShiftCursor`.
 
 A cursor is the engine-side half of streaming replay: it owns the
-per-DBC head state (``offsets``/``aligned``) plus the accumulated
-access/shift/write counters, and :meth:`ShiftCursor.replay_chunk`
-advances all of it by one compiled chunk. Because both backends'
+per-DBC head state (``offsets``/``aligned``) plus the access and shift
+counters of the chunks it replayed, and :meth:`ShiftCursor.replay_chunk`
+advances all of it by one compiled chunk. A caller that reports per
+call replays each call on a :meth:`ShiftCursor.fork`, which carries the
+head state on and starts every counter at zero. Because both backends'
 monoid-scan formulations accept a carry-in (``init_offsets``/
 ``init_aligned`` on :class:`~repro.engine.types.ShiftRequest`), the
 scan is associative across chunk boundaries: replaying a trace in
@@ -99,7 +101,6 @@ class ShiftCursor:
         self._per_dbc_shifts = np.zeros(self.num_dbcs, dtype=np.int64)
         self._accesses = 0
         self._shifts = 0
-        self._writes = 0
         self._fault_injected = 0
         self._fault_misaligned = 0
         self._corrupted = False
@@ -108,17 +109,11 @@ class ShiftCursor:
 
     # -- replay --------------------------------------------------------------
 
-    def replay_chunk(
-        self,
-        dbc: np.ndarray,
-        slot: np.ndarray,
-        writes: np.ndarray | None = None,
-    ) -> ShiftResult:
+    def replay_chunk(self, dbc: np.ndarray, slot: np.ndarray) -> ShiftResult:
         """Advance the cursor by one compiled chunk.
 
         ``dbc``/``slot`` are the chunk's per-access arrays (trace
-        order); ``writes`` optionally feeds the cursor's write counter
-        for energy accounting. Returns the chunk's own
+        order). Returns the chunk's own
         :class:`~repro.engine.types.ShiftResult` (counters for *this*
         chunk; final state = the cursor's new state).
         """
@@ -143,8 +138,6 @@ class ShiftCursor:
                                            dtype=np.int64)
         self._accesses += result.accesses
         self._shifts += result.shifts
-        if writes is not None:
-            self._writes += int(np.count_nonzero(writes))
         if result.faults is not None:
             self._drifts = np.asarray(result.faults.final_drifts,
                                       dtype=np.int64)
@@ -216,21 +209,6 @@ class ShiftCursor:
         child._corrupted = self._corrupted
         return child
 
-    def reset(self) -> None:
-        """Return to the cold initial state (offset 0, unaligned, zeros)."""
-        self._offsets = np.zeros(self.num_dbcs, dtype=np.int64)
-        self._aligned = np.zeros(self.num_dbcs, dtype=bool)
-        self._drifts = np.zeros(self.num_dbcs, dtype=np.int64)
-        self._per_dbc_shifts = np.zeros(self.num_dbcs, dtype=np.int64)
-        self._accesses = 0
-        self._shifts = 0
-        self._writes = 0
-        self._fault_injected = 0
-        self._fault_misaligned = 0
-        self._corrupted = False
-        self._scrub_shifts = 0
-        self._scrub_events = 0
-
     # -- accessors -----------------------------------------------------------
 
     @property
@@ -254,10 +232,6 @@ class ShiftCursor:
     @property
     def shifts(self) -> int:
         return self._shifts
-
-    @property
-    def writes(self) -> int:
-        return self._writes
 
     @property
     def drifts(self) -> np.ndarray:

@@ -72,7 +72,7 @@ class RTMController:
         Calibrated parameters; derived from ``config`` when omitted.
     warm_start:
         Whether each DBC's first access aligns for free (the paper's cost
-        convention; see DESIGN.md §6).
+        convention; see docs/substitution.md).
     backend:
         Engine backend name or instance; defaults to the process-wide
         default (``REPRO_BACKEND`` or vectorized numpy).
@@ -156,11 +156,7 @@ class RTMController:
         p = self.params
         shifts = cursor.shifts
         device_shifts = shifts + cursor.scrub_shifts
-        runtime = (
-            device_shifts * p.shift_latency_ns
-            + reads * p.read_latency_ns
-            + writes * p.write_latency_ns
-        )
+        runtime = p.runtime_ns(device_shifts, reads, writes)
         histogram: tuple[tuple[int, int], ...] = ()
         if self.fault is not None:
             drifts = cursor.drifts[cursor.drifts != 0]

@@ -19,10 +19,13 @@ from repro.engine.semantics import port_positions, step
 
 
 class DBCState:
-    """Mutable shift state of one DBC during simulation."""
+    """Mutable head state of one DBC: its offset and whether it is aligned.
 
-    __slots__ = ("domains", "positions", "offset", "aligned", "shifts",
-                 "accesses", "max_excursion")
+    It keeps no counters: callers add up the shifts :meth:`access`
+    returns for whatever span they report.
+    """
+
+    __slots__ = ("domains", "positions", "offset", "aligned")
 
     def __init__(self, domains: int, ports: int = 1) -> None:
         self.domains = domains
@@ -31,9 +34,6 @@ class DBCState:
         #: False until the first access (supports the paper's cost
         #: convention that the port starts aligned with the first access).
         self.aligned = False
-        self.shifts = 0
-        self.accesses = 0
-        self.max_excursion = 0
 
     def access(self, location: int, warm_start: bool = True) -> int:
         """Shift ``location`` under its nearest port; returns the shifts.
@@ -47,14 +47,4 @@ class DBCState:
             location, warm_start,
         )
         self.aligned = True
-        self.shifts += cost
-        self.accesses += 1
-        self.max_excursion = max(self.max_excursion, abs(self.offset))
         return cost
-
-    def reset(self) -> None:
-        self.offset = 0
-        self.aligned = False
-        self.shifts = 0
-        self.accesses = 0
-        self.max_excursion = 0

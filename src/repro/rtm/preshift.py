@@ -92,18 +92,17 @@ class PreshiftController:
         return max(0, min(predicted, self.config.domains_per_track - 1))
 
     def execute(self, trace) -> PreshiftReport:
+        """Run the trace. Head state and stride history carry over
+        between calls; each report counts its own call."""
         p = self.params
-        demand = idle = 0
-        latency = 0.0
+        demand = idle = writes = 0
         for name, is_write in trace_operations(trace):
             dbc_index, slot = self._location.get(name, (None, None))
             if dbc_index is None:
                 raise SimulationError(f"variable {name!r} has no location")
             dbc = self._dbcs[dbc_index]
-            moved = dbc.access(slot, warm_start=self.warm_start)
-            demand += moved
-            latency += moved * p.shift_latency_ns
-            latency += p.write_latency_ns if is_write else p.read_latency_ns
+            demand += dbc.access(slot, warm_start=self.warm_start)
+            writes += is_write
             last = self._last_slot[dbc_index]
             self._last_stride[dbc_index] = 0 if last is None else slot - last
             self._last_slot[dbc_index] = slot
@@ -115,6 +114,6 @@ class PreshiftController:
             demand_shifts=demand,
             idle_shifts=idle,
             accesses=len(trace),
-            latency_ns=latency,
+            latency_ns=p.runtime_ns(demand, len(trace) - writes, writes),
             shift_energy_pj=(demand + idle) * p.shift_energy_pj,
         )

@@ -78,8 +78,6 @@ class SwappingController:
         ]
         self._counters: dict[str, int] = {v: 0 for v in self._location}
         self._home = config.domains_per_track // 2
-        self.swaps = 0
-        self.swap_shifts = 0
 
     # -- execution ---------------------------------------------------------
 
@@ -95,21 +93,22 @@ class SwappingController:
             for v in self._counters:
                 self._counters[v] //= 2
 
-    def _maybe_swap(self, variable: str) -> tuple[int, int, int]:
+    def _maybe_swap(self, variable: str) -> int | None:
         """Swap ``variable`` one slot toward the port home if it is hotter
-        than its inward neighbour. Returns (swaps, extra_shifts, moves)."""
+        than its inward neighbour. Returns the swap's shifts, or None
+        when nothing moves."""
         if self._counters[variable] < self.threshold:
-            return 0, 0, 0
+            return None
         dbc_index, slot = self._location[variable]
         slots = self._slots[dbc_index]
         target = slot - 1 if slot > self._home else slot + 1
         if not 0 <= target < len(slots) or target == slot:
-            return 0, 0, 0
+            return None
         neighbour = slots[target]
         if neighbour is not None and (
             self._counters.get(neighbour, 0) >= self._counters[variable]
         ):
-            return 0, 0, 0
+            return None
         # Perform the swap: both words are read and rewritten; the track
         # is already aligned at `slot`, reaching `target` costs |delta|.
         extra_shifts = self._dbcs[dbc_index].access(target)
@@ -117,64 +116,54 @@ class SwappingController:
         self._location[variable] = (dbc_index, target)
         if neighbour is not None:
             self._location[neighbour] = (dbc_index, slot)
-        return 1, extra_shifts, 2
+        return extra_shifts
 
     def execute(self, trace) -> tuple[SimReport, SwapStats]:
         """Run the trace; returns the usual report plus swap statistics.
 
         Swap costs are folded into the report (shift counters, read/write
         energy and latency), so reports are directly comparable with the
-        static controller's.
+        static controller's. Placement, counters and head state carry
+        over between calls; each report counts its own call.
         """
         p = self.params
-        reads = writes = shifts = 0
-        swaps = swap_shifts = swap_moves = 0
-        runtime = 0.0
+        per_dbc = [0] * self.config.dbcs
+        writes = swaps = swap_shifts = 0
         for name, is_write in trace_operations(trace):
             dbc_index, slot = self.location_of(name)
-            moved = self._dbcs[dbc_index].access(
+            per_dbc[dbc_index] += self._dbcs[dbc_index].access(
                 slot, warm_start=self.warm_start
             )
-            shifts += moved
-            runtime += moved * p.shift_latency_ns
-            if is_write:
-                writes += 1
-                runtime += p.write_latency_ns
-            else:
-                reads += 1
-                runtime += p.read_latency_ns
+            writes += is_write
             self._bump(name)
-            did, extra, moves = self._maybe_swap(name)
-            swaps += did
-            swap_shifts += extra
-            swap_moves += moves
-            if did:
-                # each moved word is read at its old slot, written at the new
-                runtime += moves * (p.read_latency_ns + p.write_latency_ns)
-                runtime += extra * p.shift_latency_ns
-        total_shifts = shifts + swap_shifts
-        total_reads = reads + swap_moves
-        total_writes = writes + swap_moves
+            extra = self._maybe_swap(name)
+            if extra is not None:
+                swaps += 1
+                swap_shifts += extra
+                per_dbc[dbc_index] += extra
+        reads = len(trace) - writes
+        # each swap reads both words at their old slots and writes them
+        # at the new ones
+        shifts, moves = sum(per_dbc), 2 * swaps
+        runtime = p.runtime_ns(shifts, reads + moves, writes + moves)
         report = SimReport(
             dbcs=self.config.dbcs,
             accesses=reads + writes,
             reads=reads,
             writes=writes,
-            shifts=total_shifts,
+            shifts=shifts,
             runtime_ns=runtime,
-            read_energy_pj=total_reads * p.read_energy_pj,
-            write_energy_pj=total_writes * p.write_energy_pj,
-            shift_energy_pj=total_shifts * p.shift_energy_pj,
+            read_energy_pj=(reads + moves) * p.read_energy_pj,
+            write_energy_pj=(writes + moves) * p.write_energy_pj,
+            shift_energy_pj=shifts * p.shift_energy_pj,
             leakage_energy_pj=p.leakage_mw * runtime,
             area_mm2=p.area_mm2,
-            per_dbc_shifts=tuple(d.shifts for d in self._dbcs),
+            per_dbc_shifts=tuple(per_dbc),
         )
         stats = SwapStats(
             swaps=swaps,
             swap_shifts=swap_shifts,
-            swap_reads=swap_moves,
-            swap_writes=swap_moves,
+            swap_reads=moves,
+            swap_writes=moves,
         )
-        self.swaps = swaps
-        self.swap_shifts = swap_shifts
         return report, stats

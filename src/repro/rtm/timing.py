@@ -37,6 +37,14 @@ class MemoryParams:
     shift_latency_ns: float
     area_mm2: float
 
+    def runtime_ns(self, shifts: int, reads: int, writes: int) -> float:
+        """Table I latency of the counts, served one after another."""
+        return (
+            shifts * self.shift_latency_ns
+            + reads * self.read_latency_ns
+            + writes * self.write_latency_ns
+        )
+
     def validate(self) -> None:
         for name in (
             "leakage_mw", "write_energy_pj", "read_energy_pj", "shift_energy_pj",

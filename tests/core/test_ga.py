@@ -210,6 +210,15 @@ class TestRun:
         assert r1.cost == r2.cost
         assert r1.placement == r2.placement
 
+    def test_each_run_counts_its_own_evaluations(self, fig3_sequence):
+        """A placer run twice reports mu + lam x generations each time,
+        not a running total."""
+        ga = GeneticPlacer(fig3_sequence, 2, 512,
+                           GAConfig(mu=8, lam=8, generations=5), rng=1)
+        for _ in range(2):
+            result = ga.run()
+            assert result.evaluations == 8 + 8 * result.generations_run == 48
+
     def test_patience_stops_early(self, fig3_sequence):
         cfg = GAConfig(mu=8, lam=8, generations=100, patience=3)
         result = GeneticPlacer(fig3_sequence, 2, 512, cfg, rng=3).run()

@@ -99,14 +99,6 @@ class TestCursorApi:
         assert first.accesses == second.accesses == 10
         assert cursor.shifts == first.shifts + second.shifts
 
-    def test_write_counter_is_optional(self):
-        dbc, slot = random_accesses(seed=5, n=8)
-        cursor = ShiftCursor(NUM_DBCS, DOMAINS)
-        cursor.replay_chunk(dbc, slot)
-        assert cursor.writes == 0
-        cursor.replay_chunk(dbc, slot, writes=np.array([True] * 5 + [False] * 3))
-        assert cursor.writes == 5
-
     def test_fork_continues_state_with_zeroed_counters(self):
         dbc, slot = random_accesses(seed=5, n=20)
         whole = ShiftCursor(NUM_DBCS, DOMAINS)
@@ -120,18 +112,6 @@ class TestCursorApi:
         whole.replay_chunk(dbc[10:], slot[10:])
         assert np.array_equal(fork.offsets, whole.offsets)
         assert np.array_equal(fork.aligned, whole.aligned)
-
-    def test_reset_returns_to_cold_state(self):
-        dbc, slot = random_accesses(seed=5, n=8)
-        cursor = ShiftCursor(NUM_DBCS, DOMAINS)
-        cursor.replay_chunk(dbc, slot)
-        cursor.reset()
-        assert cursor.accesses == cursor.shifts == cursor.writes == 0
-        assert not cursor.aligned.any()
-        assert not cursor.offsets.any()
-        mono = monolithic(dbc, slot, None, 1, True)
-        cursor.replay_chunk(dbc, slot)
-        assert_same(cursor.result(), mono)
 
     def test_empty_chunk_is_a_noop(self):
         cursor = ShiftCursor(NUM_DBCS, DOMAINS)

@@ -175,18 +175,3 @@ def test_cursor_scrub_without_fault_rejected():
     cursor = ShiftCursor(num_dbcs=4, domains=32)
     with pytest.raises(SimulationError, match="fault"):
         cursor.scrub()
-
-
-def test_cursor_reset_clears_fault_state():
-    fault = FaultModel(rate=0.3, seed=5)
-    request = _request(fault=fault, accesses=300, seed=6)
-    cursor = ShiftCursor(num_dbcs=4, domains=32, fault=fault)
-    cursor.replay_chunk(request.dbc, request.slot)
-    cursor.scrub()
-    cursor.reset()
-    assert cursor.fault_injected == 0
-    assert cursor.fault_misaligned == 0
-    assert cursor.scrub_shifts == 0
-    assert cursor.scrub_events == 0
-    assert not np.any(cursor.drifts)
-    assert not cursor.corrupted

@@ -10,13 +10,11 @@ class TestWarmStart:
     def test_first_access_free(self):
         dbc = DBCState(64)
         assert dbc.access(40) == 0
-        assert dbc.shifts == 0
 
     def test_second_access_costs_distance(self):
         dbc = DBCState(64)
         dbc.access(40)
         assert dbc.access(45) == 5
-        assert dbc.shifts == 5
 
     def test_same_location_costs_nothing(self):
         dbc = DBCState(64)
@@ -62,26 +60,3 @@ class TestInvariants:
         for loc in (0, 31, 0, 31, 15, 16):
             dbc.access(loc)
             assert abs(dbc.offset) <= 31
-
-    def test_counters(self):
-        dbc = DBCState(64)
-        for loc in (1, 2, 3):
-            dbc.access(loc)
-        assert dbc.accesses == 3
-        assert dbc.shifts == 2
-
-    def test_reset(self):
-        dbc = DBCState(64)
-        dbc.access(5)
-        dbc.access(40)
-        dbc.reset()
-        assert dbc.shifts == 0
-        assert dbc.accesses == 0
-        assert not dbc.aligned
-        assert dbc.access(63) == 0  # warm start applies again
-
-    def test_max_excursion_tracked(self):
-        dbc = DBCState(64)
-        dbc.access(0)
-        dbc.access(63)
-        assert dbc.max_excursion >= 31

@@ -89,6 +89,22 @@ class TestReport:
         report = execute(config, placement, list("abcd"), PreshiftPolicy.NONE)
         assert report.accesses == 4
 
+    @pytest.mark.parametrize("policy", list(PreshiftPolicy))
+    def test_reused_controller_reports_each_call(self, config, policy):
+        """A second call continues the head state and stride history but
+        reports only its own shifts: the same totals as one call over
+        both traces."""
+        placement = Placement([tuple("abcd")])
+        first, second = list("adbdca"), list("cadbad")
+        ctrl = PreshiftController(config, placement, policy=policy)
+        reports = [ctrl.execute(MemoryTrace(AccessSequence(accesses, variables=None)))
+                   for accesses in (first, second)]
+        whole = execute(config, placement, first + second, policy)
+        assert reports[1].accesses == len(second)
+        assert sum(r.demand_shifts for r in reports) == whole.demand_shifts
+        assert sum(r.idle_shifts for r in reports) == whole.idle_shifts
+        assert reports[1].demand_shifts < whole.demand_shifts
+
 
 @pytest.mark.parametrize("policy", list(PreshiftPolicy))
 def test_streamed_trace_replays_as_in_memory(tmp_path, policy):

@@ -105,3 +105,18 @@ class TestComparability:
         dynamic, stats = ctrl.execute(MemoryTrace(seq))
         assert stats.swaps >= 1
         assert dynamic.shifts < static.shifts
+
+
+class TestPerCallReports:
+    def test_reused_controller_reports_each_call(self):
+        """On a reused controller each report's per-DBC shifts are its
+        own call's, so they sum to its shifts."""
+        config = RTMConfig(dbcs=2, domains_per_track=8)
+        placement = Placement([("a", "b", "c"), ("d", "e")])
+        ctrl = SwappingController(config, placement, threshold=1)
+        traces = [MemoryTrace(AccessSequence(list(accesses), variables=list("abcde")))
+                  for accesses in ("abcadeab", "cbaedc")]
+        reports = [ctrl.execute(trace)[0] for trace in traces]
+        assert (reports[1].shifts, reports[1].per_dbc_shifts) == (7, (5, 2))
+        for report in reports + [reports[0] + reports[1]]:
+            assert sum(report.per_dbc_shifts) == report.shifts
