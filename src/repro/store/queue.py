@@ -163,23 +163,7 @@ class WorkQueue:
             conn = self._conn
             conn.execute("BEGIN IMMEDIATE")
             try:
-                # Quarantine expired claims that are out of retry budget.
-                for key, attempts in conn.execute(
-                    "SELECT key, attempts FROM queue WHERE status = 'claimed' "
-                    "AND lease_expiry <= ? AND attempts >= max_attempts",
-                    (now,),
-                ).fetchall():
-                    self._log_error(
-                        key, None, attempts,
-                        "lease expired with retry budget exhausted", now,
-                    )
-                    conn.execute(
-                        "UPDATE queue SET status = 'failed', owner = NULL, "
-                        "lease_expiry = NULL, updated_at = ?, error = "
-                        "COALESCE(error, 'lease expired; retries exhausted') "
-                        "WHERE key = ?",
-                        (now, key),
-                    )
+                self._quarantine_expired(now)
                 rows = conn.execute(
                     "SELECT key FROM queue WHERE status = 'claimed' "
                     "AND lease_expiry <= ? ORDER BY lease_expiry LIMIT ?",
@@ -353,23 +337,7 @@ class WorkQueue:
             conn = self._conn
             conn.execute("BEGIN IMMEDIATE")
             try:
-                for key, attempts in conn.execute(
-                    "SELECT key, attempts FROM queue WHERE status = 'claimed' "
-                    "AND lease_expiry <= ? AND attempts >= max_attempts",
-                    (now,),
-                ).fetchall():
-                    self._log_error(
-                        key, None, attempts,
-                        "lease expired with retry budget exhausted", now,
-                    )
-                    conn.execute(
-                        "UPDATE queue SET status = 'failed', owner = NULL, "
-                        "lease_expiry = NULL, updated_at = ?, error = "
-                        "COALESCE(error, 'lease expired; retries exhausted') "
-                        "WHERE key = ?",
-                        (now, key),
-                    )
-                    result["quarantined"] += 1
+                result["quarantined"] = self._quarantine_expired(now)
                 cur = conn.execute(
                     "UPDATE queue SET status = 'open', owner = NULL, "
                     "lease_expiry = NULL, updated_at = ? "
@@ -403,6 +371,29 @@ class WorkQueue:
 
         self._store._write_with_retry("queue retry-failed", write)
         return retried
+
+    def _quarantine_expired(self, now: float) -> int:
+        """Mark expired claims that are out of retry budget ``failed``,
+        logging one error each (caller holds the transaction). Returns
+        how many were quarantined."""
+        expired = self._conn.execute(
+            "SELECT key, attempts FROM queue WHERE status = 'claimed' "
+            "AND lease_expiry <= ? AND attempts >= max_attempts",
+            (now,),
+        ).fetchall()
+        for key, attempts in expired:
+            self._log_error(
+                key, None, attempts,
+                "lease expired with retry budget exhausted", now,
+            )
+            self._conn.execute(
+                "UPDATE queue SET status = 'failed', owner = NULL, "
+                "lease_expiry = NULL, updated_at = ?, error = "
+                "COALESCE(error, 'lease expired; retries exhausted') "
+                "WHERE key = ?",
+                (now, key),
+            )
+        return len(expired)
 
     def _log_error(
         self, key: str, owner: str | None, attempt: int, error: str,

@@ -132,6 +132,16 @@ class TestLeases:
         assert queue.counts() == {"open": 3, "claimed": 0, "done": 0,
                                   "failed": 0}
 
+    def test_claim_quarantines_expired_claim_out_of_attempts(self, store):
+        queue = WorkQueue(store)
+        queue.submit(make_jobs(1, max_attempts=1))
+        assert queue.claim(1, "w1", lease_s=0.05)
+        time.sleep(0.1)
+        assert queue.claim(1, "w2") == []
+        assert queue.counts()["failed"] == 1
+        [error] = queue.errors()
+        assert (error["key"], error["owner"], error["attempt"]) == ("k0", None, 1)
+
     def test_requeue_expired_reopens_and_quarantines(self, store):
         queue = WorkQueue(store)
         queue.submit(make_jobs(2, max_attempts=1))
