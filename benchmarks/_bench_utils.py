@@ -2,17 +2,23 @@
 
 Rendered artifacts are written to ``results/`` and queued so the
 ``pytest_terminal_summary`` hook (in ``conftest.py``) can echo them into
-the benchmark log. :class:`RssSampler` adds ``psutil``-free peak-memory
-observation (parent + descendant workers) for the parallel benches.
+the benchmark log. :func:`time_pair` and :func:`provenance` are the one
+timing rule and the one host record of the micro-benchmark scripts.
+:class:`RssSampler` adds ``psutil``-free peak-memory observation
+(parent + descendant workers) for the parallel benches.
 """
 
 from __future__ import annotations
 
 import os
+import platform
 import threading
 import time
 from pathlib import Path
 
+import numpy as np
+
+import repro
 from repro.eval.profiles import profile_from_env
 from repro.eval.reporting import render_experiment, save_experiment
 
@@ -42,6 +48,38 @@ def publish_text(title: str, text: str) -> None:
     slug = title.lower().replace(" ", "_").replace("/", "-").replace(":", "")
     (RESULTS_DIR / f"{slug}.txt").write_text(text + "\n", encoding="utf-8")
     REPORTS.append(f"{title}\n{text}")
+
+
+# -- micro-benchmark timing and provenance ------------------------------------
+
+
+def time_pair(fn_a, fn_b, repeats: int) -> tuple[float, float]:
+    """Interleaved best-of-``repeats`` wall seconds of two calls.
+
+    A speedup or overhead ratio compares two timings, so any drift
+    between two back-to-back timing blocks (CPU frequency, cache
+    warmth, a noisy neighbour) would read as a change in the ratio;
+    alternating the calls makes both minima sample the same conditions.
+    """
+    best_a = best_b = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn_a()
+        best_a = min(best_a, time.perf_counter() - start)
+        start = time.perf_counter()
+        fn_b()
+        best_b = min(best_b, time.perf_counter() - start)
+    return best_a, best_b
+
+
+def provenance() -> dict:
+    """The host and versions a benchmark record was measured with."""
+    return {
+        "cores": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "repro": repro.__version__,
+    }
 
 
 # -- psutil-free RSS sampling -------------------------------------------------

@@ -1,9 +1,9 @@
 """A-1 — ablation: GA budget sweep (convergence behaviour).
 
-DESIGN.md calls out the GA's budget (mu = lambda = 100, 200 generations,
-tournament of 4) as a design choice made 'to get best-effort results in
-reasonable time'. This sweep shows the cost/quality trade-off and that
-the heuristic seeding makes even tiny budgets competitive.
+docs/substitution.md records the GA's budget (mu = lambda = 100, 200
+generations, tournament of 4) and how each profile scales it. This
+sweep shows the cost/quality trade-off and that the heuristic seeding
+makes even tiny budgets competitive.
 
 Run as a script, the module additionally records the ``search_scale``
 quality-per-wall-time sweep the ROADMAP asked for — how much extra
@@ -24,7 +24,7 @@ from repro.core.policies import get_policy
 from repro.trace.generators.offsetstone import load_benchmark
 from repro.util.tables import format_table
 
-from _bench_utils import PROFILE, publish_text
+from _bench_utils import PROFILE, provenance, publish_text
 
 BUDGETS = [
     ("seeds only", GAConfig(mu=16, lam=16, generations=0)),
@@ -159,13 +159,7 @@ def _paper_budget(seq, seeds, num_dbcs=4, capacity=256):
 def main(argv=None) -> int:
     import argparse
     import json
-    import os
-    import platform
     from pathlib import Path
-
-    import numpy as np
-
-    import repro
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scales", type=float, nargs="+",
@@ -205,12 +199,7 @@ def main(argv=None) -> int:
     payload = {
         "benchmark": "ga_budget_search_scale",
         "profile": PROFILE.name,
-        "provenance": {
-            "cores": os.cpu_count() or 1,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "repro": repro.__version__,
-        },
+        "provenance": provenance(),
         "sequence": {"name": seq.name, "accesses": len(seq),
                      "variables": seq.num_variables},
         "seeds": args.seeds,

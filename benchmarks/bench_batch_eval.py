@@ -39,15 +39,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-import repro
 from repro.core.cost import (
     cost_from_arrays,
     shift_cost,
@@ -56,6 +53,8 @@ from repro.core.cost import (
 from repro.core.placement import Placement
 from repro.engine import DeltaCost, clear_compile_caches, evaluate_batch
 from repro.trace.generators.synthetic import zipf_sequence
+
+from _bench_utils import provenance
 
 
 def random_candidates(sequence, num_dbcs: int, population: int, rng):
@@ -176,12 +175,7 @@ def main(argv=None) -> int:
         print(f"{row['mode']}: speedup {row['speedup']:.1f}x")
     payload = {
         "benchmark": "batched_candidate_evaluation",
-        "provenance": {
-            "cores": os.cpu_count() or 1,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "repro": repro.__version__,
-        },
+        "provenance": provenance(),
         "variables": args.variables,
         "accesses": args.accesses,
         "dbcs": args.dbcs,

@@ -10,8 +10,9 @@ clean time. Live-fault rows pay for the vectorized post-pass and are
 gated at ``--min-ratio`` (default 0.25x) of clean throughput. Every
 faulted row is also cross-checked bit-identical across the reference
 and numpy backends — the determinism contract, enforced where the perf
-numbers are produced. The output records the core count and, in its
-``gates`` block, whether the gates passed.
+numbers are produced. Each ratio times its two calls interleaved. The
+output records the core count and the Python, numpy and repro versions
+and, in its ``gates`` block, whether the gates passed.
 
 Usage::
 
@@ -24,14 +25,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.engine import FaultModel, ShiftRequest, get_backend
+
+from _bench_utils import provenance, time_pair
 
 
 def make_arrays(accesses: int, num_dbcs: int, domains: int, seed: int):
@@ -43,35 +44,6 @@ def make_arrays(accesses: int, num_dbcs: int, domains: int, seed: int):
 def make_request(dbc, slot, num_dbcs, domains, ports, fault) -> ShiftRequest:
     return ShiftRequest(dbc=dbc, slot=slot, num_dbcs=num_dbcs,
                         domains=domains, ports=ports, fault=fault)
-
-
-def time_call(fn, repeats: int) -> float:
-    """Best-of-``repeats`` wall seconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def time_pair(fn_a, fn_b, repeats: int) -> tuple[float, float]:
-    """Interleaved best-of-``repeats`` for two calls.
-
-    The rate-0 gate compares two runs of the *same* code path, so any
-    drift between two back-to-back timing blocks (CPU frequency, cache
-    warmth) reads as fake overhead; alternating the measurements makes
-    both minima sample the same conditions.
-    """
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn_a()
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        fn_b()
-        best_b = min(best_b, time.perf_counter() - start)
-    return best_a, best_b
 
 
 def main(argv=None) -> int:
@@ -128,8 +100,10 @@ def main(argv=None) -> int:
             expected = vectorized.run(request)
             same = reference.run(request) == expected
             identical = identical and same
-            t_fault = time_call(lambda: vectorized.run(request), args.repeats)
-            ratio = t_clean / t_fault
+            t_base, t_fault = time_pair(lambda: vectorized.run(clean),
+                                        lambda: vectorized.run(request),
+                                        args.repeats)
+            ratio = t_base / t_fault
             worst_faulted = min(worst_faulted, ratio)
             frow = {
                 "rate": rate,
@@ -165,7 +139,7 @@ def main(argv=None) -> int:
     status = ("fail" if failures else "pass") if args.max_overhead else "disabled"
     payload = {
         "benchmark": "fault_overhead",
-        "nproc": os.cpu_count() or 1,
+        "provenance": provenance(),
         "accesses": args.accesses,
         "dbcs": args.dbcs,
         "domains": args.domains,

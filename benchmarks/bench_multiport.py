@@ -11,10 +11,10 @@ Gated at ``--min-replay-speedup`` (default 8x) for the gate ports
 the constant-collapse state chase, all gated alike since the collapse
 scan closed the wide-port gap).
 
-Every timed pair is first checked *bit-identical*, so the speedups
-always compare the same numbers. Results go to ``BENCH_multiport.json``
-with the core count and the Python, numpy and repro versions; non-zero
-exit on a missed gate lets CI enforce it.
+Every pair is first checked *bit-identical*, so the speedups always
+compare the same numbers, then timed interleaved. Results go to
+``BENCH_multiport.json`` with the core count and the Python, numpy and
+repro versions; non-zero exit on a missed gate lets CI enforce it.
 
 Usage::
 
@@ -27,25 +27,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-import repro
 from repro.engine import ShiftRequest, get_backend
 
-
-def best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+from _bench_utils import provenance, time_pair
 
 
 def replay_rows(args) -> list[dict]:
@@ -62,8 +51,8 @@ def replay_rows(args) -> list[dict]:
             ports=ports,
         )
         assert reference.run(request) == vectorized.run(request)
-        t_ref = best_of(lambda: reference.run(request), args.repeats)
-        t_vec = best_of(lambda: vectorized.run(request), args.repeats)
+        t_ref, t_vec = time_pair(lambda: reference.run(request),
+                                 lambda: vectorized.run(request), args.repeats)
         rows.append({
             "mode": "replay",
             "ports": ports,
@@ -101,12 +90,7 @@ def main(argv=None) -> int:
     rows = replay_rows(args)
     payload = {
         "benchmark": "multiport_fast_path",
-        "provenance": {
-            "cores": os.cpu_count() or 1,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "repro": repro.__version__,
-        },
+        "provenance": provenance(),
         "accesses": args.accesses,
         "dbcs": args.dbcs,
         "domains": args.domains,
