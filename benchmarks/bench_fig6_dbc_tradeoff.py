@@ -46,7 +46,7 @@ def test_fig6_tradeoff(benchmark, paper_matrix):
     # configurations carry at least as much improvement as the extremes
     # (the shift problem gets less severe as variables spread out; on our
     # substituted suite the 2-DBC extreme is also structurally weak, see
-    # EXPERIMENTS.md).
+    # docs/substitution.md).
     shifts_x = [result.summary[f"shifts_x@{q}"] for q in (2, 4, 8, 16)]
     assert all(x >= 1.0 for x in shifts_x), shifts_x
     assert max(shifts_x[1], shifts_x[2]) >= shifts_x[0], shifts_x

@@ -1,6 +1,6 @@
 """A-9 — robustness: results must not depend on the trace generator.
 
-The suite substitution (DESIGN.md §5) is the reproduction's largest
+The suite substitution (docs/substitution.md) is the reproduction's largest
 threat to validity: if the Fig. 4 ordering only held on the statistical
 generators, it would be an artifact. This bench re-runs the policy
 comparison on a *structurally different* source — the CFG-shaped

@@ -13,7 +13,7 @@ the evaluation report provable optimality gaps on the real suite:
 
 Both are classic minimum-linear-arrangement bounds, valid here because
 single-port intra-DBC cost *is* a weighted linear arrangement
-(DESIGN.md §6). :func:`sampled_intra_upper_bound` closes the bracket
+(docs/substitution.md). :func:`sampled_intra_upper_bound` closes the bracket
 from above: it scores a whole population of random intra orders in one
 batched engine pass, so the reported ``[LB, UB]`` interval is cheap even
 on DBCs far beyond the exact DP's reach.

@@ -10,7 +10,8 @@ the side jointly from end-specific weights (see
 :mod:`repro.core.intra.shifts_reduce`); that distinction — affinity to
 the whole set vs to the growth fronts — is the documented design gap
 between the two heuristics that the paper's DMA-Chen / DMA-SR pairings
-exercise. Reimplemented from the published descriptions (DESIGN.md §5).
+exercise. Reimplemented from the published descriptions
+(docs/substitution.md).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ in the middle and subsequent variables may attach to either end of the
 current arrangement, whichever adjacency carries more consecutive-access
 weight. Keeping hot variables near the centre also bounds the worst-case
 travel of the access port. Reimplemented from the published description
-(DESIGN.md §5).
+(docs/substitution.md).
 """
 
 from __future__ import annotations

@@ -279,13 +279,12 @@ def nearest_costs_flat(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-access nearest-port costs and chosen ports over run-sorted slots.
 
-    ``ss`` holds the slots with every run (one DBC's subsequence, or one
-    batch row's DBC subsequence) contiguous and in trace order;
-    ``first_idx`` marks each run's first access — index 0 must be one —
-    and ``first_targets`` gives its port-selection target (``slot -
-    starting offset``). Shared by the 1-D backend and the population
-    kernel in :mod:`repro.engine.batch`, which flattens a whole ``(K,
-    N)`` candidate matrix into one such array.
+    ``ss`` holds the slots with every run (one DBC's subsequence)
+    contiguous and in trace order; ``first_idx`` marks each run's first
+    access — index 0 must be one — and ``first_targets`` gives its
+    port-selection target (``slot - starting offset``). Only the 1-D
+    backend calls it: :mod:`repro.engine.batch` scores candidates with
+    one port, where no port choice arises.
 
     The port chosen for an access depends only on the previous access's
     port, so each access is a ``prev -> next`` map over the ``p`` ports,

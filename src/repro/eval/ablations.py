@@ -189,7 +189,7 @@ def ablation_dbc_sweep(
         rows=rows,
         summary=summary,
         notes="Non-anchor points use the log-log inter/extrapolated DESTINY "
-              "calibration (DESIGN.md §5); anchors are exact Table I.",
+              "calibration (docs/substitution.md); anchors are exact Table I.",
     )
 
 

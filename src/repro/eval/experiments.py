@@ -2,8 +2,8 @@
 
 Each returns an :class:`ExperimentResult` holding the regenerated rows,
 the headline measured numbers and the paper's corresponding numbers, so
-the benchmark harness can print paper-vs-measured side by side (archived
-in EXPERIMENTS.md).
+the benchmark harness can print paper-vs-measured side by side;
+docs/substitution.md explains why the two differ.
 """
 
 from __future__ import annotations
@@ -301,7 +301,7 @@ def experiment_fig4(
         rows=rows,
         summary=summary,
         paper=paper,
-        notes=f"{profile.describe()}; suite substituted (DESIGN.md §5): compare "
+        notes=f"{profile.describe()}; suite substituted (docs/substitution.md): compare "
               "shapes/orderings, not absolute counts.",
     )
 

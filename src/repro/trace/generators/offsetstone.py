@@ -11,7 +11,7 @@ working sets with loop-back revisits, DSP programs get pipelines of loop
 nests (setup code + repeated bodies), media programs get wider per-block
 working sets, compressors get hot global tables over streaming state —
 because the *relative* behaviour of the placement policies derives from
-this structure. See DESIGN.md §5 for the full substitution rationale.
+this structure. See docs/substitution.md for the full substitution rationale.
 """
 
 from __future__ import annotations

@@ -1,14 +1,19 @@
-"""Every ``repro.`` name the documentation cites must exist.
+"""Every ``repro.`` name and every ``*.md`` file the documentation cites
+must exist.
 
-Two kinds of reference are checked: backticked names in ``docs/*.md``
-(the leading dotted name of each span, so a call form such as
-``repro.eval.runner.last_matrix_stats()`` counts too) and Sphinx
+Two kinds of name reference are checked: backticked names in
+``docs/*.md`` (the leading dotted name of each span, so a call form such
+as ``repro.eval.runner.last_matrix_stats()`` counts too) and Sphinx
 cross-reference roles (``:func:``, ``:class:``, ``:meth:``, ``:mod:``,
 ``:data:``, ``:attr:``, ``:exc:``) whose target lies under ``repro.`` or
 ``~repro.`` anywhere in ``src/``. A reference resolves when its longest
 importable module prefix imports and the remaining parts are attributes
 of it. ROADMAP.md is not scanned: it names modules that are planned, not
 built.
+
+A cited document (``docs/substitution.md``, ``engine.md``, ...) in
+``src/``, ``benchmarks/``, ``docs/`` or ``examples/`` must exist relative
+to the citing file, the repository root or ``docs/``.
 """
 
 import importlib
@@ -45,6 +50,21 @@ def _source_references() -> list[tuple[str, str]]:
     return sorted(refs)
 
 
+# A path ending in .md that does not start inside a longer token (a URL,
+# a glob such as docs/*.md).
+_DOC_FILE = re.compile(r"(?<![\w./:*-])(\w[\w./-]*\.md)\b")
+
+
+def _doc_file_citations() -> list[tuple[str, str]]:
+    refs = set()
+    for top, pattern in (("src", "*.py"), ("benchmarks", "*.py"),
+                         ("docs", "*.md"), ("examples", "*.py")):
+        for path in sorted((ROOT / top).rglob(pattern)):
+            for cited in _DOC_FILE.findall(path.read_text(encoding="utf-8")):
+                refs.add((path.relative_to(ROOT).as_posix(), cited))
+    return sorted(refs)
+
+
 def resolve(dotted: str) -> object:
     """Import the longest module prefix of ``dotted``, then walk attributes."""
     parts = dotted.split(".")
@@ -61,12 +81,14 @@ def resolve(dotted: str) -> object:
 
 DOC_REFS = _doc_references()
 SOURCE_REFS = _source_references()
+DOC_FILES = _doc_file_citations()
 
 
 def test_scans_find_references():
     # Guards the scanners themselves: an empty scan would pass vacuously.
     assert len(DOC_REFS) >= 20
     assert len(SOURCE_REFS) >= 80
+    assert len(DOC_FILES) >= 30
 
 
 @pytest.mark.parametrize(
@@ -78,3 +100,12 @@ def test_reference_resolves(where, name):
         resolve(name)
     except (ImportError, AttributeError) as exc:
         pytest.fail(f"{where} cites {name}, which does not resolve: {exc}")
+
+
+@pytest.mark.parametrize(
+    "where,cited", DOC_FILES, ids=[f"{w}:{c}" for w, c in DOC_FILES],
+)
+def test_cited_document_exists(where, cited):
+    bases = ((ROOT / where).parent, ROOT, ROOT / "docs")
+    if not any((base / cited).is_file() for base in bases):
+        pytest.fail(f"{where} cites {cited}, which does not exist")
