@@ -3,7 +3,8 @@
 Rendered artifacts are written to ``results/`` and queued so the
 ``pytest_terminal_summary`` hook (in ``conftest.py``) can echo them into
 the benchmark log. :func:`time_pair` and :func:`provenance` are the one
-timing rule and the one host record of the micro-benchmark scripts.
+timing rule and the one seed-and-host record of the micro-benchmark
+scripts.
 :class:`RssSampler` adds ``psutil``-free peak-memory observation
 (parent + descendant workers) for the parallel benches.
 """
@@ -72,9 +73,14 @@ def time_pair(fn_a, fn_b, repeats: int) -> tuple[float, float]:
     return best_a, best_b
 
 
-def provenance() -> dict:
-    """The host and versions a benchmark record was measured with."""
+def provenance(seed: int) -> dict:
+    """The seed, host and versions a benchmark record was measured with.
+
+    ``seed`` is the seed the benchmark drew its inputs from, so a
+    committed record can be re-run on the same data.
+    """
     return {
+        "seed": seed,
         "cores": os.cpu_count() or 1,
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -10,8 +10,8 @@ quality-per-wall-time sweep the ROADMAP asked for — how much extra
 placement quality the scaled GA populations and RW iteration budgets
 buy per unit wall time now that generation scoring is one batched
 engine pass — plus one GA run per seed at the paper's budget (mu =
-lambda = 100, 200 generations) on the same sequence, and the host and
-version provenance: ``PYTHONPATH=src python
+lambda = 100, 200 generations) on the same sequence, and the seed, host
+and version provenance: ``PYTHONPATH=src python
 benchmarks/bench_ablation_ga_budget.py --out BENCH_ga_budget.json``.
 The script gates nothing.
 """
@@ -199,7 +199,7 @@ def main(argv=None) -> int:
     payload = {
         "benchmark": "ga_budget_search_scale",
         "profile": PROFILE.name,
-        "provenance": provenance(),
+        "provenance": provenance(PROFILE.seed),  # the sequence's seed
         "sequence": {"name": seq.name, "accesses": len(seq),
                      "variables": seq.num_variables},
         "seeds": args.seeds,

@@ -23,10 +23,10 @@ batched-evaluation layer replaced:
 The GA breeds and scores ``(K, V)`` arrays directly; its real
 per-generation cost is perfbench's ``core.ga_self_s``, not a mode here.
 
-Results go to ``BENCH_batch.json``, with the core count and the Python,
-numpy and repro versions, so the performance trajectory is tracked from
-PR to PR; the script exits non-zero when either speedup falls below
-``--min-speedup`` so CI can gate on it.
+Results go to ``BENCH_batch.json``, with the seed, the core count and
+the Python, numpy and repro versions, so the performance trajectory is
+tracked from release to release; the script exits non-zero when either
+speedup falls below ``--min-speedup`` so CI can gate on it.
 
 Usage::
 
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
         print(f"{row['mode']}: speedup {row['speedup']:.1f}x")
     payload = {
         "benchmark": "batched_candidate_evaluation",
-        "provenance": provenance(),
+        "provenance": provenance(args.seed),
         "variables": args.variables,
         "accesses": args.accesses,
         "dbcs": args.dbcs,

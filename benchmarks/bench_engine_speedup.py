@@ -4,9 +4,9 @@
 Runs the reference (per-access Python) and numpy (batched vectorized)
 backends on identical randomized traces, timed interleaved, and reports
 throughput per backend plus the numpy-over-reference speedup, as JSON
-(``BENCH_engine.json`` by default, with the core count and the Python,
-numpy and repro versions) so the performance trajectory is tracked from
-release to release.
+(``BENCH_engine.json`` by default, with the seed, the core count and
+the Python, numpy and repro versions) so the performance trajectory is
+tracked from release to release.
 
 Usage::
 
@@ -89,7 +89,7 @@ def main(argv=None) -> int:
 
     payload = {
         "benchmark": "engine_backend_throughput",
-        "provenance": provenance(),
+        "provenance": provenance(args.seed),
         "accesses": args.accesses,
         "dbcs": args.dbcs,
         "domains": args.domains,

@@ -11,8 +11,8 @@ gated at ``--min-ratio`` (default 0.25x) of clean throughput. Every
 faulted row is also cross-checked bit-identical across the reference
 and numpy backends — the determinism contract, enforced where the perf
 numbers are produced. Each ratio times its two calls interleaved. The
-output records the core count and the Python, numpy and repro versions
-and, in its ``gates`` block, whether the gates passed.
+output records the seed, the core count and the Python, numpy and repro
+versions and, in its ``gates`` block, whether the gates passed.
 
 Usage::
 
@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     status = ("fail" if failures else "pass") if args.max_overhead else "disabled"
     payload = {
         "benchmark": "fault_overhead",
-        "provenance": provenance(),
+        "provenance": provenance(args.seed),
         "accesses": args.accesses,
         "dbcs": args.dbcs,
         "domains": args.domains,

@@ -1,20 +1,20 @@
 #!/usr/bin/env python
-"""Micro-benchmark: multi-port replay (2-D monoid scan) vs the reference.
+"""Micro-benchmark: multi-port replay (blocked monoid scan) vs the reference.
 
-PR 1's engine left multi-port nearest-port replay at 2.6-4.3x over the
-reference backend (vs ~17x single-port). The multi-port tentpole closed
-that gap; this benchmark tracks it with one **replay** row per port
-count: 1-D trace replay through the reference backend (per-access
-Python) vs numpy (per-gap transition tables + blocked monoid scan).
-Gated at ``--min-replay-speedup`` (default 8x) for the gate ports
-(default 2, 4 and 8 — narrow ports run the packed-table scan, 8 ports
-the constant-collapse state chase, all gated alike since the collapse
-scan closed the wide-port gap).
+One **replay** row per port count: 1-D trace replay through the
+reference backend (per-access Python) vs numpy (per-gap transition
+tables + one blocked scan per map representation, the same at every
+trace length). Gated at ``--min-replay-speedup`` (default 8x) for the
+gate ports (default 2, 4 and 8 — 2 ports run the packed maps' forward
+fill, 4 ports the packed-table scan, 8 ports the constant-collapse state
+chase; at the default 200,000 accesses every scan runs full 128-access
+blocks).
 
 Every pair is first checked *bit-identical*, so the speedups always
 compare the same numbers, then timed interleaved. Results go to
-``BENCH_multiport.json`` with the core count and the Python, numpy and
-repro versions; non-zero exit on a missed gate lets CI enforce it.
+``BENCH_multiport.json`` with the seed, the core count and the Python,
+numpy and repro versions; non-zero exit on a missed gate lets CI
+enforce it.
 
 Usage::
 
@@ -90,7 +90,7 @@ def main(argv=None) -> int:
     rows = replay_rows(args)
     payload = {
         "benchmark": "multiport_fast_path",
-        "provenance": provenance(),
+        "provenance": provenance(args.seed),
         "accesses": args.accesses,
         "dbcs": args.dbcs,
         "domains": args.domains,

@@ -264,12 +264,13 @@ class DeltaCost:
     loops are pure Python: touched pair lists are short, and interpreter
     arithmetic beats numpy's per-call setup at that size.
 
-    ``delta`` prices a move without committing it; ``apply`` commits.
-    Moves keep every variable's DBC by construction (only slots are
-    assigned). :meth:`resync` recomputes the total from scratch (the
-    arithmetic is exact integers, so this is a verification hook, not a
-    drift correction). Totals agree exactly with the single-port
-    reference backend's warm-start totals.
+    ``swap_delta`` prices transposing the slots of two variables in one
+    DBC without committing it; ``swap`` commits. The compiled pairs are
+    partition-specific, so no move may change a variable's DBC.
+    :meth:`resync` recomputes the total from scratch (the arithmetic is
+    exact integers, so this is a verification hook, not a drift
+    correction). Totals agree exactly with the single-port reference
+    backend's warm-start totals.
     """
 
     def __init__(
@@ -324,42 +325,6 @@ class DeltaCost:
         """The current candidate's total shift cost."""
         return self._total
 
-    def position_of(self, code: int) -> int:
-        return int(self._pos[code])
-
-    def delta(self, moves: dict[int, int]) -> int:
-        """Cost change of assigning ``{code: new_slot}`` without committing.
-
-        All moved variables keep their DBC (the compiled structure is
-        partition-specific); swapping or permuting slots within DBCs is
-        exactly that.
-        """
-        pos = self._pos
-        d = 0
-        for c, new_c in moves.items():
-            old_c = pos[c]
-            for o, w in self._adj[c]:
-                if o in moves:
-                    if o < c:  # both moved: price the pair once
-                        continue
-                    d += w * (abs(new_c - moves[o]) - abs(old_c - pos[o]))
-                else:
-                    po = pos[o]
-                    d += w * (abs(new_c - po) - abs(old_c - po))
-        return d
-
-    def apply(self, moves: dict[int, int], delta: int | None = None) -> int:
-        """Commit ``{code: new_slot}`` and return the new total.
-
-        Pass the ``delta`` already obtained from :meth:`delta` for the
-        same moves to commit without re-pricing (accept loops price
-        first, then commit).
-        """
-        self._total += self.delta(moves) if delta is None else delta
-        for c, new_c in moves.items():
-            self._pos[c] = new_c
-        return self._total
-
     def swap_delta(self, code_a: int, code_b: int) -> int:
         """Price transposing two variables' slots (the annealing move)."""
         pos = self._pos
@@ -379,8 +344,8 @@ class DeltaCost:
         """Commit the transposition and return the new total.
 
         ``delta`` takes a price already computed by :meth:`swap_delta`
-        for the same pair, skipping the second pricing pass (see
-        :meth:`apply`).
+        for the same pair, skipping the second pricing pass (accept
+        loops price first, then commit).
         """
         pos = self._pos
         self._total += self.swap_delta(code_a, code_b) if delta is None else delta

@@ -183,11 +183,12 @@ class FaultObservation:
             and np.array_equal(self.final_drifts, other.final_drifts)
         )
 
-    def drift_histogram(self) -> tuple[tuple[int, int], ...]:
-        """Sorted ``(drift, dbc_count)`` pairs over nonzero final drifts."""
-        drifts = np.asarray(self.final_drifts)
-        values, counts = np.unique(drifts[drifts != 0], return_counts=True)
-        return tuple((int(v), int(c)) for v, c in zip(values, counts))
+
+def drift_histogram(drifts: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Sorted ``(drift, dbc_count)`` pairs over the nonzero per-DBC drifts."""
+    drifts = np.asarray(drifts)
+    values, counts = np.unique(drifts[drifts != 0], return_counts=True)
+    return tuple((int(v), int(c)) for v, c in zip(values, counts))
 
 
 def empty_observation(init_drifts: np.ndarray) -> FaultObservation:

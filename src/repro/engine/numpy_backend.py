@@ -14,19 +14,20 @@ between accesses of a DBC is *which port served the previous access*
 (the offset is then determined by the previous slot). Each access is
 therefore a function ``prev_port -> (chosen port, cost)`` over a tiny
 domain of ``p`` ports. We materialize those per-access port maps in bulk
-(one ``searchsorted`` against the cached nearest-port decision
-boundaries) and resolve the sequential dependency with a monoid prefix
-composition over the maps: Hillis–Steele doubling for short inputs, and
-a *blocked* scan for long ones. Narrow alphabets (``p**p <= 256``) pack
-each map into one base-``p`` integer composed through a cached monoid
-table; wider ports use the *constant-collapse* representation — each map
-is ``(kind, value)``, constant or an explicit row — exploiting that any
-composition ending in a constant *is* that constant, so prefix states
-collapse to scalar values at the first constant map and stay scalar
-(see :func:`_scan_collapse`). A run's first access is a *constant* map
-(its choice is fixed by the known starting offset), so composed prefixes
-spanning it are constant maps too and runs cannot leak state into each
-other.
+(one gather from cached per-gap transition tables) and resolve the
+sequential dependency with a *blocked* prefix scan over the maps, one
+scan per map representation whatever the trace length: the in-block
+length grows with the input as ``min(128, ceil(sqrt(n)))``. Narrow
+alphabets (``p**p <= 256``) pack each map into one base-``p`` integer
+composed through a cached monoid table (:func:`_scan_packed`; two ports
+reduce to a forward fill); wider ports use the *constant-collapse*
+representation — each map is ``(kind, value)``, constant or an explicit
+row — exploiting that any composition ending in a constant *is* that
+constant, so prefix states collapse to scalar values at the first
+constant map and stay scalar (see :func:`_scan_collapse`). A run's
+first access is a *constant* map (its choice is fixed by the known
+starting offset), so composed prefixes spanning it are constant maps
+too and runs cannot leak state into each other.
 
 *Cold start* needs no simulation at all: warm and cold controllers make
 identical port choices, so cold cost is the warm cost plus the first
@@ -36,6 +37,7 @@ zeroing the first access's charge.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -217,49 +219,26 @@ def _anchored_costs(
 
 
 @lru_cache(maxsize=256)
-def _transition_tables(domains: int, ports: int) -> np.ndarray:
-    """Per-gap *packed* port-transition maps for one track geometry.
+def _gap_maps(domains: int, ports: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-gap ``(rows, const)`` port-transition maps for one track geometry.
 
     The map an access applies depends only on its slot gap ``g`` to the
     previous access: entering with port ``k``, the target is ``g +
     positions[k]`` and the chosen port is the nearest one. All ``2K - 1``
     possible gaps are enumerated once; building the per-access maps is
-    then a single gather at ``gap + (K - 1)``. Only ports that fit the
-    packed encoding (``p**p <= _TABLE_MAX``) use this table — one
-    base-``p`` integer per gap; wider ports go through
-    :func:`_gap_maps`.
+    then a single gather at ``gap + (K - 1)``. ``rows[g]`` is the
+    explicit ``prev -> next`` map of gap ``g`` and ``const[g]`` its
+    value when the map is *constant* (same chosen port whatever the
+    previous one was), ``-1`` otherwise. Nearest-port maps are monotone
+    (the targets ``g + positions[k]`` increase with ``k``), so a map is
+    constant exactly when its first and last entries agree. Narrow
+    dtypes keep the per-access gathers' memory traffic at one byte per
+    entry.
     """
     positions = positions_array(domains, ports)
     boundaries = boundaries_array(domains, ports)
-    gaps = np.arange(-(domains - 1), domains, dtype=np.int64)
-    rows = np.searchsorted(
-        boundaries, gaps[:, None] + positions[None, :], side="left"
-    )
-    out = rows @ (ports ** np.arange(ports, dtype=np.int64))
-    out.setflags(write=False)
-    return out
-
-
-def _map_dtype(ports: int) -> type:
-    """Narrowest signed dtype holding port indices plus the -1 sentinel."""
-    return np.int8 if ports <= 127 else np.int16
-
-
-@lru_cache(maxsize=256)
-def _gap_maps(domains: int, ports: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-gap ``(rows, const)`` transition maps for wide-port geometries.
-
-    The constant-collapse representation: ``rows[g]`` is the explicit
-    ``prev -> next`` map of gap ``g`` and ``const[g]`` its value when the
-    map is *constant* (same chosen port whatever the previous one was),
-    ``-1`` otherwise. Nearest-port maps are monotone (the targets ``g +
-    positions[k]`` increase with ``k``), so a map is constant exactly
-    when its first and last entries agree. Narrow dtypes keep the
-    per-access gathers' memory traffic at one byte per entry.
-    """
-    positions = positions_array(domains, ports)
-    boundaries = boundaries_array(domains, ports)
-    dtype = _map_dtype(ports)
+    # Narrowest signed dtype holding port indices plus the -1 sentinel.
+    dtype = np.int8 if ports <= 127 else np.int16
     gaps = np.arange(-(domains - 1), domains, dtype=np.int64)
     rows = np.searchsorted(
         boundaries, gaps[:, None] + positions[None, :], side="left"
@@ -268,6 +247,19 @@ def _gap_maps(domains: int, ports: int) -> tuple[np.ndarray, np.ndarray]:
     rows.setflags(write=False)
     const.setflags(write=False)
     return rows, const
+
+
+@lru_cache(maxsize=256)
+def _transition_tables(domains: int, ports: int) -> np.ndarray:
+    """The rows of :func:`_gap_maps` packed into one base-``p`` integer each.
+
+    The packed representation of narrow ports (``p**p <= _TABLE_MAX``),
+    composed through :func:`_composition_table`.
+    """
+    rows, _ = _gap_maps(domains, ports)
+    out = rows.astype(np.int64) @ (ports ** np.arange(ports, dtype=np.int64))
+    out.setflags(write=False)
+    return out
 
 
 def nearest_costs_flat(
@@ -289,54 +281,30 @@ def nearest_costs_flat(
     The port chosen for an access depends only on the previous access's
     port, so each access is a ``prev -> next`` map over the ``p`` ports,
     gathered per access from the cached per-gap transition tables.
-    Run-first rows are overwritten with constant maps (their choice is
+    Run-first maps are overwritten with constant maps (their choice is
     fixed by the known starting offset), the scan composes the maps into
     per-access choices, and the costs need only the chosen ports:
     ``|gap + positions[prev] - positions[chosen]|``.
     """
     n = ss.size
     positions = positions_array(domains, ports)
-    boundaries = boundaries_array(domains, ports)
     gap = np.empty(n, dtype=np.int64)
     gap[0] = 0
     np.subtract(ss[1:], ss[:-1], out=gap[1:])
-    # The per-gap tables pay off when the trace revisits gaps (realistic
-    # geometries: K in the hundreds, traces far longer). A huge track
-    # with a short trace would build — and cache — an O(K) table for a
-    # handful of accesses, so fall back to resolving just the trace's
-    # own gaps there.
-    use_table = 2 * domains - 1 <= max(4 * n, _TABLE_SPAN_FLOOR)
-    first_port = np.searchsorted(boundaries, first_targets, side="left")
+    at = gap + (domains - 1)
+    first_port = np.searchsorted(
+        boundaries_array(domains, ports), first_targets, side="left"
+    )
     if ports ** ports <= _TABLE_MAX:
-        if use_table:
-            enc = _transition_tables(domains, ports)[gap + (domains - 1)]
-        else:
-            enc = np.searchsorted(
-                boundaries, gap[:, None] + positions[None, :], side="left"
-            ) @ (ports ** np.arange(ports, dtype=np.int64))
+        enc = _transition_tables(domains, ports)[at]
         # A constant map to port j has every base-p digit equal to j.
         enc[first_idx] = first_port * ((ports ** ports - 1) // (ports - 1))
         chosen = _scan_packed(enc, ports)
     else:
-        if use_table:
-            g_rows, g_const = _gap_maps(domains, ports)
-            at = gap + (domains - 1)
-            rows = g_rows[at]
-            const = g_const[at]
-        else:
-            dtype = _map_dtype(ports)
-            rows = np.searchsorted(
-                boundaries, gap[:, None] + positions[None, :], side="left"
-            ).astype(dtype)
-            const = np.where(
-                rows[:, 0] == rows[:, -1], rows[:, 0], -1
-            ).astype(dtype)
+        rows, const = _gap_maps(domains, ports)
+        const = const[at]
         const[first_idx] = first_port.astype(const.dtype)
-        if n <= _DOUBLING_MAX:
-            rows[first_idx] = first_port[:, None].astype(rows.dtype)
-            chosen = _scan_maps(rows)
-        else:
-            chosen = _scan_collapse(const, rows, ports)
+        chosen = _scan_collapse(const, rows[at], ports)
     prev = np.empty(n, dtype=np.intp)
     prev[0] = 0
     prev[1:] = chosen[:-1]
@@ -365,19 +333,21 @@ def _composition_table(p: int) -> np.ndarray:
 #: ports <= 4 keep the table at 256x256 int32.
 _TABLE_MAX = 256
 
-#: Per-gap transition tables of up to this many entries are always
-#: built (and cached) regardless of trace length — 64Ki int64 entries is
-#: half a MB and covers every realistic track. Beyond it the table must
-#: be amortized by the trace, else maps are resolved per access.
-_TABLE_SPAN_FLOOR = 0xFFFF + 1
-
-#: Below this length the O(n log n) Hillis–Steele doubling beats the
-#: blocked scan (fewer numpy calls, everything cache-resident).
-_DOUBLING_MAX = 4096
-
-#: In-block length of the blocked scan: the Python loop runs this many
-#: vectorized compose steps, each over all n/_SCAN_BLOCK blocks at once.
+#: Longest in-block run of the blocked scans: the Python loop runs at
+#: most this many vectorized steps, each over all blocks at once.
 _SCAN_BLOCK = 128
+
+
+def _block_length(n: int) -> int:
+    """In-block length of the blocked scans over ``n >= 1`` maps.
+
+    ``ceil(sqrt(n))`` balances the in-block loop (one numpy call per
+    position) against the lanes each call covers (one per block), so a
+    short trace runs a few dozen small steps instead of ``_SCAN_BLOCK``
+    steps over padding; from ``127**2 + 1`` maps on it is
+    ``_SCAN_BLOCK``.
+    """
+    return min(_SCAN_BLOCK, math.isqrt(n - 1) + 1)
 
 
 @lru_cache(maxsize=8)
@@ -399,8 +369,13 @@ def _scan_packed(enc: np.ndarray, p: int) -> np.ndarray:
 
     Prefix-composes the maps; element 0 must be a constant (reset) map,
     so every full prefix is constant and evaluating it at state 0 yields
-    the chosen port. Short inputs use Hillis–Steele doubling (O(n log n)
-    but few calls); long ones the blocked two-level scan below.
+    the chosen port. A blocked scan does linear work in three stages:
+    (1) an in-block inclusive prefix — one vectorized table gather per
+    in-block position, composing that position of *every* block at
+    once; (2) a doubling scan over the per-block totals; (3) one
+    evaluation-table gather resolving each in-block prefix at its
+    block's entry state. Padding with the identity map keeps the last
+    partial block exact.
 
     Two ports degenerate: nearest-port maps are monotone in the previous
     port (the targets ``gap + positions[k]`` increase with ``k``), so
@@ -415,59 +390,20 @@ def _scan_packed(enc: np.ndarray, p: int) -> np.ndarray:
             np.where(enc != 2, np.arange(n, dtype=np.intp), 0)
         )
         return enc[last_reset] & 1
-    if n <= _DOUBLING_MAX:
-        total = p ** p
-        table = _composition_table(p)
-        span = 1
-        while span < n:
-            enc[span:] = table[enc[span:] * total + enc[:-span]]
-            span *= 2
-        return _evaluation_table(p)[enc * p]  # evaluated at state 0
-    return _blocked_scan_packed(enc, p)
-
-
-def _scan_maps(port_map: np.ndarray) -> np.ndarray:
-    """Port chosen at each access, from explicit ``(n, p)`` map rows.
-
-    Hillis–Steele doubling over the raw rows — O(n log n) composes but
-    few numpy calls, so it wins for short inputs. Long inputs go through
-    :func:`_scan_collapse` instead, which exploits that prefixes are
-    constant maps; this helper stays as the simple oracle-adjacent
-    fallback for ``n <= _DOUBLING_MAX``.
-    """
-    prefix = port_map.copy()
-    n = prefix.shape[0]
-    span = 1
-    while span < n:
-        prefix[span:] = np.take_along_axis(prefix[span:], prefix[:-span], axis=1)
-        span *= 2
-    return prefix[:, 0]  # rows are constant maps: any column works
-
-
-def _blocked_scan_packed(enc: np.ndarray, p: int) -> np.ndarray:
-    """Blocked scan over table-packed maps: linear work, O(block) passes.
-
-    Three stages: (1) an in-block inclusive prefix — ``_SCAN_BLOCK``
-    vectorized table gathers, each composing position ``i`` of *every*
-    block at once; (2) a doubling scan over the ~n/_SCAN_BLOCK per-block
-    totals; (3) one vectorized evaluation-table gather resolving each
-    in-block prefix at its block's entry state. Padding with the
-    identity map keeps the last partial block exact.
-    """
-    n = enc.size
     total = p ** p
     table = _composition_table(p)
     evaluate = _evaluation_table(p)
     powers = p ** np.arange(p, dtype=np.int64)
     identity = int((np.arange(p, dtype=np.int64) * powers).sum())
-    blocks = -(-n // _SCAN_BLOCK)
-    padded = np.full(blocks * _SCAN_BLOCK, identity, dtype=np.int64)
+    block = _block_length(n)
+    blocks = -(-n // block)
+    padded = np.full(blocks * block, identity, dtype=np.int64)
     padded[:n] = enc
-    cols = padded.reshape(blocks, _SCAN_BLOCK).T
+    cols = padded.reshape(blocks, block).T
     scaled = cols * total  # composition indices, one pass for all rounds
-    prefix = np.empty((_SCAN_BLOCK, blocks), dtype=np.int64)
+    prefix = np.empty((block, blocks), dtype=np.int64)
     prefix[0] = cols[0]
-    for i in range(1, _SCAN_BLOCK):
+    for i in range(1, block):
         prefix[i] = table[scaled[i] + prefix[i - 1]]
     carry = prefix[-1].copy()  # inclusive per-block totals
     span = 1
@@ -499,7 +435,7 @@ def _scan_collapse(
     prefix state at access ``i`` collapses to a scalar at the most
     recent constant map and stays scalar through the explicit rows that
     follow. The scan therefore never composes maps at all — it *chases
-    states*: split the stream into ``_SCAN_BLOCK``-length blocks and run
+    states*: split the stream into :func:`_block_length` blocks and run
     one vectorized chase step per in-block position over every block at
     once (a constant overwrites the state, an explicit row gathers it),
     tracking O(blocks) scalars instead of O(blocks * p) map rows.
@@ -516,8 +452,9 @@ def _scan_collapse(
     some entry is nonzero. Element 0 must be a constant (reset) map.
     """
     n = const_val.size
-    blocks = -(-n // _SCAN_BLOCK)
-    pad = blocks * _SCAN_BLOCK - n
+    block = _block_length(n)
+    blocks = -(-n // block)
+    pad = blocks * block - n
     if pad:
         const_val = np.concatenate(
             [const_val, np.full(pad, -1, const_val.dtype)]
@@ -526,16 +463,16 @@ def _scan_collapse(
             [rows, np.tile(np.arange(p, dtype=rows.dtype), (pad, 1))]
         )
     # Transpose so chase step i touches contiguous per-block lanes.
-    cvT = np.ascontiguousarray(const_val.reshape(blocks, _SCAN_BLOCK).T)
+    cvT = np.ascontiguousarray(const_val.reshape(blocks, block).T)
     rT = np.ascontiguousarray(
-        rows.reshape(blocks, _SCAN_BLOCK, p).transpose(1, 0, 2)
+        rows.reshape(blocks, block, p).transpose(1, 0, 2)
     )
     base = np.arange(blocks, dtype=np.intp) * p
 
     def chase(entry: np.ndarray) -> np.ndarray:
-        out = np.empty((_SCAN_BLOCK, blocks), dtype=cvT.dtype)
+        out = np.empty((block, blocks), dtype=cvT.dtype)
         cur = entry
-        for i in range(_SCAN_BLOCK):
+        for i in range(block):
             c = cvT[i]
             nxt = rT[i].ravel()[base + cur]
             cur = np.where(c >= 0, c, nxt)
@@ -543,16 +480,14 @@ def _scan_collapse(
         return out
 
     provisional = chase(np.zeros(blocks, dtype=np.intp))
-    if blocks == 1:
-        return provisional.T.ravel()[:n].astype(np.intp)
     state_after = provisional[-1].astype(np.intp)
     has_const = cvT.max(axis=0) >= 0
     no_const = np.flatnonzero(~has_const)
     if no_const.size:
         # Constant-free blocks need their full map: compose their rows.
-        sub = rows.reshape(blocks, _SCAN_BLOCK, p)[no_const]
+        sub = rows.reshape(blocks, block, p)[no_const]
         summary = sub[:, 0, :].astype(np.intp)
-        for i in range(1, _SCAN_BLOCK):
+        for i in range(1, block):
             summary = np.take_along_axis(
                 sub[:, i, :].astype(np.intp), summary, axis=1
             )

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.engine import FaultModel, get_backend
 from repro.engine.cursor import ShiftCursor
+from repro.engine.faults import drift_histogram
 from repro.errors import PlacementError, SimulationError
 from repro.rtm.geometry import RTMConfig
 from repro.rtm.report import SimReport
@@ -157,13 +158,6 @@ class RTMController:
         shifts = cursor.shifts
         device_shifts = shifts + cursor.scrub_shifts
         runtime = p.runtime_ns(device_shifts, reads, writes)
-        histogram: tuple[tuple[int, int], ...] = ()
-        if self.fault is not None:
-            drifts = cursor.drifts[cursor.drifts != 0]
-            values, counts = np.unique(drifts, return_counts=True)
-            histogram = tuple(
-                (int(v), int(c)) for v, c in zip(values, counts)
-            )
         return SimReport(
             dbcs=self.config.dbcs,
             accesses=reads + writes,
@@ -182,7 +176,7 @@ class RTMController:
             fault_corrupted=cursor.corrupted,
             scrub_shifts=cursor.scrub_shifts,
             scrub_events=cursor.scrub_events,
-            drift_histogram=histogram,
+            drift_histogram=drift_histogram(cursor.drifts),  # () fault-free
         )
 
     def _replay_scrubbed(

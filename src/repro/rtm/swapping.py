@@ -96,13 +96,15 @@ class SwappingController:
     def _maybe_swap(self, variable: str) -> int | None:
         """Swap ``variable`` one slot toward the port home if it is hotter
         than its inward neighbour. Returns the swap's shifts, or None
-        when nothing moves."""
+        when nothing moves (a variable on the home slot stays there)."""
         if self._counters[variable] < self.threshold:
             return None
         dbc_index, slot = self._location[variable]
+        if slot == self._home:
+            return None
         slots = self._slots[dbc_index]
         target = slot - 1 if slot > self._home else slot + 1
-        if not 0 <= target < len(slots) or target == slot:
+        if not 0 <= target < len(slots):
             return None
         neighbour = slots[target]
         if neighbour is not None and (

@@ -182,12 +182,12 @@ class AccessSequence:
     ) -> "AccessSequence":
         """Build a sequence directly from integer codes, without copying.
 
-        The zero-copy rehydration path: ``codes`` must be a read-only
-        int64 array of valid indices into ``variables`` — typically a
-        view into a shared-memory buffer (see
-        :class:`~repro.engine.compile.SharedTraceArena`). Writable
-        arrays are defensively frozen-by-copy so the sequence stays
-        immutable; read-only inputs are adopted as-is.
+        The zero-copy path: ``codes`` must be a read-only int64 array of
+        valid indices into ``variables`` — a view into a shared-memory
+        buffer (see :class:`~repro.engine.compile.SharedTraceArena`) or
+        a workload transform's freshly built codes. Writable arrays are
+        defensively frozen-by-copy so the sequence stays immutable;
+        read-only inputs are adopted as-is.
         """
         variables = tuple(variables)
         if not variables:

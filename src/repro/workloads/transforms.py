@@ -119,29 +119,20 @@ def _require_positive(value: int, context: str) -> int:
     return value
 
 
-def _seq_from_codes(variables, codes: np.ndarray, name: str) -> AccessSequence:
-    """Build an :class:`AccessSequence` from pre-validated integer codes.
+def _frozen(codes: np.ndarray) -> np.ndarray:
+    """Mark a freshly built code array read-only, in place.
 
-    Transforms already hold valid code arrays; decoding them to name
-    strings only for the constructor to re-encode them would be O(n)
-    wasted Python-level work on the layer whose CI benchmark gates
-    throughput.
+    :meth:`AccessSequence.from_codes` then adopts it without a copy.
     """
-    seq = AccessSequence.__new__(AccessSequence)
-    seq._variables = tuple(variables)
-    seq._index = {v: i for i, v in enumerate(seq._variables)}
-    codes = np.ascontiguousarray(codes, dtype=np.int64)
     codes.setflags(write=False)
-    seq._codes = codes
-    seq._name = name
-    return seq
+    return codes
 
 
 def _renamed(trace: MemoryTrace, prefix: str, name: str) -> MemoryTrace:
     seq = trace.sequence
     variables = [prefix + v for v in seq.variables]
     return MemoryTrace(
-        _seq_from_codes(variables, seq.codes, name), trace.writes
+        AccessSequence.from_codes(variables, seq.codes, name), trace.writes
     )
 
 
@@ -154,7 +145,7 @@ def _sliced(trace: MemoryTrace, index, name: str) -> MemoryTrace:
     remap[used] = np.arange(used.size)
     variables = [seq.variables[i] for i in used]
     return MemoryTrace(
-        _seq_from_codes(variables, remap[codes], name),
+        AccessSequence.from_codes(variables, _frozen(remap[codes]), name),
         trace.writes[index],
     )
 
@@ -200,7 +191,7 @@ def _interleave(traces: Traces, rng: np.random.Generator, k: int) -> Traces:
             codes[slots] = t.sequence.codes + offsets[j]
             writes[slots] = t.writes
         out.append(MemoryTrace(
-            _seq_from_codes(variables, codes, name), writes
+            AccessSequence.from_codes(variables, _frozen(codes), name), writes
         ))
     return tuple(out)
 
@@ -237,8 +228,10 @@ def _tile(traces: Traces, rng: np.random.Generator, k: int) -> Traces:
     for trace in traces:
         seq = trace.sequence
         out.append(MemoryTrace(
-            _seq_from_codes(seq.variables, np.tile(seq.codes, k),
-                            f"{seq.name}.x{k}"),
+            AccessSequence.from_codes(
+                seq.variables, _frozen(np.tile(seq.codes, k)),
+                f"{seq.name}.x{k}",
+            ),
             np.tile(trace.writes, k),
         ))
     return tuple(out)
@@ -259,8 +252,9 @@ def _stretch(traces: Traces, rng: np.random.Generator, length: int) -> Traces:
         codes = np.tile(seq.codes, reps)[:length]
         writes = np.tile(trace.writes, reps)[:length]
         out.append(MemoryTrace(
-            _seq_from_codes(seq.variables, codes,
-                            f"{seq.name}.len{length}"),
+            AccessSequence.from_codes(
+                seq.variables, _frozen(codes), f"{seq.name}.len{length}"
+            ),
             writes,
         ))
     return tuple(out)
@@ -284,8 +278,10 @@ def _skew(traces: Traces, rng: np.random.Generator, k: int) -> Traces:
             shift = (j * n) // k
             variables = [f"c{j}." + v for v in seq.variables]
             out.append(MemoryTrace(
-                _seq_from_codes(variables, np.roll(seq.codes, -shift),
-                                f"{seq.name}.c{j}"),
+                AccessSequence.from_codes(
+                    variables, _frozen(np.roll(seq.codes, -shift)),
+                    f"{seq.name}.c{j}",
+                ),
                 np.roll(trace.writes, -shift),
             ))
     return tuple(out)

@@ -65,8 +65,8 @@ class TestRandomizedEquivalence:
 
     def test_many_ports_fallback_scan(self):
         # ports > 4 exceeds the packed-monoid table and exercises the
-        # constant-collapse representation (_scan_maps doubling at these
-        # lengths; _scan_collapse is covered in test_collapse_scan.py).
+        # constant-collapse scan, the same at every length (block-size
+        # steps are covered in test_collapse_scan.py).
         rng = np.random.default_rng(321)
         for _ in range(10):
             assert_equivalent(

@@ -183,22 +183,6 @@ class TestDeltaCost:
             assert evaluator.cost - before == priced
         assert evaluator.resync() == oracle()
 
-    def test_generic_moves(self):
-        rng = np.random.default_rng(11)
-        codes = rng.integers(0, 8, 60)
-        dbc_of = np.zeros(8, dtype=np.int64)
-        pos_of = np.arange(8, dtype=np.int64)
-        evaluator = DeltaCost(codes, dbc_of, pos_of)
-        # Rotate three variables' slots: a 3-cycle as one move set.
-        moves = {0: int(pos_of[1]), 1: int(pos_of[2]), 2: int(pos_of[0])}
-        priced = evaluator.delta(moves)
-        total = evaluator.apply(moves)
-        pos = pos_of.copy()
-        pos[[0, 1, 2]] = [pos_of[1], pos_of[2], pos_of[0]]
-        want = cost_from_arrays(codes, dbc_of, pos, 1)
-        assert total == want
-        assert priced == want - cost_from_arrays(codes, dbc_of, pos_of, 1)
-
     def test_wide_dbc_indices_stay_grouped(self):
         # DBC indices beyond uint16 must not wrap in the pair compiler.
         codes = np.array([0, 1, 2])
@@ -213,9 +197,9 @@ class TestDeltaCost:
             codes, np.zeros(3, dtype=np.int64), np.arange(3, dtype=np.int64)
         )
         before = evaluator.cost
-        evaluator.swap_delta(0, 2)
+        assert evaluator.swap_delta(1, 2) != 0  # a committed swap would show
         assert evaluator.cost == before
-        assert evaluator.position_of(0) == 0
+        assert evaluator.resync() == before  # positions left as they were
 
 
 class TestSearcherRegressions:

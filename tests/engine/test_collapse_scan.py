@@ -1,15 +1,15 @@
 """Bit-identity of the multi-port replay scans vs the oracle.
 
-Wide ports (``p**p > 256``) replay through ``_scan_collapse``: maps are
-``(const, rows)`` pairs, prefix states collapse to scalars at the first
-constant map, and the blocked chase tracks O(blocks) scalars instead of
-map rows. These tests pin every dispatch path — Hillis–Steele doubling
-(``n <= _DOUBLING_MAX``), the collapse chase beyond it, block-boundary
-lengths, and the degenerate all-constant / constant-free map streams —
-against the per-access reference backend, across ``p in {3, 5, 8}``.
-The blocked scan past ``_DOUBLING_MAX`` is also pinned at 2 and 4 ports
-(the packed-table path), together with the cached geometry tables both
-paths read.
+Multi-port replay runs one blocked scan per map representation at every
+trace length: packed maps (``p**p <= 256``, here 3 and 4 ports) through
+the table-composed scan, wider ports through ``_scan_collapse`` over
+``(const, rows)`` map pairs, whose prefix states collapse to scalars at
+the first constant map. The in-block length is
+``min(_SCAN_BLOCK, ceil(sqrt(n)))``, so these tests pin lengths either
+side of each block-size step, partial and spilling last blocks, and the
+degenerate all-constant / constant-free map streams against the
+per-access reference backend, together with the cached geometry tables
+both scans read.
 """
 
 import numpy as np
@@ -17,8 +17,8 @@ import pytest
 
 from repro.engine import ShiftRequest, get_backend
 from repro.engine.numpy_backend import (
-    _DOUBLING_MAX,
     _SCAN_BLOCK,
+    _block_length,
     _gap_maps,
     _scan_collapse,
     _transition_tables,
@@ -29,7 +29,13 @@ from repro.engine.numpy_backend import (
 REFERENCE = get_backend("reference")
 NUMPY = get_backend("numpy")
 
-WIDE_PORTS = [3, 5, 8]  # all beyond the packed table (p**p > 256)
+SCAN_PORTS = [3, 5, 8]  # packed table at 3, constant collapse at 5 and 8
+
+#: ``ceil(sqrt(n))`` steps up by one from ``k**2`` to ``k**2 + 1``; from
+#: ``127**2 + 1`` on the block is the full ``_SCAN_BLOCK``.
+BLOCK_STEP_LENGTHS = [
+    n for k in (1, 2, 3, 7, 11, 64) for n in (k * k, k * k + 1)
+] + [127 ** 2, 127 ** 2 + 1, 128 ** 2 + 1]
 
 
 def assert_equivalent(request: ShiftRequest) -> None:
@@ -53,43 +59,68 @@ def request_for(slots, ports, dbcs=4, domains=128, seed=0, warm=True):
     )
 
 
-class TestScanPathDispatch:
-    """Both scan paths, either side of the doubling/collapse switch."""
+class TestBlockRule:
+    """One scan per representation, its block sized from the input."""
 
-    @pytest.mark.parametrize("ports", WIDE_PORTS)
-    @pytest.mark.parametrize(
-        "n", [1, 2, _DOUBLING_MAX, _DOUBLING_MAX + 1, 3 * _DOUBLING_MAX]
-    )
+    def test_block_length_steps(self):
+        for k in range(1, _SCAN_BLOCK):
+            assert _block_length(k * k) == k
+            assert _block_length(k * k + 1) == k + 1
+        assert _block_length(_SCAN_BLOCK ** 2 + 1) == _SCAN_BLOCK
+
+    @pytest.mark.parametrize("warm", [True, False])
+    @pytest.mark.parametrize("ports", [3, 4, 5, 8])
+    @pytest.mark.parametrize("n", BLOCK_STEP_LENGTHS)
+    def test_lengths_either_side_of_block_steps(self, n, ports, warm):
+        # Carried head state; 64 domains keep most wide-port maps
+        # non-constant, so constant-free blocks and their repair occur.
+        rng = np.random.default_rng(n * 13 + ports)
+        req = ShiftRequest(
+            dbc=rng.integers(0, 3, n), slot=rng.integers(0, 64, n),
+            num_dbcs=3, domains=64, ports=ports, warm_start=warm,
+            init_offsets=rng.integers(-20, 21, 3),
+            init_aligned=rng.integers(0, 2, 3).astype(bool),
+        )
+        assert NUMPY.run(req) == REFERENCE.run(req)
+
+
+class TestScanPathDispatch:
+    """Random traces, short and long, for each map representation."""
+
+    @pytest.mark.parametrize("ports", SCAN_PORTS)
+    @pytest.mark.parametrize("n", [1, 2, 64 ** 2, 64 ** 2 + 1, 12288])
     def test_random_traces(self, ports, n):
         rng = np.random.default_rng(n * 31 + ports)
         slots = rng.integers(0, 128, n)
         assert_equivalent(request_for(slots, ports, seed=n + ports))
 
-    @pytest.mark.parametrize("ports", WIDE_PORTS)
+    @pytest.mark.parametrize("ports", SCAN_PORTS)
     @pytest.mark.parametrize("warm", [True, False])
     def test_cold_and_warm_beyond_doubling(self, ports, warm):
+        # A full-length block (n > 127**2) with a partial last block.
         rng = np.random.default_rng(5 + ports)
-        slots = rng.integers(0, 64, _DOUBLING_MAX + 500)
+        slots = rng.integers(0, 64, 127 ** 2 + 500)
         assert_equivalent(
             request_for(slots, ports, domains=64, seed=ports, warm=warm)
         )
 
-    @pytest.mark.parametrize("ports", WIDE_PORTS)
+    @pytest.mark.parametrize("ports", SCAN_PORTS)
     def test_huge_track_skips_gap_table(self, ports):
-        # 2K-1 beyond the table-span floor: maps resolved per access,
-        # same collapse scan.
+        # A 200,000-domain track builds (and caches) its 399,999-gap
+        # table even for a trace of a few thousand accesses.
         rng = np.random.default_rng(17 + ports)
-        slots = rng.integers(0, 200_000, _DOUBLING_MAX + 300)
+        slots = rng.integers(0, 200_000, 66 ** 2 + 1)
         assert_equivalent(
             request_for(slots, ports, domains=200_000, seed=ports)
         )
 
     @pytest.mark.parametrize("ports", [2, 4, 8])
     def test_blocked_scan_matches_doubling_scale(self, ports):
-        # One request past _DOUBLING_MAX exercises the blocked two-level
-        # scan (packed for ports <= 4, explicit maps for 8).
+        # Full-length blocks at each scan: the forward fill at 2 ports,
+        # the packed table at 4, constant collapse at 8; cold start and
+        # carried head state.
         rng = np.random.default_rng(ports)
-        n = _DOUBLING_MAX + 1500
+        n = 127 ** 2 + 1500
         req = ShiftRequest(
             dbc=rng.integers(0, 6, n), slot=rng.integers(0, 64, n),
             num_dbcs=6, domains=64, ports=ports,
@@ -101,23 +132,24 @@ class TestScanPathDispatch:
 
 
 class TestBlockBoundaries:
-    """Lengths straddling the chase's 128-access block structure."""
+    """Lengths straddling a multiple of the full 128-access block."""
 
-    @pytest.mark.parametrize("ports", WIDE_PORTS)
+    @pytest.mark.parametrize("ports", SCAN_PORTS)
     @pytest.mark.parametrize(
         "extra", [_SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1]
     )
     def test_boundary_lengths_beyond_doubling(self, ports, extra):
-        n = _DOUBLING_MAX + extra  # partial, exact, and spilling last block
+        # Partial, exact, and spilling last block of 128.
+        n = (_SCAN_BLOCK - 1) * _SCAN_BLOCK + extra
         rng = np.random.default_rng(n + ports)
         slots = rng.integers(0, 128, n)
         assert_equivalent(request_for(slots, ports, seed=n))
 
-    @pytest.mark.parametrize("ports", WIDE_PORTS)
+    @pytest.mark.parametrize("ports", SCAN_PORTS)
     @pytest.mark.parametrize("n", [127, 128, 129, 255, 256, 257])
     def test_scan_collapse_directly_at_small_boundaries(self, ports, n):
-        # The backend routes small n through doubling; drive the collapse
-        # scan itself at single/partial-block shapes and cross-check.
+        # Drive the collapse scan itself on a random map stream and
+        # cross-check it with sequential evaluation of the same maps.
         rng = np.random.default_rng(n * 7 + ports)
         rows_tbl, const_tbl = _gap_maps(128, ports)
         gaps = rng.integers(0, rows_tbl.shape[0], n)
@@ -134,24 +166,27 @@ class TestBlockBoundaries:
 
 
 class TestDegenerateMapStreams:
-    @pytest.mark.parametrize("ports", WIDE_PORTS)
+    @pytest.mark.parametrize("ports", SCAN_PORTS)
     def test_no_constant_stream(self, ports):
         # A pinned slot yields gap-0 identity maps everywhere: not one
         # constant after the first access, the collapse scan's worst
-        # case (exercises the constant-free block repair).
-        slots = np.full(_DOUBLING_MAX + 400, 64, dtype=np.int64)
-        assert_equivalent(request_for(slots, ports, dbcs=1, seed=ports))
+        # case (5 and 8 ports). 64**2 accesses make 63 constant-free
+        # blocks in a row (the depth-capped repair), 128**2 + 1 make
+        # 128 (its doubling fallback).
+        for n in (64 ** 2, 128 ** 2 + 1):
+            slots = np.full(n, 64, dtype=np.int64)
+            assert_equivalent(request_for(slots, ports, dbcs=1, seed=ports))
 
-    @pytest.mark.parametrize("ports", WIDE_PORTS)
+    @pytest.mark.parametrize("ports", SCAN_PORTS)
     def test_all_constant_stream(self, ports):
         # Alternating track extremes: every gap map is constant.
-        n = _DOUBLING_MAX + 400
+        n = 67 ** 2 + 1
         slots = np.empty(n, dtype=np.int64)
         slots[::2] = 0
         slots[1::2] = 127
         assert_equivalent(request_for(slots, ports, dbcs=1, seed=ports))
 
-    @pytest.mark.parametrize("ports", WIDE_PORTS)
+    @pytest.mark.parametrize("ports", SCAN_PORTS)
     def test_mixed_runs_of_identity_maps(self, ports):
         # Long constant-free stretches interleaved with resets: covers
         # the depth-limited forward fill across many blocks.

@@ -142,13 +142,10 @@ def test_huge_drift_flags_corruption():
 
 
 def test_drift_histogram():
-    from repro.engine.faults import FaultObservation
+    from repro.engine.faults import drift_histogram
 
-    obs = FaultObservation(
-        injected=3, misaligned=5,
-        final_drifts=np.array([2, 0, -1, 2]), corrupted=False,
-    )
-    assert obs.drift_histogram() == ((-1, 1), (2, 2))
+    assert drift_histogram(np.array([2, 0, -1, 2])) == ((-1, 1), (2, 2))
+    assert drift_histogram(np.zeros(3, dtype=np.int64)) == ()
 
 
 # -- cursor scrubbing --------------------------------------------------------

@@ -36,6 +36,20 @@ class TestMigration:
         assert new_dbc == 0
         assert new_slot > 0  # moved toward the centre (port home)
 
+    def test_variable_on_home_slot_stays(self):
+        # 'c' sits on the home slot (domains // 2 = 2). Moving it outward
+        # would only swap it back on its next access, paying each swap.
+        config = RTMConfig(dbcs=1, domains_per_track=4)
+        ctrl = SwappingController(
+            config, Placement([("a", "b", "c", "d")]), threshold=1
+        )
+        report, stats = ctrl.execute(
+            MemoryTrace(AccessSequence(list("cccc"), variables=list("abcd")))
+        )
+        assert (stats.swaps, report.shifts) == (0, 0)
+        assert ctrl.location_of("c") == (0, 2)
+        assert report.runtime_ns == pytest.approx(3.37, abs=0.01)
+
     def test_no_swaps_below_threshold(self, config):
         placement = Placement([("a", "b"), ()])
         seq = AccessSequence(["a", "b"], variables=["a", "b"])
