@@ -10,10 +10,9 @@ frequency-only layout) against plain static DMA-SR.
 import pytest
 
 from repro.core.policies import get_policy
+from repro.eval.ablations import ablation_swapping
 from repro.rtm.geometry import iso_capacity_sweep
 from repro.rtm.preshift import PreshiftController, PreshiftPolicy
-from repro.rtm.sim import simulate
-from repro.rtm.swapping import SwappingController
 from repro.trace.generators.offsetstone import load_benchmark
 from repro.util.tables import format_table
 
@@ -27,36 +26,19 @@ def workload():
     return bench, config
 
 
-def test_static_dma_vs_online_swapping(benchmark, workload):
-    bench, config = workload
-    cap = config.locations_per_dbc
-
-    def run():
-        rows = []
-        totals = {"AFD-OFU": 0, "AFD-OFU+swap": 0, "DMA-SR": 0}
-        swaps = 0
-        for trace in bench.traces:
-            seq = trace.sequence
-            afd = get_policy("AFD-OFU").place(seq, config.dbcs, cap)
-            dma = get_policy("DMA-SR").place(seq, config.dbcs, cap)
-            static_afd = simulate(trace, afd, config)
-            static_dma = simulate(trace, dma, config)
-            ctrl = SwappingController(config, afd, threshold=4)
-            dynamic, stats = ctrl.execute(trace)
-            totals["AFD-OFU"] += static_afd.shifts
-            totals["AFD-OFU+swap"] += dynamic.shifts
-            totals["DMA-SR"] += static_dma.shifts
-            swaps += stats.swaps
-        rows = [[k, v] for k, v in totals.items()]
-        return rows, swaps
-
-    rows, swaps = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_static_dma_vs_online_swapping(benchmark):
+    result = benchmark.pedantic(
+        lambda: ablation_swapping(
+            PROFILE, benchmark="h263", num_dbcs=4, threshold=4
+        ),
+        rounds=1, iterations=1,
+    )
     publish_text(
         "A-6 static placement vs online swapping (4 DBCs, total shifts)",
-        format_table(["scheme", "total shifts"], rows)
-        + f"\n(swaps performed: {swaps})",
+        format_table(["scheme", "total shifts"], result.rows)
+        + f"\n(swaps performed: {int(result.summary['swaps'])})",
     )
-    totals = dict((r[0], r[1]) for r in rows)
+    totals = dict(result.rows)
     # Static DMA-SR should beat the swap-assisted frequency layout —
     # the paper's 'no hardware overhead' argument.
     assert totals["DMA-SR"] <= totals["AFD-OFU+swap"]

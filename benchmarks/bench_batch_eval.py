@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Micro-benchmark: batched vs per-candidate placement scoring.
 
-PR 1 vectorized single-placement trace replay; after it, search cost —
+Once single-placement trace replay was vectorized, search cost —
 scoring thousands of candidate placements one at a time — dominated the
-search-based policies. This benchmark tracks the two scoring paths the
+search-based policies. This benchmark tracks the scoring path the
 batched-evaluation layer replaced:
 
 * **population** — score a GA-sized population of complete placements.
@@ -14,18 +14,13 @@ batched-evaluation layer replaced:
   :func:`repro.engine.evaluate_batch` pass — the stacking cost is
   *inside* the timed region, as any caller holding list-of-lists
   candidates pays it before scoring.
-* **neighbor** — price transposition moves on one candidate (the
-  annealing/2-opt inner loop). Baseline: full rescoring through the
-  scalar array kernel per move. Incremental:
-  :meth:`repro.engine.DeltaCost.swap_delta`, which touches only the
-  access pairs incident to the two swapped variables.
 
 The GA breeds and scores ``(K, V)`` arrays directly; its real
 per-generation cost is perfbench's ``core.ga_self_s``, not a mode here.
 
 Results go to ``BENCH_batch.json``, with the seed, the core count and
 the Python, numpy and repro versions, so the performance trajectory is
-tracked from release to release; the script exits non-zero when either
+tracked from release to release; the script exits non-zero when the
 speedup falls below ``--min-speedup`` so CI can gate on it.
 
 Usage::
@@ -45,13 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.cost import (
-    cost_from_arrays,
-    shift_cost,
-    stack_placement_lists,
-)
+from repro.core.cost import shift_cost, stack_placement_lists
 from repro.core.placement import Placement
-from repro.engine import DeltaCost, clear_compile_caches, evaluate_batch
+from repro.engine import clear_compile_caches, evaluate_batch
 from repro.trace.generators.synthetic import zipf_sequence
 
 from _bench_utils import provenance
@@ -89,13 +80,11 @@ def main(argv=None) -> int:
     parser.add_argument("--population", type=int, default=200,
                         help="candidates per population pass (the paper's "
                              "GA scores mu + lambda = 200 per generation)")
-    parser.add_argument("--moves", type=int, default=2000,
-                        help="neighbor transpositions for the delta mode")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--min-speedup", type=float, default=5.0,
-                        help="fail below this speedup on the population/"
-                             "neighbor modes (0 disables)")
+                        help="fail below this population speedup "
+                             "(0 disables)")
     parser.add_argument("--out", default="BENCH_batch.json")
     args = parser.parse_args(argv)
 
@@ -133,46 +122,7 @@ def main(argv=None) -> int:
         "speedup": t_scalar / t_batch,
     }
 
-    # -- neighbor-move pricing -----------------------------------------------
-    moves = [
-        (int(a), int(b))
-        for a, b in (
-            rng.choice(sequence.num_variables, 2, replace=False)
-            for _ in range(args.moves)
-        )
-    ]
-    base_dbc, base_pos = stack_placement_lists(sequence, candidates[:1])
-    base_dbc, base_pos = base_dbc[0], base_pos[0]
-
-    def full_rescore():
-        pos = base_pos.copy()
-        total = 0
-        for u, v in moves:
-            pos[u], pos[v] = pos[v], pos[u]
-            total += cost_from_arrays(codes, base_dbc, pos, args.dbcs)
-            pos[u], pos[v] = pos[v], pos[u]
-        return total
-
-    def delta_rescore():
-        evaluator = DeltaCost(codes, base_dbc, base_pos)
-        base = evaluator.cost
-        return sum(base + evaluator.swap_delta(u, v) for u, v in moves)
-
-    assert full_rescore() == delta_rescore()  # exact agreement per move
-    t_full = best_of(full_rescore, args.repeats)
-    t_delta = best_of(delta_rescore, args.repeats)
-    neighbor_row = {
-        "mode": "neighbor",
-        "moves": args.moves,
-        "full_s": t_full,
-        "delta_s": t_delta,
-        "full_moves_per_s": args.moves / t_full,
-        "delta_moves_per_s": args.moves / t_delta,
-        "speedup": t_full / t_delta,
-    }
-
-    for row in (population_row, neighbor_row):
-        print(f"{row['mode']}: speedup {row['speedup']:.1f}x")
+    print(f"population: speedup {population_row['speedup']:.1f}x")
     payload = {
         "benchmark": "batched_candidate_evaluation",
         "provenance": provenance(args.seed),
@@ -180,22 +130,19 @@ def main(argv=None) -> int:
         "accesses": args.accesses,
         "dbcs": args.dbcs,
         "repeats": args.repeats,
-        "results": [population_row, neighbor_row],
+        "results": [population_row],
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")
 
-    failures = []
-    if args.min_speedup:
-        failures += [
-            f"{row['mode']} ({row['speedup']:.1f}x < {args.min_speedup}x)"
-            for row in (population_row, neighbor_row)
-            if row["speedup"] < args.min_speedup
-        ]
-    if failures:
-        print(f"FAIL: {', '.join(failures)}", file=sys.stderr)
+    if args.min_speedup and population_row["speedup"] < args.min_speedup:
+        print(
+            f"FAIL: population ({population_row['speedup']:.1f}x < "
+            f"{args.min_speedup}x)",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _bench_utils import RssSampler  # noqa: E402
+from _bench_utils import RssSampler, provenance  # noqa: E402
 
 from repro.engine.compile import SharedTraceArena  # noqa: E402
 from repro.eval.profiles import QUICK_PROFILE  # noqa: E402
@@ -200,7 +200,7 @@ def main(argv=None) -> int:
         "accesses": accesses,
         "cells": cells,
         "policies": list(POLICIES),
-        "cores": cores,
+        "provenance": provenance(args.seed),
         "results": rows,
         "checks": {
             "bit_identical_shm_on_off": bit_identical,

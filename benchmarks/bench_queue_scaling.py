@@ -60,6 +60,8 @@ from repro.eval.runner import (  # noqa: E402
 from repro.rtm.geometry import RTMConfig  # noqa: E402
 from repro.store import ExperimentStore, WorkQueue  # noqa: E402
 
+from _bench_utils import provenance  # noqa: E402
+
 #: Deterministic heuristic policies: per-cell cost tracks trace length,
 #: so the cost skew below is the *workload's* skew, not search-budget
 #: noise, and bit-identity needs no seed bookkeeping.
@@ -255,11 +257,11 @@ def main(argv=None) -> int:
     vs_shard = t_shard / t_qn
     payload = {
         "benchmark": "queue_scaling",
+        "provenance": provenance(profile.seed),
         "cells": cells,
         "enqueued": enqueued,
         "policies": list(POLICIES),
         "big_cells_per_shard": shard_load,
-        "cores": cores,
         "results": [
             {"mode": "serial", "processes": 1, "wall_s": t_serial},
             {"mode": "queue", "workers": 1, "wall_s": t_q1},

@@ -26,6 +26,8 @@ from repro.eval.runner import clear_cell_cache, last_matrix_stats, run_matrix
 from repro.rtm.geometry import iso_capacity_sweep
 from repro.store import ExperimentStore
 
+from _bench_utils import provenance
+
 PROFILE = EvalProfile(
     name="store-roundtrip",
     suite_scale=0.12,
@@ -71,6 +73,7 @@ def main(argv=None) -> int:
     hit_rate = warm.hits_store / warm.cells_total if warm.cells_total else 0.0
     payload = {
         "benchmark": "store_roundtrip",
+        "provenance": provenance(PROFILE.seed),
         "policies": list(POLICIES),
         "cells": cold.cells_total,
         "first_pass": {"computed": cold.computed,

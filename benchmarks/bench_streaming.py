@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _bench_utils import RssSampler  # noqa: E402
+from _bench_utils import RssSampler, provenance  # noqa: E402
 
 from repro.rtm.controller import RTMController  # noqa: E402
 from repro.rtm.geometry import RTMConfig  # noqa: E402
@@ -196,6 +196,7 @@ def main(argv=None) -> int:
 
     payload = {
         "benchmark": "streaming_replay",
+        "provenance": provenance(args.seed),
         "generated_accesses": args.accesses,
         "chunk": args.chunk,
         "results": [

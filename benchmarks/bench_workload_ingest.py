@@ -38,12 +38,15 @@ from repro.workloads import (
     workload_fingerprint,
 )
 
+from _bench_utils import provenance
+
 ACCESSES = 200_000
 WORDS = 1_024
+SEED = 42
 
 
 def _write_address_trace(path: Path, accesses: int) -> None:
-    rng = np.random.default_rng(42)
+    rng = np.random.default_rng(SEED)
     # Zipf-flavoured hot set over WORDS words at byte granularity.
     ranks = rng.zipf(1.3, size=accesses) % WORDS
     addrs = 0x10_000 + ranks * 4
@@ -110,12 +113,14 @@ def main(argv=None) -> int:
 
     payload = {
         "benchmark": "workload_ingest",
+        "provenance": provenance(SEED),
         "accesses": args.accesses,
         "ingest": {"seconds": ingest_s, "rate_per_s": ingest_rate,
                    "kept_vars": trace.sequence.num_variables,
                    "kept_accesses": len(trace)},
         "roundtrip": {"seconds": roundtrip_s, "rate_per_s": roundtrip_rate},
-        "resolve": {"suite": list(names), "direct_s": direct_s,
+        "resolve": {"suite": list(names), "seed": ctx.seed,
+                    "direct_s": direct_s,
                     "registry_s": resolve_s, "overhead_x": overhead,
                     "bit_identical": identical},
     }

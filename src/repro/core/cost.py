@@ -24,12 +24,7 @@ import numpy as np
 from collections.abc import Sequence
 
 from repro.core.placement import Placement
-from repro.engine import (
-    ShiftRequest,
-    get_backend,
-    single_port_warm_total,
-    stack_candidate_arrays,
-)
+from repro.engine import ShiftRequest, get_backend, stack_candidate_arrays
 from repro.engine.compile import compile_access_arrays
 from repro.errors import PlacementError
 from repro.trace.sequence import AccessSequence
@@ -88,31 +83,12 @@ def per_dbc_shift_costs(
     return [int(c) for c in result.per_dbc_shifts]
 
 
-def cost_from_arrays(
-    codes: np.ndarray,
-    dbc_of: np.ndarray,
-    pos_of: np.ndarray,
-    num_dbcs: int,
-) -> int:
-    """Raw fast path for one candidate (single port, warm start).
-
-    ``dbc_of``/``pos_of`` are indexed by variable code, as produced by
-    :meth:`Placement.as_arrays`, but callers may pass any code-indexed
-    arrays (e.g. one row of a search population) without constructing a
-    :class:`Placement`. Scoring whole populations goes through
-    :func:`repro.engine.evaluate_batch` (stack the candidates into
-    ``(K, V)`` matrices).
-    """
-    if codes.size <= 1:
-        return 0
-    return single_port_warm_total(dbc_of[codes], pos_of[codes])
-
-
 def stack_placement_lists(
     sequence: AccessSequence,
     candidates: Sequence[Sequence[Sequence[str]]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(K, V)`` candidate matrices from per-DBC variable-*name* lists.
+    """``(K, V)`` :func:`repro.engine.evaluate_batch` candidate matrices
+    from per-DBC variable-*name* lists.
 
     The sequence-aware twin of
     :func:`repro.engine.stack_candidate_arrays`: each candidate is a

@@ -21,20 +21,15 @@ backends inherit the coverage). Select one globally via the
 ``engine_backend``.
 
 On top of the per-request backends, :mod:`repro.engine.batch` scores
-whole *populations* of candidate placements (:func:`evaluate_batch`) and
-prices neighbor moves incrementally (:class:`DeltaCost`) — the layer the
-search-based placement algorithms are built on.
+whole *populations* of candidate placements (:func:`evaluate_batch`) —
+the layer the search-based placement algorithms are built on.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.engine.batch import (
-    DeltaCost,
-    evaluate_batch,
-    stack_candidate_arrays,
-)
+from repro.engine.batch import evaluate_batch, stack_candidate_arrays
 from repro.engine.compile import (
     ArenaSpec,
     SharedTraceArena,
@@ -45,7 +40,7 @@ from repro.engine.compile import (
 )
 from repro.engine.cursor import ShiftCursor
 from repro.engine.faults import FaultModel, FaultObservation
-from repro.engine.numpy_backend import NumpyBackend, single_port_warm_total
+from repro.engine.numpy_backend import NumpyBackend
 from repro.engine.reference import ReferenceBackend
 from repro.engine.semantics import port_positions, select_port, step
 from repro.engine.types import ShiftRequest, ShiftResult
@@ -121,7 +116,6 @@ def get_backend(backend: object = None):
 __all__ = [
     "ArenaSpec",
     "DEFAULT_BACKEND",
-    "DeltaCost",
     "FaultModel",
     "FaultObservation",
     "NumpyBackend",
@@ -139,7 +133,6 @@ __all__ = [
     "port_positions",
     "resolve_backend_name",
     "select_port",
-    "single_port_warm_total",
     "stack_candidate_arrays",
     "step",
     "trace_fingerprint",

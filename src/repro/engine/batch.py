@@ -1,31 +1,24 @@
 """Batched candidate evaluation: score whole placement populations at once.
 
-Search-based placement (GA, random walk, annealing, 2-opt polishing)
-evaluates thousands of candidate placements against *one* trace. Scoring
-them one at a time through the scalar cost path leaves most of the work
-in per-candidate Python overhead; this module scores a ``(K, V)`` matrix
-of candidates in a single vectorized pass instead. Both scorers price
-the paper's objective: one port per track, each DBC's first access free
-(warm start). Other port counts are a replay geometry of the engine
-backends (:func:`repro.core.cost.shift_cost` with ``ports``/``domains``),
-not a search objective.
+Search-based placement (GA, random walk, 2-opt polishing, the exact
+enumeration) evaluates thousands of candidate placements against *one*
+trace. Scoring them one at a time through the scalar cost path leaves
+most of the work in per-candidate Python overhead;
+:func:`evaluate_batch` scores a ``(K, V)`` matrix of candidates in a
+single vectorized pass instead. It prices the paper's objective: one
+port per track, each DBC's first access free (warm start). Other port
+counts are a replay geometry of the engine backends
+(:func:`repro.core.cost.shift_cost` with ``ports``/``domains``), not a
+search objective.
 
-* :func:`evaluate_batch` — the population scorer. Candidates are given
-  as stacked ``dbc_of``/``pos_of`` arrays indexed by variable code (the
-  same encoding :meth:`Placement.as_arrays` produces); the trace is the
-  shared ``codes`` array. One gather (``dbc_of[:, codes]``) yields every
-  candidate's per-access arrays, and the per-DBC grouping is resolved
-  with one row-wise stable argsort — no per-candidate Python.
-* :class:`DeltaCost` — the incremental evaluator for neighbor moves.
-  Local search mutates a candidate slightly (transpose two variables,
-  reorder a segment); recomputing the full trace cost per move is
-  O(trace), but under a *fixed partition* the warm-start single-port
-  cost is a weighted sum over per-DBC adjacent access pairs, so a move
-  only re-prices the pairs touching the moved variables: O(touched).
-
-Both agree exactly — integer arithmetic throughout — with scoring each
-candidate through the single-port reference backend, which the
-equivalence tests enforce.
+Candidates are given as stacked ``dbc_of``/``pos_of`` arrays indexed by
+variable code (the same encoding :meth:`Placement.as_arrays` produces);
+the trace is the shared ``codes`` array. One gather
+(``dbc_of[:, codes]``) yields every candidate's per-access arrays, and
+the per-DBC grouping is resolved with one row-wise stable argsort — no
+per-candidate Python. Totals agree exactly — integer arithmetic
+throughout — with scoring each candidate through the single-port
+reference backend, which the equivalence tests enforce.
 """
 
 from __future__ import annotations
@@ -36,7 +29,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 
-__all__ = ["DeltaCost", "evaluate_batch", "stack_candidate_arrays"]
+__all__ = ["evaluate_batch", "stack_candidate_arrays"]
 
 
 def stack_candidate_arrays(
@@ -248,112 +241,3 @@ def _batch_single(
             move, np.arange(0, rows * n - 1, n)
         )
     return totals
-
-
-class DeltaCost:
-    """Incremental warm-start single-port cost of moves under a fixed partition.
-
-    Compiles the trace once into the per-DBC adjacency structure — the
-    warm cost of a placement is ``sum(w_ab * |pos[a] - pos[b]|)`` over
-    the pairs ``(a, b)`` of variables adjacent in some DBC's access
-    subsequence, with ``w_ab`` the number of times they are adjacent.
-    Because the pair structure depends only on the *partition* (which
-    DBC each variable lives in), any intra-DBC reordering can be
-    re-priced by touching just the pairs incident to the moved variables
-    — O(touched accesses) instead of O(trace) per move. The pricing
-    loops are pure Python: touched pair lists are short, and interpreter
-    arithmetic beats numpy's per-call setup at that size.
-
-    ``swap_delta`` prices transposing the slots of two variables in one
-    DBC without committing it; ``swap`` commits. The compiled pairs are
-    partition-specific, so no move may change a variable's DBC.
-    :meth:`resync` recomputes the total from scratch (the arithmetic is
-    exact integers, so this is a verification hook, not a drift
-    correction). Totals agree exactly with the single-port reference
-    backend's warm-start totals.
-    """
-
-    def __init__(
-        self,
-        codes: np.ndarray,
-        dbc_of: np.ndarray,
-        pos_of: np.ndarray,
-    ) -> None:
-        codes = np.ascontiguousarray(codes, dtype=np.int64)
-        dbc_of = np.ascontiguousarray(dbc_of, dtype=np.int64)
-        pos_of = np.ascontiguousarray(pos_of, dtype=np.int64)
-        if codes.ndim != 1 or dbc_of.ndim != 1 or pos_of.ndim != 1:
-            raise SimulationError("codes/dbc_of/pos_of must be 1-D arrays")
-        if dbc_of.shape != pos_of.shape:
-            raise SimulationError("dbc_of/pos_of must have equal length")
-        self._pos: list[int] = pos_of.tolist()
-        a, b, w = self._compile_pairs(codes, dbc_of)
-        self._a, self._b, self._w = a, b, w
-        #: code -> [(neighbour code, adjacency weight)]
-        self._adj: list[list[tuple[int, int]]] = [[] for _ in range(dbc_of.size)]
-        for pa, pb, pw in zip(a.tolist(), b.tolist(), w.tolist()):
-            self._adj[pa].append((pb, pw))
-            self._adj[pb].append((pa, pw))
-        self._total = self.resync()
-
-    @staticmethod
-    def _compile_pairs(
-        codes: np.ndarray, dbc_of: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Weighted per-DBC adjacency pairs of the compiled trace."""
-        num_vars = dbc_of.size
-        if codes.size <= 1:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        dbc = dbc_of[codes]
-        narrow = 0 <= int(dbc.min()) and int(dbc.max()) <= 0xFFFF
-        key = dbc.astype(np.uint16) if narrow else dbc
-        order = np.argsort(key, kind="stable")
-        ds = dbc[order]
-        cs = codes[order]
-        same = ds[1:] == ds[:-1]
-        pa, pb = cs[:-1][same], cs[1:][same]
-        distinct = pa != pb  # same-variable pairs cost 0 under any order
-        pa, pb = pa[distinct], pb[distinct]
-        lo = np.minimum(pa, pb)
-        hi = np.maximum(pa, pb)
-        pair_key, w = np.unique(lo * num_vars + hi, return_counts=True)
-        return pair_key // num_vars, pair_key % num_vars, w.astype(np.int64)
-
-    @property
-    def cost(self) -> int:
-        """The current candidate's total shift cost."""
-        return self._total
-
-    def swap_delta(self, code_a: int, code_b: int) -> int:
-        """Price transposing two variables' slots (the annealing move)."""
-        pos = self._pos
-        pa, pb = pos[code_a], pos[code_b]
-        d = 0
-        for o, w in self._adj[code_a]:
-            if o != code_b:  # the (a, b) pair's own distance is unchanged
-                po = pos[o]
-                d += w * (abs(pb - po) - abs(pa - po))
-        for o, w in self._adj[code_b]:
-            if o != code_a:
-                po = pos[o]
-                d += w * (abs(pa - po) - abs(pb - po))
-        return d
-
-    def swap(self, code_a: int, code_b: int, delta: int | None = None) -> int:
-        """Commit the transposition and return the new total.
-
-        ``delta`` takes a price already computed by :meth:`swap_delta`
-        for the same pair, skipping the second pricing pass (accept
-        loops price first, then commit).
-        """
-        pos = self._pos
-        self._total += self.swap_delta(code_a, code_b) if delta is None else delta
-        pos[code_a], pos[code_b] = pos[code_b], pos[code_a]
-        return self._total
-
-    def resync(self) -> int:
-        """Recompute the total from scratch (verification hook)."""
-        pos = np.asarray(self._pos, dtype=np.int64)
-        self._total = int((self._w * np.abs(pos[self._a] - pos[self._b])).sum())
-        return self._total

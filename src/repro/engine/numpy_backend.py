@@ -14,7 +14,8 @@ between accesses of a DBC is *which port served the previous access*
 (the offset is then determined by the previous slot). Each access is
 therefore a function ``prev_port -> (chosen port, cost)`` over a tiny
 domain of ``p`` ports. We materialize those per-access port maps in bulk
-(one gather from cached per-gap transition tables) and resolve the
+(one gather from cached per-gap transition tables; a request shorter
+than a long track's gap range maps its own gaps) and resolve the
 sequential dependency with a *blocked* prefix scan over the maps, one
 scan per map representation whatever the trace length: the in-block
 length grows with the input as ``min(128, ceil(sqrt(n)))``. Narrow
@@ -78,22 +79,6 @@ def boundaries_array(domains: int, ports: int) -> np.ndarray:
     out = np.asarray(port_boundaries(domains, ports), dtype=np.int64)
     out.setflags(write=False)
     return out
-
-
-def single_port_warm_total(dbc: np.ndarray, slot: np.ndarray) -> int:
-    """Total warm-start single-port shifts for per-access dbc/slot arrays.
-
-    The minimal kernel behind :func:`repro.core.cost.cost_from_arrays`,
-    the one-candidate fast path: sum of intra-DBC consecutive slot
-    distances.
-    """
-    if dbc.size <= 1:
-        return 0
-    order = _group_order(dbc, int(dbc.max()) + 1)
-    ds = dbc[order]
-    ss = slot[order]
-    same = ds[1:] == ds[:-1]
-    return int(np.abs(np.diff(ss))[same].sum())
 
 
 class NumpyBackend:
@@ -218,32 +203,47 @@ def _anchored_costs(
     return costs, np.zeros(first_dbc.size, dtype=np.int64)
 
 
-@lru_cache(maxsize=256)
-def _gap_maps(domains: int, ports: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-gap ``(rows, const)`` port-transition maps for one track geometry.
+def _port_maps(
+    gaps: np.ndarray, domains: int, ports: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, const)`` port-transition maps of the slot gaps ``gaps``.
 
     The map an access applies depends only on its slot gap ``g`` to the
     previous access: entering with port ``k``, the target is ``g +
-    positions[k]`` and the chosen port is the nearest one. All ``2K - 1``
-    possible gaps are enumerated once; building the per-access maps is
-    then a single gather at ``gap + (K - 1)``. ``rows[g]`` is the
-    explicit ``prev -> next`` map of gap ``g`` and ``const[g]`` its
-    value when the map is *constant* (same chosen port whatever the
-    previous one was), ``-1`` otherwise. Nearest-port maps are monotone
-    (the targets ``g + positions[k]`` increase with ``k``), so a map is
-    constant exactly when its first and last entries agree. Narrow
-    dtypes keep the per-access gathers' memory traffic at one byte per
-    entry.
+    positions[k]`` and the chosen port is the nearest one. ``rows[i]``
+    is the explicit ``prev -> next`` map of ``gaps[i]`` and
+    ``const[i]`` its value when the map is *constant* (same chosen port
+    whatever the previous one was), ``-1`` otherwise. Nearest-port maps
+    are monotone (the targets ``g + positions[k]`` increase with
+    ``k``), so a map is constant exactly when its first and last
+    entries agree. Narrow dtypes keep the per-access gathers' memory
+    traffic at one byte per entry.
     """
     positions = positions_array(domains, ports)
     boundaries = boundaries_array(domains, ports)
     # Narrowest signed dtype holding port indices plus the -1 sentinel.
     dtype = np.int8 if ports <= 127 else np.int16
-    gaps = np.arange(-(domains - 1), domains, dtype=np.int64)
     rows = np.searchsorted(
         boundaries, gaps[:, None] + positions[None, :], side="left"
     ).astype(dtype)
     const = np.where(rows[:, 0] == rows[:, -1], rows[:, 0], -1).astype(dtype)
+    return rows, const
+
+
+def _packed(rows: np.ndarray, ports: int) -> np.ndarray:
+    """Map rows packed into one base-``p`` integer each (digit k = f(k))."""
+    return rows.astype(np.int64) @ (ports ** np.arange(ports, dtype=np.int64))
+
+
+@lru_cache(maxsize=256)
+def _gap_maps(domains: int, ports: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_port_maps` of all ``2K - 1`` gaps of one track geometry.
+
+    Row ``g + (K - 1)`` holds gap ``g``'s map, so a request's per-access
+    maps are one gather at ``gap + (K - 1)``.
+    """
+    gaps = np.arange(-(domains - 1), domains, dtype=np.int64)
+    rows, const = _port_maps(gaps, domains, ports)
     rows.setflags(write=False)
     const.setflags(write=False)
     return rows, const
@@ -251,13 +251,12 @@ def _gap_maps(domains: int, ports: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=256)
 def _transition_tables(domains: int, ports: int) -> np.ndarray:
-    """The rows of :func:`_gap_maps` packed into one base-``p`` integer each.
+    """The rows of :func:`_gap_maps` packed by :func:`_packed`.
 
     The packed representation of narrow ports (``p**p <= _TABLE_MAX``),
     composed through :func:`_composition_table`.
     """
-    rows, _ = _gap_maps(domains, ports)
-    out = rows.astype(np.int64) @ (ports ** np.arange(ports, dtype=np.int64))
+    out = _packed(_gap_maps(domains, ports)[0], ports)
     out.setflags(write=False)
     return out
 
@@ -280,7 +279,9 @@ def nearest_costs_flat(
 
     The port chosen for an access depends only on the previous access's
     port, so each access is a ``prev -> next`` map over the ``p`` ports,
-    gathered per access from the cached per-gap transition tables.
+    gathered per access from the geometry's cached per-gap table — or,
+    for a request shorter than a long track's ``2K - 1`` gaps, built
+    for the request's own gaps.
     Run-first maps are overwritten with constant maps (their choice is
     fixed by the known starting offset), the scan composes the maps into
     per-access choices, and the costs need only the chosen ports:
@@ -291,20 +292,32 @@ def nearest_costs_flat(
     gap = np.empty(n, dtype=np.int64)
     gap[0] = 0
     np.subtract(ss[1:], ss[:-1], out=gap[1:])
-    at = gap + (domains - 1)
     first_port = np.searchsorted(
         boundaries_array(domains, ports), first_targets, side="left"
     )
+    # Short tracks and requests at least as long as the track's gap
+    # range gather from the geometry's cached table; a shorter request on
+    # a longer track maps its own gaps instead of building and pinning it.
+    tabled = 2 * domains - 1 <= max(n, _GAP_TABLE_MIN)
+    at = gap + (domains - 1)
     if ports ** ports <= _TABLE_MAX:
-        enc = _transition_tables(domains, ports)[at]
+        if tabled:
+            enc = _transition_tables(domains, ports)[at]
+        else:
+            enc = _packed(_port_maps(gap, domains, ports)[0], ports)
         # A constant map to port j has every base-p digit equal to j.
         enc[first_idx] = first_port * ((ports ** ports - 1) // (ports - 1))
         chosen = _scan_packed(enc, ports)
     else:
-        rows, const = _gap_maps(domains, ports)
-        const = const[at]
+        if tabled:
+            rows, const = _gap_maps(domains, ports)
+            const = const[at]
+        else:
+            rows, const = _port_maps(gap, domains, ports)
         const[first_idx] = first_port.astype(const.dtype)
-        chosen = _scan_collapse(const, rows[at], ports)
+        # The gathered rows stay a temporary the scan can free once it
+        # has padded them: holding them here slowed long replays ~5%.
+        chosen = _scan_collapse(const, rows[at] if tabled else rows, ports)
     prev = np.empty(n, dtype=np.intp)
     prev[0] = 0
     prev[1:] = chosen[:-1]
@@ -321,13 +334,21 @@ def _composition_table(p: int) -> np.ndarray:
     ``f(0), f(1), ...``; ``table.ravel()[g * p**p + f]`` encodes ``g∘f``.
     """
     total = p ** p
-    powers = p ** np.arange(p, dtype=np.int64)
-    digits = (np.arange(total)[:, None] // powers[None, :]) % p
-    table = np.empty((total, total), dtype=np.int32)
-    for g in range(total):
-        table[g] = (digits[g][digits] * powers[None, :]).sum(axis=1)
-    return table.ravel()
+    # Built in uint8 (every code is below p**p <= _TABLE_MAX = 256): a
+    # quarter of the int32 temporaries' page faults on a first replay.
+    digits = ((np.arange(total)[:, None] // p ** np.arange(p)) % p).astype(np.uint8)
+    table = np.zeros((total, total), dtype=np.uint8)
+    for k in range(p):  # digit k of g∘f is digits[g, digits[f, k]]
+        table += digits[:, digits[:, k]] * np.uint8(p ** k)
+    return table.astype(np.int32).ravel()
 
+
+#: Gap tables of up to this many entries (tracks of up to 2,048 domains,
+#: every geometry the experiments use) are built whatever the request's
+#: length: each holds ``(ports + 1)`` bytes per gap (plus 8 packed), and
+#: short replays gather from them 1.05-1.6x faster than they map their
+#: own gaps on 64-512 domains.
+_GAP_TABLE_MIN = 4096
 
 #: Largest packed-map universe (p**p) the composition table covers:
 #: ports <= 4 keep the table at 256x256 int32.

@@ -1,5 +1,6 @@
 """Unit tests for the cost lower bounds and the annealing optimizer."""
 
+import numpy as np
 import pytest
 
 from repro.core.bounds import (
@@ -11,6 +12,7 @@ from repro.core.bounds import (
 )
 from repro.core.cost import shift_cost
 from repro.core.intra import annealed_order, ofu_order, optimal_intra_cost
+from repro.core.intra import annealing
 from repro.core.placement import Placement
 from repro.errors import SolverError
 from repro.trace.generators.synthetic import zipf_sequence
@@ -136,6 +138,53 @@ class TestAnnealing:
         with pytest.raises(SolverError):
             annealed_order(small_sequence, list(small_sequence.variables),
                            iterations=0)
+
+    @staticmethod
+    def random_dbc(seed):
+        """A random trace and the variables of one DBC (at least three)."""
+        rng = np.random.default_rng(seed)
+        names = [f"v{i}" for i in range(int(rng.integers(3, 16)))]
+        codes = rng.integers(0, len(names), int(rng.integers(2, 150)))
+        seq = AccessSequence([names[c] for c in codes], variables=names)
+        size = int(rng.integers(3, len(names) + 1))
+        return seq, [names[c] for c in rng.choice(len(names), size, replace=False)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_running_total_matches_shift_cost(self, seed, monkeypatch):
+        # A recompute after every accepted move, priced by shift_cost;
+        # annealing raises if its running total differs.
+        seq, variables = self.random_dbc(seed)
+        local = seq.restricted_to(variables)
+        arrangement_cost = annealing._arrangement_cost
+        checked = []
+
+        def shift_cost_of(adj, pos):
+            order = sorted(local.variables, key=lambda v: pos[local.index_of(v)])
+            cost = shift_cost(local, Placement([order]))
+            assert arrangement_cost(adj, pos) == cost
+            checked.append(cost)
+            return cost
+
+        monkeypatch.setattr(annealing, "_CHECK_EVERY", 1)
+        monkeypatch.setattr(annealing, "_arrangement_cost", shift_cost_of)
+        annealed_order(seq, variables, iterations=200,
+                       start_temperature=20.0, rng=seed)
+        assert len(checked) > 1  # the starting total, then each accepted move
+
+    def test_running_total_mismatch_raises(self, monkeypatch):
+        seq, variables = self.random_dbc(0)
+        arrangement_cost = annealing._arrangement_cost
+        calls = []
+
+        def off_by_one_after_start(adj, pos):
+            calls.append(pos)
+            return arrangement_cost(adj, pos) + (len(calls) > 1)
+
+        monkeypatch.setattr(annealing, "_CHECK_EVERY", 1)
+        monkeypatch.setattr(annealing, "_arrangement_cost", off_by_one_after_start)
+        with pytest.raises(SolverError, match="running total"):
+            annealed_order(seq, variables, iterations=200,
+                           start_temperature=20.0, rng=0)
 
     def test_registered_policy_runs(self, small_sequence):
         from repro.core.policies import get_policy

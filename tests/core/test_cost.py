@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cost import cost_from_arrays, per_dbc_shift_costs, shift_cost
+from repro.core.cost import per_dbc_shift_costs, shift_cost
 from repro.core.placement import Placement
 from repro.errors import PlacementError
 from repro.trace.sequence import AccessSequence
@@ -89,21 +89,6 @@ class TestGeometry:
         placement = Placement([("a", "b", "c")])
         with pytest.raises(PlacementError):
             shift_cost(seq, placement, domains=2)
-
-
-class TestCostFromArrays:
-    def test_matches_shift_cost(self, fig3_sequence):
-        placement = Placement([("a", "g", "b", "d", "h"), ("e", "i", "c", "f")])
-        dbc_of, pos_of = placement.as_arrays(fig3_sequence)
-        assert cost_from_arrays(
-            fig3_sequence.codes, dbc_of, pos_of, 2
-        ) == shift_cost(fig3_sequence, placement)
-
-    def test_single_access_is_zero(self):
-        seq = AccessSequence(["a"])
-        placement = Placement([("a",)])
-        dbc_of, pos_of = placement.as_arrays(seq)
-        assert cost_from_arrays(seq.codes, dbc_of, pos_of, 1) == 0
 
 
 class TestInvariance:

@@ -1,10 +1,9 @@
 """Equivalence tests for the batched candidate-evaluation layer.
 
-The contract: :func:`repro.engine.evaluate_batch` and
-:class:`repro.engine.DeltaCost` must agree *exactly* — same integers —
-with scoring each candidate through the per-access reference backend
-at one port.
-The searchers built on top (GA, RW, annealing) must keep producing
+The contract: :func:`repro.engine.evaluate_batch` must agree *exactly*
+— same integers — with scoring each candidate through the per-access
+reference backend at one port.
+The searchers built on top (GA, RW) must keep producing
 seed-for-seed identical results to the pre-batch scalar implementations,
 which the regression pins at the bottom lock down.
 """
@@ -12,16 +11,11 @@ which the regression pins at the bottom lock down.
 import numpy as np
 import pytest
 
-from repro.core.cost import cost_from_arrays, shift_cost
+from repro.core.cost import shift_cost
 from repro.core.ga import GAConfig, GeneticPlacer
 from repro.core.placement import Placement
 from repro.core.random_walk import random_walk_search
-from repro.engine import (
-    DeltaCost,
-    ShiftRequest,
-    evaluate_batch,
-    get_backend,
-)
+from repro.engine import ShiftRequest, evaluate_batch, get_backend
 from repro.errors import SimulationError
 
 
@@ -90,7 +84,9 @@ class TestEvaluateBatch:
         pos_of = rng.integers(0, 8, 6)
         got = evaluate_batch(codes, dbc_of, pos_of, num_dbcs=2)
         assert got.shape == (1,)
-        assert int(got[0]) == cost_from_arrays(codes, dbc_of, pos_of, 2)
+        assert got.tolist() == reference_scores(
+            codes, dbc_of[None, :], pos_of[None, :], 2, 8, True
+        )
 
     def test_empty_population_and_trace(self):
         assert evaluate_batch(
@@ -152,54 +148,6 @@ class TestEvaluateBatch:
         dbc_of, pos_of = stack_candidate_arrays([[[1, 0], [2]]], 3)
         assert dbc_of.tolist() == [[0, 0, 1]]
         assert pos_of.tolist() == [[1, 0, 0]]
-
-
-class TestDeltaCost:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_walk_agrees_with_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        num_vars = int(rng.integers(2, 16))
-        accesses = int(rng.integers(2, 150))
-        num_dbcs = int(rng.integers(1, 4))
-        codes = rng.integers(0, num_vars, accesses)
-        dbc_of = rng.integers(0, num_dbcs, num_vars)
-        pos_of = rng.permutation(num_vars).astype(np.int64)
-        evaluator = DeltaCost(codes, dbc_of, pos_of)
-        pos = pos_of.copy()
-
-        def oracle():
-            return reference_scores(
-                codes, dbc_of[None, :], pos[None, :], num_dbcs,
-                int(pos.max()) + 1, True,
-            )[0]
-
-        assert evaluator.cost == oracle()
-        for _ in range(25):
-            a, b = (int(x) for x in rng.choice(num_vars, 2, replace=False))
-            priced = evaluator.swap_delta(a, b)
-            before = evaluator.cost
-            pos[a], pos[b] = pos[b], pos[a]
-            assert evaluator.swap(a, b) == oracle()
-            assert evaluator.cost - before == priced
-        assert evaluator.resync() == oracle()
-
-    def test_wide_dbc_indices_stay_grouped(self):
-        # DBC indices beyond uint16 must not wrap in the pair compiler.
-        codes = np.array([0, 1, 2])
-        dbc_of = np.array([0, 0x10000, 0], dtype=np.int64)
-        pos_of = np.array([0, 3, 7], dtype=np.int64)
-        evaluator = DeltaCost(codes, dbc_of, pos_of)
-        assert evaluator.cost == 7  # codes 0 and 2 share a DBC: |0 - 7|
-
-    def test_delta_does_not_commit(self):
-        codes = np.array([0, 1, 0, 2, 1])
-        evaluator = DeltaCost(
-            codes, np.zeros(3, dtype=np.int64), np.arange(3, dtype=np.int64)
-        )
-        before = evaluator.cost
-        assert evaluator.swap_delta(1, 2) != 0  # a committed swap would show
-        assert evaluator.cost == before
-        assert evaluator.resync() == before  # positions left as they were
 
 
 class TestSearcherRegressions:

@@ -9,7 +9,7 @@ the first constant map. The in-block length is
 side of each block-size step, partial and spilling last blocks, and the
 degenerate all-constant / constant-free map streams against the
 per-access reference backend, together with the cached geometry tables
-both scans read.
+both scans read and the rule bounding them by the request.
 """
 
 import numpy as np
@@ -96,7 +96,7 @@ class TestScanPathDispatch:
 
     @pytest.mark.parametrize("ports", SCAN_PORTS)
     @pytest.mark.parametrize("warm", [True, False])
-    def test_cold_and_warm_beyond_doubling(self, ports, warm):
+    def test_cold_and_warm_full_blocks(self, ports, warm):
         # A full-length block (n > 127**2) with a partial last block.
         rng = np.random.default_rng(5 + ports)
         slots = rng.integers(0, 64, 127 ** 2 + 500)
@@ -105,9 +105,9 @@ class TestScanPathDispatch:
         )
 
     @pytest.mark.parametrize("ports", SCAN_PORTS)
-    def test_huge_track_skips_gap_table(self, ports):
-        # A 200,000-domain track builds (and caches) its 399,999-gap
-        # table even for a trace of a few thousand accesses.
+    def test_huge_track_maps_request_gaps(self, ports):
+        # A few thousand accesses on a 200,000-domain track: shorter
+        # than its 399,999 gaps, so the request maps its own gaps.
         rng = np.random.default_rng(17 + ports)
         slots = rng.integers(0, 200_000, 66 ** 2 + 1)
         assert_equivalent(
@@ -115,7 +115,7 @@ class TestScanPathDispatch:
         )
 
     @pytest.mark.parametrize("ports", [2, 4, 8])
-    def test_blocked_scan_matches_doubling_scale(self, ports):
+    def test_full_blocks_with_carried_state(self, ports):
         # Full-length blocks at each scan: the forward fill at 2 ports,
         # the packed table at 4, constant collapse at 8; cold start and
         # carried head state.
@@ -138,7 +138,7 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize(
         "extra", [_SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1]
     )
-    def test_boundary_lengths_beyond_doubling(self, ports, extra):
+    def test_partial_exact_and_spilling_last_block(self, ports, extra):
         # Partial, exact, and spilling last block of 128.
         n = (_SCAN_BLOCK - 1) * _SCAN_BLOCK + extra
         rng = np.random.default_rng(n + ports)
@@ -208,6 +208,30 @@ class TestCachedGeometryTables:
             a = fn(128, 4)
             assert fn(128, 4) is a  # identity: no rebuild per matrix cell
             assert not a.flags.writeable
+
+    @pytest.mark.parametrize("ports", [2, 3, 4, 8])
+    @pytest.mark.parametrize("domains,n,tabled", [
+        (200_000, 10, False),  # a short replay on a huge track
+        (3_000, 5_998, False),  # one access fewer than the 5,999 gaps
+        (3_000, 5_999, True),  # as many accesses as gaps
+        (2_048, 10, True),  # 4,095 gaps: tabled whatever the length
+    ])
+    def test_gap_table_bounded_by_request(self, domains, n, tabled, ports):
+        def table_calls():
+            return sum(
+                info.hits + info.misses
+                for info in (_gap_maps.cache_info(),
+                             _transition_tables.cache_info())
+            )
+
+        rng = np.random.default_rng(domains + n + ports)
+        req = request_for(
+            rng.integers(0, domains, n), ports, domains=domains, seed=ports
+        )
+        before = table_calls()
+        got = NUMPY.run(req)
+        assert (table_calls() > before) == tabled
+        assert got == REFERENCE.run(req)
 
     def test_transition_table_shapes(self):
         packed = _transition_tables(64, 2)     # packed: one int per gap

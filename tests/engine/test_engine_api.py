@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.cost import cost_from_arrays
 from repro.core.placement import Placement
 from repro.engine import (
     ShiftRequest,
@@ -12,7 +11,6 @@ from repro.engine import (
     compile_access_arrays,
     get_backend,
     resolve_backend_name,
-    single_port_warm_total,
     trace_fingerprint,
 )
 from repro.errors import SimulationError
@@ -167,18 +165,3 @@ class TestTraceFingerprint:
         a = MemoryTrace(AccessSequence(list("ab"), variables=list("ab")))
         b = MemoryTrace(AccessSequence(list("ba"), variables=list("ab")))
         assert trace_fingerprint(a) != trace_fingerprint(b)
-
-
-class TestWarmSinglePortKernel:
-    def test_matches_cost_from_arrays(self, fig3_sequence):
-        placement = Placement([("a", "g", "b", "d", "h"), ("e", "i", "c", "f")])
-        dbc_of, pos_of = placement.as_arrays(fig3_sequence)
-        codes = fig3_sequence.codes
-        assert single_port_warm_total(dbc_of[codes], pos_of[codes]) == 39
-        assert cost_from_arrays(codes, dbc_of, pos_of, 2) == 39
-
-    def test_trivial_sizes(self):
-        empty = np.array([], dtype=np.int64)
-        assert single_port_warm_total(empty, empty) == 0
-        one = np.array([0], dtype=np.int64)
-        assert single_port_warm_total(one, np.array([5])) == 0

@@ -3,9 +3,9 @@
 :func:`~repro.core.exact.exact_optimal_placement` enumerates every
 placement of up to 7 variables, so on such instances it certifies two
 things: the four ways of pricing a placement (the analytic model, the
-batched and incremental evaluators and the trace-driven simulator) agree
-on the paper's single-port warm-start model, and no placement policy
-beats the optimum.
+batched evaluator, annealing's per-DBC access-graph arrangement cost and
+the trace-driven simulator) agree on the paper's single-port warm-start
+model, and no placement policy beats the optimum.
 """
 
 from hypothesis import given, settings
@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from repro.core.cost import shift_cost
 from repro.core.exact import exact_optimal_placement
 from repro.core.ga import GAConfig, GeneticPlacer
+from repro.core.intra.annealing import _adjacency, _arrangement_cost
 from repro.core.policies import available_policies, get_policy
 from repro.core.random_walk import random_walk_search
-from repro.engine import DeltaCost, evaluate_batch
+from repro.engine import evaluate_batch
 from repro.rtm.geometry import RTMConfig
 from repro.rtm.sim import simulate
 from repro.trace.trace import MemoryTrace
@@ -40,7 +41,12 @@ def test_scorers_agree_on_the_optimum(instance):
     dbc_of, pos_of = placement.as_arrays(seq)
     assert shift_cost(seq, placement) == cost
     assert int(evaluate_batch(seq.codes, dbc_of, pos_of, num_dbcs=q)[0]) == cost
-    assert DeltaCost(seq.codes, dbc_of, pos_of).cost == cost
+    slot = dict(zip(seq.variables, pos_of.tolist()))
+    per_dbc = [seq.restricted_to(group) for group in placement.dbc_lists() if group]
+    assert sum(
+        _arrangement_cost(_adjacency(local), [slot[v] for v in local.variables])
+        for local in per_dbc
+    ) == cost
     config = RTMConfig(dbcs=q, domains_per_track=cap)
     assert simulate(MemoryTrace(seq), placement, config).shifts == cost
 
