@@ -4,26 +4,33 @@ Accesses are stably sorted by DBC so every DBC's subsequence is a
 contiguous run that still preserves trace order (DBCs shift
 independently, so reordering across DBCs cannot change any cost).
 
-*Single port*: the track offset after serving slot ``s`` is always
-``s - anchor``, so consecutive costs are plain ``|diff|`` of slots
-within each run — an argsort plus a masked ``diff`` and one
-``bincount``.
+*One offset change per access*: after an access the track offset is
+its slot minus the position of the port that served it, so the signed
+offset change ``delta`` of :func:`repro.engine.semantics.step` is the
+difference of consecutive offsets within a run — the slot gap minus the
+change of serving port. A run's first access moves from the carried
+offset, and under a warm start a DBC's first alignment is free and
+issues no physical shift, so its ``delta`` is zeroed. Charged shifts are
+``|delta|`` summed per run, the final offsets are the runs' last
+offsets, and the fault post-pass reads the same ``delta`` and offsets.
+The port count only decides which port serves an access: port 0 on a
+single-port track, the nearest one otherwise (:func:`nearest_ports`).
 
 *Multi-port nearest*: the only state the nearest-port controller carries
 between accesses of a DBC is *which port served the previous access*
 (the offset is then determined by the previous slot). Each access is
-therefore a function ``prev_port -> (chosen port, cost)`` over a tiny
-domain of ``p`` ports. We materialize those per-access port maps in bulk
-(one gather from cached per-gap transition tables; a request shorter
-than a long track's gap range maps its own gaps) and resolve the
-sequential dependency with a *blocked* prefix scan over the maps, one
-scan per map representation whatever the trace length: the in-block
-length grows with the input as ``min(128, ceil(sqrt(n)))``. Narrow
-alphabets (``p**p <= 256``) pack each map into one base-``p`` integer
-composed through a cached monoid table (:func:`_scan_packed`; two ports
-reduce to a forward fill); wider ports use the *constant-collapse*
-representation — each map is ``(kind, value)``, constant or an explicit
-row — exploiting that any composition ending in a constant *is* that
+therefore a map ``prev_port -> chosen port`` over a tiny domain of
+``p`` ports. We materialize those per-access port maps in bulk (one
+gather from cached per-gap transition tables; a request shorter than a
+long track's gap range maps its own gaps) and resolve the sequential
+dependency with a *blocked* prefix scan over the maps, one scan per map
+representation whatever the trace length: the in-block length grows
+with the input as ``min(128, ceil(sqrt(n)))``. Narrow alphabets
+(``p**p <= 256``) pack each map into one base-``p`` integer composed
+through a cached monoid table (:func:`_scan_packed`; two ports reduce to
+a forward fill); wider ports use the *constant-collapse* representation
+— each map is ``(kind, value)``, constant or an explicit row —
+exploiting that any composition ending in a constant *is* that
 constant, so prefix states collapse to scalar values at the first
 constant map and stay scalar (see :func:`_scan_collapse`). A run's
 first access is a *constant* map (its choice is fixed by the known
@@ -31,9 +38,8 @@ starting offset), so composed prefixes spanning it are constant maps
 too and runs cannot leak state into each other.
 
 *Cold start* needs no simulation at all: warm and cold controllers make
-identical port choices, so cold cost is the warm cost plus the first
-alignment distance of each DBC — handled analytically by simply not
-zeroing the first access's charge.
+identical port choices, so a cold start only keeps each DBC's first
+alignment distance in its ``delta`` instead of zeroing it.
 """
 
 from __future__ import annotations
@@ -108,7 +114,6 @@ class NumpyBackend:
             raise SimulationError(
                 f"location {bad} outside track of {request.domains} domains"
             )
-        positions = positions_array(request.domains, request.ports)
         order = _group_order(request.dbc, request.num_dbcs)
         ds = request.dbc[order]
         ss = slot[order]
@@ -118,46 +123,34 @@ class NumpyBackend:
         first_idx = np.flatnonzero(run_first)       # one per accessed DBC
         first_dbc = ds[first_idx]                   # unique, ascending
         last_idx = np.append(first_idx[1:] - 1, n - 1)
+        start = init_offsets[first_dbc]
+        # The offset after an access puts its slot under the serving port.
+        positions = positions_array(request.domains, request.ports)
         if request.ports == 1:
-            costs, last_port = _anchored_costs(
-                ss, first_idx, first_dbc, positions, init_offsets
-            )
+            offset_after = ss - positions[0]
         else:
-            costs, chosen = nearest_costs_flat(
-                ss, first_idx,
-                ss[first_idx] - init_offsets[first_dbc],
+            offset_after = ss - positions[nearest_ports(
+                ss, first_idx, ss[first_idx] - start,
                 request.domains, request.ports,
-            )
-            last_port = chosen[last_idx]
+            )]
+        # Signed offset change per access (semantics.step's delta): a
+        # run's first access moves from the carried offset, and a warm
+        # start's first alignment is free and issues no physical shift.
+        delta = np.empty(n, dtype=np.int64)
+        np.subtract(offset_after[1:], offset_after[:-1], out=delta[1:])
+        delta[first_idx] = offset_after[first_idx] - start
         if request.warm_start:
-            costs[first_idx[~init_aligned[first_dbc]]] = 0
+            delta[first_idx[~init_aligned[first_dbc]]] = 0
+        per_dbc = np.zeros(request.num_dbcs, dtype=np.int64)
+        per_dbc[first_dbc] = np.add.reduceat(np.abs(delta), first_idx)
+        final_offsets = init_offsets.copy()
+        final_aligned = init_aligned.copy()
+        final_offsets[first_dbc] = offset_after[last_idx]
+        final_aligned[first_dbc] = True
         faults = None
         if request.fault is not None:
             # Faults never feed back into the believed dynamics, so the
-            # clean scan above stays untouched; the fault pass only
-            # needs the *signed* per-access deltas it implies.
-            delta = np.empty(n, dtype=np.int64)
-            if request.ports == 1:
-                delta[1:] = np.diff(ss)
-                delta[first_idx] = (
-                    ss[first_idx] - positions[0] - init_offsets[first_dbc]
-                )
-                offset_after = ss - positions[0]
-            else:
-                gap = np.empty(n, dtype=np.int64)
-                gap[0] = 0
-                np.subtract(ss[1:], ss[:-1], out=gap[1:])
-                prev = np.empty(n, dtype=np.intp)
-                prev[0] = 0
-                prev[1:] = chosen[:-1]
-                delta = gap + positions[prev] - positions[chosen]
-                delta[first_idx] = (
-                    ss[first_idx] - init_offsets[first_dbc]
-                ) - positions[chosen[first_idx]]
-                offset_after = ss - positions[chosen]
-            if request.warm_start:
-                # Free first alignment issues no physical shifts.
-                delta[first_idx[~init_aligned[first_dbc]]] = 0
+            # fault pass reads the clean replay's deltas and offsets.
             faults = observe_faults_sorted(
                 request.fault,
                 dbc=request.dbc,
@@ -172,12 +165,6 @@ class NumpyBackend:
                 access_base=request.access_base,
                 init_drifts=request.resolved_init_drifts(),
             )
-        per_dbc = np.zeros(request.num_dbcs, dtype=np.int64)
-        np.add.at(per_dbc, ds, costs)
-        final_offsets = init_offsets.copy()
-        final_aligned = init_aligned.copy()
-        final_offsets[first_dbc] = ss[last_idx] - positions[last_port]
-        final_aligned[first_dbc] = True
         return ShiftResult(
             accesses=n,
             shifts=int(per_dbc.sum()),
@@ -186,21 +173,6 @@ class NumpyBackend:
             final_aligned=final_aligned,
             faults=faults,
         )
-
-
-def _anchored_costs(
-    ss: np.ndarray,
-    first_idx: np.ndarray,
-    first_dbc: np.ndarray,
-    positions: np.ndarray,
-    init_offsets: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Costs on a single-port track: every access uses port 0."""
-    anchor = positions[0]
-    costs = np.empty(ss.size, dtype=np.int64)
-    costs[1:] = np.abs(np.diff(ss))
-    costs[first_idx] = np.abs(ss[first_idx] - anchor - init_offsets[first_dbc])
-    return costs, np.zeros(first_dbc.size, dtype=np.int64)
 
 
 def _port_maps(
@@ -261,34 +233,29 @@ def _transition_tables(domains: int, ports: int) -> np.ndarray:
     return out
 
 
-def nearest_costs_flat(
+def nearest_ports(
     ss: np.ndarray,
     first_idx: np.ndarray,
     first_targets: np.ndarray,
     domains: int,
     ports: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-access nearest-port costs and chosen ports over run-sorted slots.
+) -> np.ndarray:
+    """Port serving each access of run-sorted slots on a multi-port track.
 
     ``ss`` holds the slots with every run (one DBC's subsequence)
     contiguous and in trace order; ``first_idx`` marks each run's first
     access — index 0 must be one — and ``first_targets`` gives its
-    port-selection target (``slot - starting offset``). Only the 1-D
-    backend calls it: :mod:`repro.engine.batch` scores candidates with
-    one port, where no port choice arises.
+    port-selection target (``slot - starting offset``).
 
     The port chosen for an access depends only on the previous access's
     port, so each access is a ``prev -> next`` map over the ``p`` ports,
     gathered per access from the geometry's cached per-gap table — or,
     for a request shorter than a long track's ``2K - 1`` gaps, built
-    for the request's own gaps.
-    Run-first maps are overwritten with constant maps (their choice is
-    fixed by the known starting offset), the scan composes the maps into
-    per-access choices, and the costs need only the chosen ports:
-    ``|gap + positions[prev] - positions[chosen]|``.
+    for the request's own gaps. Run-first maps are overwritten with
+    constant maps (their choice is fixed by the known starting offset)
+    and the scan composes the maps into per-access choices.
     """
     n = ss.size
-    positions = positions_array(domains, ports)
     gap = np.empty(n, dtype=np.int64)
     gap[0] = 0
     np.subtract(ss[1:], ss[:-1], out=gap[1:])
@@ -307,23 +274,16 @@ def nearest_costs_flat(
             enc = _packed(_port_maps(gap, domains, ports)[0], ports)
         # A constant map to port j has every base-p digit equal to j.
         enc[first_idx] = first_port * ((ports ** ports - 1) // (ports - 1))
-        chosen = _scan_packed(enc, ports)
+        return _scan_packed(enc, ports)
+    if tabled:
+        rows, const = _gap_maps(domains, ports)
+        const = const[at]
     else:
-        if tabled:
-            rows, const = _gap_maps(domains, ports)
-            const = const[at]
-        else:
-            rows, const = _port_maps(gap, domains, ports)
-        const[first_idx] = first_port.astype(const.dtype)
-        # The gathered rows stay a temporary the scan can free once it
-        # has padded them: holding them here slowed long replays ~5%.
-        chosen = _scan_collapse(const, rows[at] if tabled else rows, ports)
-    prev = np.empty(n, dtype=np.intp)
-    prev[0] = 0
-    prev[1:] = chosen[:-1]
-    costs = np.abs(gap + positions[prev] - positions[chosen])
-    costs[first_idx] = np.abs(first_targets - positions[first_port])
-    return costs, chosen
+        rows, const = _port_maps(gap, domains, ports)
+    const[first_idx] = first_port.astype(const.dtype)
+    # The gathered rows stay a temporary the scan can free once it has
+    # padded them: holding them here slowed long replays ~5%.
+    return _scan_collapse(const, rows[at] if tabled else rows, ports)
 
 
 @lru_cache(maxsize=8)

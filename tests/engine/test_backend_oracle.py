@@ -126,6 +126,45 @@ def test_faulted_replay_matches_reference(backend, ports, fault):
         assert backend.run(request) == oracle.run(request)
 
 
+@pytest.mark.parametrize(
+    "fault", [m for m in FAULT_MODELS if m is not None and not m.is_null],
+    ids=_fault_id,
+)
+@pytest.mark.parametrize("carried", [False, True], ids=["fresh", "carried"])
+@pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
+@pytest.mark.parametrize("ports", (1, 3, 8))
+def test_faulted_start_state_matches_reference(
+    backend, ports, warm_start, carried, fault
+):
+    """Faulted replay from every kind of starting state.
+
+    A cold start charges each DBC's first alignment, so a run's first
+    offset change may itself fault; carried offsets, alignment and drift
+    decide where each run starts and which first alignments are free.
+    Many DBCs give many runs, so many first offset changes to fault.
+    """
+    oracle = ReferenceBackend()
+    for seed in range(2):
+        base = random_request(seed, ports, warm_start, num_dbcs=32)
+        rng = np.random.default_rng(100 + seed)
+        start = {}
+        if carried:
+            start = dict(
+                init_offsets=rng.integers(
+                    -(base.domains - 1), base.domains, base.num_dbcs
+                ),
+                init_aligned=rng.integers(0, 2, base.num_dbcs).astype(bool),
+                init_drifts=rng.integers(-2, 3, base.num_dbcs),
+                access_base=int(rng.integers(0, 10_000)),
+            )
+        request = ShiftRequest(
+            dbc=base.dbc, slot=base.slot, num_dbcs=base.num_dbcs,
+            domains=base.domains, ports=ports, warm_start=warm_start,
+            fault=fault, **start,
+        )
+        assert backend.run(request) == oracle.run(request)
+
+
 @pytest.mark.parametrize("fault", [m for m in FAULT_MODELS if m is not None],
                          ids=_fault_id)
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)
