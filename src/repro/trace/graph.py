@@ -21,14 +21,20 @@ class AccessGraph:
 
     def __init__(self, sequence: AccessSequence) -> None:
         self._seq = sequence
-        adj: dict[str, dict[str, int]] = {v: {} for v in sequence.variables}
+        variables = sequence.variables
+        adj: dict[str, dict[str, int]] = {v: {} for v in variables}
         self_transitions = 0
-        for u, v in sequence.consecutive_pairs():
-            if u == v:
+        # One list of Python ints: indexing the numpy codes per access
+        # costs more than the rest of the walk.
+        codes = sequence.codes.tolist()
+        for a, b in zip(codes, codes[1:]):
+            if a == b:
                 self_transitions += 1
                 continue
-            adj[u][v] = adj[u].get(v, 0) + 1
-            adj[v][u] = adj[v].get(u, 0) + 1
+            u, v = variables[a], variables[b]
+            nu, nv = adj[u], adj[v]
+            nu[v] = nu.get(v, 0) + 1
+            nv[u] = nv.get(u, 0) + 1
         self._adj = adj
         self._self_transitions = self_transitions
 

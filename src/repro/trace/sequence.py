@@ -17,6 +17,23 @@ import numpy as np
 from repro.errors import TraceError
 
 
+def _universe_index(variables: tuple[str, ...]) -> dict[str, int]:
+    """Code of each name of a variable universe, checking the universe.
+
+    It must be non-empty and hold distinct, non-empty string names.
+    """
+    if not variables:
+        raise TraceError("an access sequence needs at least one variable")
+    index: dict[str, int] = {}
+    for i, v in enumerate(variables):
+        if not isinstance(v, str) or not v:
+            raise TraceError(f"variable names must be non-empty strings, got {v!r}")
+        if v in index:
+            raise TraceError(f"duplicate variable {v!r}")
+        index[v] = i
+    return index
+
+
 class AccessSequence:
     """An immutable access sequence over a fixed, ordered variable set.
 
@@ -41,23 +58,10 @@ class AccessSequence:
         name: str = "",
     ) -> None:
         accesses = list(accesses)
-        if variables is None:
-            seen: dict[str, None] = {}
-            for a in accesses:
-                if a not in seen:
-                    seen[a] = None
-            variables = list(seen)
-        else:
-            variables = list(variables)
-        if not variables:
-            raise TraceError("an access sequence needs at least one variable")
-        index: dict[str, int] = {}
-        for i, v in enumerate(variables):
-            if not isinstance(v, str) or not v:
-                raise TraceError(f"variable names must be non-empty strings, got {v!r}")
-            if v in index:
-                raise TraceError(f"duplicate variable {v!r}")
-            index[v] = i
+        variables = tuple(
+            dict.fromkeys(accesses) if variables is None else variables
+        )
+        index = _universe_index(variables)
         codes = np.empty(len(accesses), dtype=np.int64)
         for i, a in enumerate(accesses):
             code = index.get(a)
@@ -65,7 +69,7 @@ class AccessSequence:
                 raise TraceError(f"access {i} refers to undeclared variable {a!r}")
             codes[i] = code
         codes.setflags(write=False)
-        self._variables = tuple(variables)
+        self._variables = variables
         self._index = index
         self._codes = codes
         self._name = name
@@ -190,17 +194,7 @@ class AccessSequence:
         read-only inputs are adopted as-is.
         """
         variables = tuple(variables)
-        if not variables:
-            raise TraceError("an access sequence needs at least one variable")
-        index: dict[str, int] = {}
-        for i, v in enumerate(variables):
-            if not isinstance(v, str) or not v:
-                raise TraceError(
-                    f"variable names must be non-empty strings, got {v!r}"
-                )
-            if v in index:
-                raise TraceError(f"duplicate variable {v!r}")
-            index[v] = i
+        index = _universe_index(variables)
         codes = np.asarray(codes, dtype=np.int64)
         if codes.ndim != 1:
             raise TraceError(f"codes must be 1-D, got shape {codes.shape}")
@@ -225,8 +219,3 @@ class AccessSequence:
         clone._codes = self._codes
         clone._name = name
         return clone
-
-    def consecutive_pairs(self) -> Iterable[tuple[str, str]]:
-        """Yield the ``(s_i, s_{i+1})`` pairs used to build access graphs."""
-        for i in range(len(self) - 1):
-            yield self._variables[self._codes[i]], self._variables[self._codes[i + 1]]

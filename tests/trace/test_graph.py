@@ -1,5 +1,6 @@
 """Unit tests for repro.trace.graph.AccessGraph."""
 
+import numpy as np
 import pytest
 
 from repro.errors import TraceError
@@ -72,3 +73,60 @@ class TestStructure:
         g = AccessGraph(AccessSequence([], variables=["a"]))
         assert g.num_edges() == 0
         assert g.self_transitions == 0
+
+
+def _brute_force_pairs(sequence):
+    """Edge weights, neighbour order and self transitions of ``sequence``,
+    counted pair by pair over its access names."""
+    accesses = sequence.accesses
+    weights: dict[frozenset, int] = {}
+    order: dict[str, list[str]] = {v: [] for v in sequence.variables}
+    self_transitions = 0
+    for u, v in zip(accesses, accesses[1:]):
+        if u == v:
+            self_transitions += 1
+            continue
+        edge = frozenset((u, v))
+        weights[edge] = weights.get(edge, 0) + 1
+        for a, b in ((u, v), (v, u)):
+            if b not in order[a]:
+                order[a].append(b)
+    return weights, order, self_transitions
+
+
+def _pair_count_cases():
+    cases = {
+        "empty": AccessSequence([], variables=["a", "b"]),
+        "one-access": AccessSequence(["a"], variables=["a", "b"]),
+        "all-repeat": AccessSequence(["b"] * 9, variables=["a", "b", "c"]),
+    }
+    rng = np.random.default_rng(2024)
+    for k in range(40):
+        names = [f"v{i}" for i in range(int(rng.integers(1, 12)))]
+        length = int(rng.integers(0, 200))
+        # Skewed picks so repeats, self transitions and unused names occur.
+        picks = np.minimum(rng.geometric(0.35, length) - 1, len(names) - 1)
+        cases[f"random-{k}"] = AccessSequence(
+            [names[i] for i in picks], variables=names
+        )
+    return cases
+
+
+PAIR_COUNT_CASES = _pair_count_cases()
+
+
+@pytest.mark.parametrize("case", PAIR_COUNT_CASES)
+def test_graph_matches_brute_force_pair_count(case):
+    sequence = PAIR_COUNT_CASES[case]
+    weights, order, self_transitions = _brute_force_pairs(sequence)
+    graph = AccessGraph(sequence)
+    assert graph.self_transitions == self_transitions
+    assert {frozenset((u, v)): w for u, v, w in graph.edges()} == weights
+    for u in sequence.variables:
+        # Neighbours in order of first co-occurrence: intra heuristics
+        # iterate them, so the order is part of the placement.
+        assert list(graph.neighbors(u)) == order[u]
+        for v in sequence.variables:
+            if u != v:
+                assert graph.weight(u, v) == weights.get(frozenset((u, v)), 0)
+    assert graph.total_weight() + self_transitions == max(len(sequence) - 1, 0)

@@ -137,8 +137,3 @@ class TestMisc:
         renamed = fig3_sequence.with_name("other")
         assert renamed.name == "other"
         assert renamed == fig3_sequence  # same content
-
-    def test_consecutive_pairs_count(self, fig3_sequence):
-        pairs = list(fig3_sequence.consecutive_pairs())
-        assert len(pairs) == len(fig3_sequence) - 1
-        assert pairs[0] == ("a", "b")
