@@ -11,20 +11,21 @@ the payload is plain JSON with sorted keys and no float formatting.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 from repro.eval.runner import CellResult
 from repro.rtm.report import SimReport
 
 
 def cell_to_payload(cell: CellResult) -> str:
-    """Serialize one cell to its canonical JSON payload."""
-    data = asdict(cell)
-    data["report"]["per_dbc_shifts"] = list(cell.report.per_dbc_shifts)
-    data["report"]["drift_histogram"] = [
-        list(pair) for pair in cell.report.drift_histogram
-    ]
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    """Serialize one cell to its canonical JSON payload.
+
+    Both dataclasses hold only JSON scalars and tuples, which ``json``
+    writes as lists, so their field dicts serialize as they are.
+    """
+    return json.dumps(
+        {**vars(cell), "report": vars(cell.report)},
+        sort_keys=True, separators=(",", ":"),
+    )
 
 
 def cell_from_payload(payload: str) -> CellResult:

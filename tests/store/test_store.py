@@ -59,6 +59,27 @@ class TestSerde:
         assert again.report.drift_histogram == ((-2, 1), (1, 2))
         assert isinstance(again.report.drift_histogram[0], tuple)
 
+    def test_faulted_payload_bytes_are_pinned(self):
+        """The exact payload of a fully populated cell: stored cells are
+        read back by these bytes, so any format drift must fail here."""
+        cell = make_cell(
+            fault_injected=7, fault_misaligned=31, fault_corrupted=True,
+            scrub_shifts=12, scrub_events=3,
+            drift_histogram=((-2, 1), (1, 2)),
+        )
+        assert cell_to_payload(cell) == (
+            '{"benchmark":"adpcm","dbcs":4,"policy":"DMA-SR","report":'
+            '{"accesses":100,"area_mm2":0.0186,"dbcs":4,'
+            '"drift_histogram":[[-2,1],[1,2]],"fault_corrupted":true,'
+            '"fault_injected":7,"fault_misaligned":31,'
+            '"leakage_energy_pj":8.94,"per_dbc_shifts":[40,30,33,20],'
+            '"read_energy_pj":0.3333333333333333,"reads":75,'
+            '"runtime_ns":0.30000000000000004,"scrub_events":3,'
+            '"scrub_shifts":12,"shift_energy_pj":987.6543210123456,'
+            '"shifts":123,"write_energy_pj":2.18e-13,"writes":25},'
+            '"shifts":123}'
+        )
+
     def test_prefault_payload_still_loads(self):
         """Payloads written before the fault axis deserialize cleanly."""
         data = json.loads(cell_to_payload(make_cell()))
