@@ -10,9 +10,10 @@ Three measurements, each gated as a conservative non-regression floor:
 * **roundtrip** — render the ingested trace to the native format and
   parse it back, asserting identity. Gate: >= 50k accesses/s.
 * **resolve** — resolve the smoke suite through the workload registry
-  and compare against the direct suite loader. Gates: bit-identical
-  fingerprints, and registry overhead <= 25% (it should be ~0: the
-  registry adds one parse + RNG spawn per spec).
+  and compare against the direct suite loader, timed interleaved (best
+  of 15 calls each). Gates: bit-identical fingerprints, and registry
+  overhead <= 25% (it should be ~0: the registry adds one parse + RNG
+  spawn per spec).
 
 Usage: ``PYTHONPATH=src python benchmarks/bench_workload_ingest.py
 --out BENCH_workloads.json`` (CI runs exactly this).
@@ -38,11 +39,13 @@ from repro.workloads import (
     workload_fingerprint,
 )
 
-from _bench_utils import provenance
+from _bench_utils import provenance, time_pair
 
 ACCESSES = 200_000
 WORDS = 1_024
 SEED = 42
+#: Interleaved calls per side of the resolve comparison.
+RESOLVE_REPEATS = 15
 
 
 def _write_address_trace(path: Path, accesses: int) -> None:
@@ -93,18 +96,21 @@ def main(argv=None) -> int:
 
     ctx = WorkloadContext.from_profile(SMOKE_PROFILE)
     names = SMOKE_PROFILE.benchmarks
-    direct_s = resolve_s = float("inf")
-    for _ in range(3):  # best-of-3: the baselines are milliseconds
-        t0 = time.perf_counter()
-        direct = [
+
+    def load_direct():
+        return [
             load_benchmark(n, scale=ctx.scale, seed=ctx.seed,
                            write_ratio=ctx.write_ratio)
             for n in names
         ]
-        direct_s = min(direct_s, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        resolved = resolve_workloads(names, ctx)
-        resolve_s = min(resolve_s, time.perf_counter() - t0)
+
+    direct = load_direct()
+    resolved = resolve_workloads(names, ctx)
+    # Both sides take milliseconds: interleaved minima over many calls,
+    # so one busy moment cannot read as registry overhead.
+    direct_s, resolve_s = time_pair(
+        load_direct, lambda: resolve_workloads(names, ctx), RESOLVE_REPEATS
+    )
     identical = (
         [workload_fingerprint(p) for p in direct]
         == [workload_fingerprint(p) for p in resolved]
@@ -120,7 +126,7 @@ def main(argv=None) -> int:
                    "kept_accesses": len(trace)},
         "roundtrip": {"seconds": roundtrip_s, "rate_per_s": roundtrip_rate},
         "resolve": {"suite": list(names), "seed": ctx.seed,
-                    "direct_s": direct_s,
+                    "repeats": RESOLVE_REPEATS, "direct_s": direct_s,
                     "registry_s": resolve_s, "overhead_x": overhead,
                     "bit_identical": identical},
     }
