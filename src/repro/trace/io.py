@@ -32,24 +32,40 @@ words touched fewer than ``min_count`` times (cold filtering).
 
 Both formats are read gzip-transparently: a file starting with the gzip
 magic bytes is decompressed on the fly (gem5 traces ship compressed),
-whatever its extension. Address traces additionally *stream*:
-:func:`iter_address_trace` parses one line at a time and
-:func:`iter_address_chunks` batches the stream into bounded numpy
-arrays, so neither the text nor a Python list of every access is ever
-resident at once — the entry point the chunked ingestion layer
-(:mod:`repro.trace.streaming`) and :func:`load_traces` build on.
+whatever its extension. Address traces additionally *stream*, parsed
+with numpy a block at a time: :func:`iter_address_chunks` reads a file
+as binary blocks of at most 64 KiB of whole lines (line iterables are
+grouped into blocks of the same size), parses each block at once --
+one 256-entry byte-code table, field bounds, the address picked per
+line, a right-aligned digit gather into int64 -- and re-slices the
+results into bounded arrays, so neither the text nor a Python list of
+every access is ever resident at once. That is the entry point the
+chunked ingestion layer (:mod:`repro.trace.streaming`) and
+:func:`load_traces` build on; :func:`iter_address_trace` is a thin
+generator of pairs over it.
 
-All parse failures raise :class:`~repro.errors.TraceFormatError` with
-the offending line number.
+A block the vectorized rules cannot decide exactly -- a non-ASCII
+byte, a line break other than ``\\n`` or ``\\r\\n``, a sign or
+underscore outside a comment, a hex field over 15 digits or a decimal
+one over 18, or a non-blank line with no address -- falls back to the
+per-line rule (:func:`_parse_address_line`) for that block alone,
+split as the source splits it (universal newlines for files,
+``str.splitlines`` for text) and with true line numbers. All parse
+failures raise :class:`~repro.errors.TraceFormatError` with the
+offending line number, and only after every chunk of accesses from
+earlier lines is yielded.
 """
 
 from __future__ import annotations
 
 import gzip
+import io
 import os
+import re
 import zlib
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack, contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -251,8 +267,10 @@ def _parse_address_line(raw: str, line_no: int) -> tuple[int, bool] | None:
     """Parse one trace line as ``(address, is_write)``.
 
     ``None`` for blank/comment-only lines; a line with no parseable
-    address raises :class:`~repro.errors.TraceFormatError` with its
-    line number.
+    address, or with a negative address or one of 2**63 or more (which
+    no int64 array holds), raises :class:`~repro.errors.TraceFormatError`
+    with its line number. This is the rule the block parser reproduces
+    and the path it falls back to.
     """
     line = raw.split("#", 1)[0].strip()
     if not line:
@@ -284,7 +302,298 @@ def _parse_address_line(raw: str, line_no: int) -> tuple[int, bool] | None:
         raise TraceFormatError(
             f"line {line_no}: address must be non-negative, got {addr}"
         )
+    if addr >= 1 << 63:
+        raise TraceFormatError(
+            f"line {line_no}: address must be below 2**63, got {addr}"
+        )
     return addr, is_write
+
+
+#: Bytes read per parse block. A block is cut after its last line break,
+#: so it is shorter unless a single line is longer. The parser's per-byte
+#: temporaries are several times a block's size: 1 MiB blocks raised the
+#: peak RSS of resolving a 300k-line trace by a third, and parsed no
+#: faster than 64 KiB ones.
+_BLOCK_BYTES = 1 << 16
+
+#: Byte codes of the block parser: a hex digit's value (0-15), then the
+#: other field bytes, then the field separators.
+_H, _X, _WORD, _SPACE, _PUNCT, _NEWLINE = range(16, 22)
+
+
+def _code_table() -> bytes:
+    """The 256-entry ``bytes.translate`` table from a byte to its code."""
+    table = bytearray([_WORD]) * 256
+    for value, digit in enumerate("0123456789abcdef"):
+        table[ord(digit)] = table[ord(digit.upper())] = value
+    for chars, code in (("hH", _H), ("xX", _X), (" \t\x1f", _SPACE),
+                        (",:", _PUNCT), ("\n", _NEWLINE)):
+        for c in chars:
+            table[ord(c)] = code
+    return bytes(table)
+
+
+_CODES = _code_table()
+#: Line breaks of universal newlines or ``str.splitlines`` other than
+#: ``\n`` (``\r\n`` is folded to ``\n`` before the search).
+_OTHER_BREAKS = tuple(bytes([c]) for c in b"\r\v\f\x1c\x1d\x1e")
+#: Characters ``int`` may accept in a number (a sign, or an underscore
+#: between digits).
+_SIGNS = (b"+", b"-", b"_")
+_COMMENT = re.compile(rb"#[^\n]*")
+#: Place values of the right-aligned digit gather. Fields of at most 15
+#: hex or 18 decimal digits stay below 2**60 and 10**18, so no int64
+#: overflows; wider fields fall back.
+_MAX_HEX_DIGITS, _MAX_DEC_DIGITS = 15, 18
+_DEC_PLACES = np.array([10**k for k in range(17, -1, -1)], dtype=np.int64)
+_HEX_PLACES = np.array([0] * 3 + [16**k for k in range(14, -1, -1)],
+                       dtype=np.int64)
+#: Write words keyed as the block parser keys fields: the little-endian
+#: bytes, lower-cased.
+_WRITE_KEYS = np.array(
+    [int.from_bytes(w.encode(), "little") for w in _WRITE_TOKENS]
+)
+
+
+def _parse_block(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Parse a block of ``\\n``-ended lines as :func:`_parse_address_line`
+    parses each of them.
+
+    Returns the block's ``(addresses, writes)``, or ``None`` when the
+    block holds what only the per-line parser decides: a non-ASCII
+    byte, a line break other than ``\\n`` or ``\\r\\n``, a sign or
+    underscore outside a comment, a hex field of over 15 digits or a
+    decimal one of over 18, or a non-blank line with no address.
+    """
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    if not data.isascii() or any(c in data for c in _OTHER_BREAKS):
+        return None
+    if b"#" in data:
+        data = _COMMENT.sub(b"", data)
+    if any(c in data for c in _SIGNS):
+        return None
+    code = np.frombuffer(data.translate(_CODES), dtype=np.uint8)
+    # Fields are the runs coded below the separators. The block ends in
+    # "\n", so every field ends before it.
+    is_field = code < _SPACE
+    bounds = np.flatnonzero(np.diff(is_field, prepend=False))
+    start, end = bounds[::2], bounds[1::2]
+    length = end - start
+
+    # A field's digits: all of it, or what follows 0x or precedes h.
+    is_0x = (length >= 3) & (code[start] == 0) & (code[start + 1] == _X)
+    is_h = (length >= 2) & (code[end - 1] == _H) & ~is_0x
+    first = start + 2 * is_0x
+    stop = end - is_h
+    n_digits = stop - first
+    # The largest code over each field's digits: blank out separators,
+    # prefixes and suffixes, then reduce from field start to field start.
+    digit_code = code * is_field
+    digit_code[first - 1] = 0  # the x of 0x, or a harmless separator
+    digit_code[stop] = 0
+    top = np.maximum.reduceat(digit_code, start)
+    hexa = (is_0x | is_h) & (top < 16)
+    dec = ~(is_0x | is_h) & (top < 10)
+    wide = (hexa & (n_digits > _MAX_HEX_DIGITS)) | (
+        dec & (n_digits > _MAX_DEC_DIGITS)
+    )
+    if wide.any():
+        return None
+
+    # Fields of line i are [cut[i - 1], cut[i]). Per line the highest
+    # score names the address: the last hex field, else the last decimal
+    # one; a line of non-numeric fields scores -1.
+    line_end = np.flatnonzero(code == _NEWLINE)
+    cut = np.searchsorted(start, line_end)
+    line_first = np.concatenate(([0], cut[:-1]))
+    has_fields = cut > line_first
+    n = start.size
+    index = np.arange(n)
+    score = np.where(hexa | dec, index + n * hexa, -1)
+    best = np.maximum.reduceat(score, line_first[has_fields])
+    if (best < 0).any():
+        return None
+    if not has_fields.all():
+        punct_line = np.searchsorted(line_end, np.flatnonzero(code == _PUNCT))
+        if not has_fields[punct_line].all():
+            return None  # a line of separators only
+
+    # Write words: a short word's bytes read as one little-endian int64
+    # (an unaligned view at every byte offset), lower-cased and cut to
+    # the word's length.
+    word = np.flatnonzero((length <= 5) & (code[start] == _WORD))
+    at = np.ndarray(len(data), "<i8", buffer=data + bytes(8), strides=(1,))
+    key = at[start[word]] | 0x2020202020202020
+    key &= (1 << 8 * length[word]) - 1
+    write_field = word[np.isin(key, _WRITE_KEYS)]
+    writes = np.zeros(line_end.size, dtype=bool)
+    writes[np.searchsorted(cut, write_field, side="right")] = True
+
+    # Each line's address field, its digits gathered right-aligned into
+    # a (lines, width) matrix and weighed by their place values.
+    addr = best % max(n, 1)
+    width = int(n_digits[addr].max(initial=1))
+    cols = stop[addr, None] - np.arange(width, 0, -1)
+    digit = code[np.maximum(cols, 0)] * (cols >= first[addr, None])
+    values = np.where(hexa[addr], digit @ _HEX_PLACES[-width:],
+                      digit @ _DEC_PLACES[-width:])
+    return values, writes[has_fields]
+
+
+def _universal_lines(data: bytes) -> list[str]:
+    """A file block's lines as text-mode reading splits them."""
+    return io.StringIO(data.decode("utf-8"), newline=None).readlines()
+
+
+def _file_blocks(f) -> Iterator[tuple[bytes, Callable[[], list[str]]]]:
+    """Cut a binary file into whole-line blocks of at most _BLOCK_BYTES.
+
+    Yields ``(data, lines)``: the block, ending in ``\\n`` unless it
+    ends in a lone ``\\r``, and a callable splitting it into lines. A
+    ``\\r`` is a cut point only once the next byte is known not to be
+    ``\\n``, so no ``\\r\\n`` is split across blocks.
+    """
+    rest = b""
+    # Top the carried partial line up to a block; a line longer than a
+    # block grows by whole blocks until it ends.
+    while data := f.read(_BLOCK_BYTES - len(rest) % _BLOCK_BYTES):
+        data = rest + data
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            yield data[:cut], partial(_universal_lines, data[:cut])
+        rest = data[cut:]
+    if rest:
+        rest += b"\n"
+        yield rest, partial(_universal_lines, rest)
+
+
+def _line_blocks(
+    lines: Iterable[str],
+) -> Iterator[tuple[bytes | None, Callable[[], list[str]]]]:
+    """Group an iterable of lines into blocks of about _BLOCK_BYTES.
+
+    Yields ``(data, lines)`` like :func:`_file_blocks`; ``data`` is
+    ``None`` when a line holds a ``\\n`` of its own, which would split
+    it in the joined block.
+    """
+    batch: list[str] = []
+    size = 0
+    for line in lines:
+        line = line.removesuffix("\n")
+        batch.append(line)
+        size += len(line) + 1
+        if size >= _BLOCK_BYTES:
+            yield _joined_lines(batch)
+            batch, size = [], 0
+    if batch:
+        yield _joined_lines(batch)
+
+
+def _joined_lines(
+    batch: list[str],
+) -> tuple[bytes | None, Callable[[], list[str]]]:
+    text = "\n".join(batch) + "\n"
+    data = (text.encode("utf-8", "surrogatepass")
+            if text.count("\n") == len(batch) else None)
+    return data, lambda: batch
+
+
+def _parse_lines(lines: list[str], first_line: int):
+    """The per-line fallback for one block.
+
+    Yields the block's ``(addresses, writes)``. On a malformed line it
+    first yields the accesses of the lines before it and raises only
+    when resumed, so a consumer that stops there never sees the error.
+    """
+    addrs: list[int] = []
+    writes: list[bool] = []
+    try:
+        for line_no, raw in enumerate(lines, start=first_line):
+            parsed = _parse_address_line(raw, line_no)
+            if parsed is not None:
+                addrs.append(parsed[0])
+                writes.append(parsed[1])
+    except TraceFormatError:
+        yield np.array(addrs, dtype=np.int64), np.array(writes, dtype=bool)
+        raise
+    yield np.array(addrs, dtype=np.int64), np.array(writes, dtype=bool)
+
+
+def _parsed_blocks(
+    source: str | os.PathLike | Iterable[str],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Parse ``source`` block by block: ``(addresses, writes)`` per block."""
+    with ExitStack() as stack:
+        if isinstance(source, (str, os.PathLike)):
+            stack.enter_context(_reading(source))
+            opener = gzip.open if _is_gzipped(source) else open
+            blocks = _file_blocks(stack.enter_context(opener(source, "rb")))
+        else:
+            blocks = _line_blocks(source)
+        line_no = 1
+        for data, lines in blocks:
+            parsed = None if data is None else _parse_block(data)
+            if parsed is not None:
+                yield parsed
+                line_no += data.count(b"\n")
+            else:
+                lines = lines()
+                yield from _parse_lines(lines, line_no)
+                line_no += len(lines)
+
+
+def _joined(
+    parts: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate ``(addresses, writes)`` pairs into one fresh pair."""
+    return (np.concatenate([a for a, _ in parts]),
+            np.concatenate([w for _, w in parts]))
+
+
+def iter_address_chunks(
+    source: str | os.PathLike | Iterable[str], chunk: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stream a raw address trace as bounded numpy array pairs.
+
+    ``source`` is a file path, read gzip-transparently in binary blocks
+    of at most 64 KiB of whole lines, or any iterable of lines (an open
+    text file, a ``text.splitlines()`` list), grouped into blocks of
+    about that size. Each block is parsed at once by
+    :func:`_parse_block`; a block it cannot decide exactly (non-ASCII
+    bytes, line breaks other than ``\\n`` or ``\\r\\n``, signs or
+    underscores, over-wide fields, a malformed line) is parsed line by
+    line by :func:`_parse_address_line`, split as the source splits it
+    (universal newlines for files, the given lines otherwise) and with
+    true line numbers.
+
+    Yields ``(addresses, writes)`` -- int64 and bool arrays of exactly
+    ``chunk`` accesses (the last possibly shorter), each freshly
+    allocated, so consumers may keep references across steps. A parse
+    error surfaces when the chunk holding its line would be yielded:
+    every chunk made of earlier lines is yielded first, so a consumer
+    that stops early never reads past what it needs.
+    """
+    if chunk < 1:
+        raise TraceError(f"chunk must be >= 1, got {chunk}")
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    held = 0
+    for part in _parsed_blocks(source):
+        parts.append(part)
+        held += part[0].size
+        if held < chunk:
+            continue
+        addrs, writes = _joined(parts)
+        full = held - held % chunk
+        for i in range(0, full, chunk):
+            yield addrs[i:i + chunk].copy(), writes[i:i + chunk].copy()
+        parts, held = [(addrs[full:], writes[full:])], held - full
+    if held:
+        yield _joined(parts)
+
+
+#: Chunk size of :func:`iter_address_trace` and of full-trace collection.
+_PARSE_CHUNK = 1 << 16
 
 
 def iter_address_trace(
@@ -292,49 +601,16 @@ def iter_address_trace(
 ) -> Iterator[tuple[int, bool]]:
     """Stream ``(address, is_write)`` pairs from a raw address trace.
 
-    ``source`` is a file path — read gzip-transparently via
-    :func:`open_text` — or any iterable of lines (an open file, a
-    ``text.splitlines()`` list). One line is parsed at a time, so a
+    A thin generator over :func:`iter_address_chunks` (same sources,
+    same parser): it parses a chunk of accesses at a time, so a
     hundred-million-access trace never has its text (or a Python list
-    of accesses) resident at once. Parse failures carry the offending
-    line number, exactly like :func:`parse_address_trace`.
+    of its accesses) resident at once, and an error surfaces once the
+    pairs of the chunks before its line are yielded. Parse failures
+    carry the offending line number, exactly like
+    :func:`parse_address_trace`.
     """
-    with ExitStack() as stack:
-        if isinstance(source, (str, os.PathLike)):
-            stack.enter_context(_reading(source))
-            source = stack.enter_context(open_text(source))
-        for line_no, raw in enumerate(source, start=1):
-            parsed = _parse_address_line(raw, line_no)
-            if parsed is not None:
-                yield parsed
-
-
-#: Batch size used when a full-trace collection streams through the
-#: chunked parser anyway (bounds transient Python-object overhead).
-_PARSE_CHUNK = 1 << 16
-
-
-def iter_address_chunks(
-    source: str | os.PathLike | Iterable[str], chunk: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Batch :func:`iter_address_trace` into bounded numpy array pairs.
-
-    Yields ``(addresses, writes)`` — int64 and bool arrays of length
-    ``chunk`` (the last one possibly shorter). Each yielded pair is
-    freshly allocated, so consumers may keep references across steps.
-    """
-    if chunk < 1:
-        raise TraceError(f"chunk must be >= 1, got {chunk}")
-    addrs: list[int] = []
-    mask: list[bool] = []
-    for addr, is_write in iter_address_trace(source):
-        addrs.append(addr)
-        mask.append(is_write)
-        if len(addrs) == chunk:
-            yield np.asarray(addrs, dtype=np.int64), np.asarray(mask, dtype=bool)
-            addrs, mask = [], []
-    if addrs:
-        yield np.asarray(addrs, dtype=np.int64), np.asarray(mask, dtype=bool)
+    for addrs, writes in iter_address_chunks(source, _PARSE_CHUNK):
+        yield from zip(addrs.tolist(), writes.tolist())
 
 
 def _collect_address_stream(
@@ -346,8 +622,7 @@ def _collect_address_stream(
         raise TraceFormatError("address trace contains no accesses")
     if len(chunks) == 1:
         return chunks[0]
-    return (np.concatenate([a for a, _ in chunks]),
-            np.concatenate([w for _, w in chunks]))
+    return _joined(chunks)
 
 
 def parse_address_trace(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -356,7 +631,7 @@ def parse_address_trace(text: str) -> tuple[np.ndarray, np.ndarray]:
     See the module docstring for the accepted line shapes. Lines whose
     only content is comments (``#``) or blanks are skipped; a line with
     no parseable address raises :class:`~repro.errors.TraceFormatError`
-    with its line number.
+    with its line number. Lines are ``text.splitlines()``.
     """
     return _collect_address_stream(text.splitlines())
 
@@ -535,8 +810,8 @@ def read_address_trace(
 ) -> MemoryTrace:
     """Read a raw address-trace file and map it to a placement trace.
 
-    The file is parsed line-by-line (gzip-transparently); keyword
-    arguments are forwarded to :func:`addresses_to_trace` and the trace
+    The file is parsed block by block (gzip-transparently, see
+    :func:`iter_address_chunks`); keyword arguments are forwarded to :func:`addresses_to_trace` and the trace
     name defaults to the file's stem.
     """
     addrs, writes = _collect_address_stream(path)
@@ -580,7 +855,7 @@ def load_traces(
     ``format`` is ``'trace'`` (native), ``'addr'`` (raw addresses) or
     ``'auto'`` (sniffed via :func:`sniff_trace_format`, which reads at
     most one meaningful line). Native files are read whole; address
-    files stream through :func:`iter_address_trace`. Keyword arguments
+    files stream through :func:`iter_address_chunks`. Keyword arguments
     apply to address ingestion only and are rejected for native files.
     """
     if format not in ("auto", "trace", "addr"):

@@ -1,17 +1,27 @@
 """Property-based tests for the trace substrate (liveness, IO, graphs)."""
 
+import gzip
 import os
 import tempfile
 from collections import Counter
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.compile import trace_fingerprint
-from repro.errors import TraceError
+from repro.errors import TraceError, TraceFormatError
+from repro.trace import io as trace_io
 from repro.trace import streaming
 from repro.trace.graph import AccessGraph
-from repro.trace.io import addresses_to_trace, parse_traces, render_traces
+from repro.trace.io import (
+    _parse_address_line,
+    addresses_to_trace,
+    iter_address_chunks,
+    parse_address_trace,
+    parse_traces,
+    render_traces,
+)
 from repro.trace.liveness import NEVER, Liveness
 from repro.trace.sequence import AccessSequence
 from repro.trace.streaming import stream_address_trace
@@ -171,3 +181,112 @@ def test_streamed_ingest_equals_in_memory(case, chunk, batch):
             assert streamed.content_fingerprint == trace_fingerprint(mono)
         finally:
             streaming._BATCH = real
+
+
+_HEX = "0123456789abcdefABCDEF"
+_DIRECTIONS = ["r", "w", "read", "write", "ld", "st", "load", "store",
+               "rd", "wr"]
+
+
+def _mixed_case(word):
+    flips = st.lists(st.booleans(), min_size=len(word), max_size=len(word))
+    return flips.map(lambda up: "".join(
+        c.upper() if u else c for c, u in zip(word, up)
+    ))
+
+
+_ADDRESS_FIELDS = st.one_of(
+    st.integers(0, 10**20).map(str),
+    st.tuples(st.sampled_from(["0x", "0X"]),
+              st.text(_HEX, min_size=1, max_size=17)).map("".join),
+    st.tuples(st.text(_HEX, min_size=1, max_size=16),
+              st.sampled_from("hH")).map("".join),
+)
+#: Direction words, unknown words and -- a quarter as often -- fields
+#: only the per-line rule decides: signs, underscores, non-ASCII (some
+#: of it whitespace, a line break or a digit to ``str`` methods).
+_OTHER_FIELDS = st.one_of(
+    st.sampled_from(_DIRECTIONS).flatmap(_mixed_case),
+    st.sampled_from(["foo", "0x", "0xg1", "1.5", "x", "h", "0x1h", "1a",
+                     "beef", "wri", "stores", "\x00"]),
+    st.sampled_from(_DIRECTIONS).flatmap(_mixed_case),
+    st.sampled_from(["-4", "+0x10", "1_000", "0x_ff", "-", "_", "\u00e9",
+                     "\x85", "\xa0", "\u2028", "\u0663", "4\u0663"]),
+)
+
+
+@st.composite
+def _address_line(draw):
+    """One line of a raw trace, with its line ending."""
+    kind = draw(st.sampled_from(["fields"] * 8 + ["blank", "comment"]))
+    if kind == "fields":
+        fields = draw(st.lists(_OTHER_FIELDS, max_size=3))
+        if draw(st.integers(0, 9)):  # nine lines in ten have a number
+            for number in draw(st.lists(_ADDRESS_FIELDS, min_size=1,
+                                        max_size=3)):
+                fields.insert(draw(st.integers(0, len(fields))), number)
+        seps = draw(st.lists(st.sampled_from([" ", ",", ":", "\t"]),
+                             min_size=len(fields), max_size=len(fields)))
+        body = "".join(s + f for s, f in zip(seps, fields))
+        body += draw(st.sampled_from(["", "", "", "# tick-1_x", " #\u00e9"]))
+    else:
+        body = {"blank": " ", "comment": "# comment -+_"}[kind]
+    return body + draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+
+
+def _per_line(lines):
+    """The oracle: :func:`_parse_address_line` on every line, in order."""
+    try:
+        pairs = [p for n, raw in enumerate(lines, start=1)
+                 if (p := _parse_address_line(raw, n)) is not None]
+    except TraceError as exc:
+        return type(exc), str(exc)
+    if not pairs:
+        return TraceFormatError, "address trace contains no accesses"
+    return [a for a, _ in pairs], [w for _, w in pairs]
+
+
+def _outcome(parse):
+    try:
+        addrs, writes = parse()
+    except TraceError as exc:
+        return type(exc), str(exc)
+    return addrs.tolist(), writes.tolist()
+
+
+def _chunked(path, chunk):
+    chunks = list(iter_address_chunks(path, chunk))
+    assert all(a.size == chunk for a, _ in chunks[:-1])
+    if not chunks:
+        raise TraceFormatError("address trace contains no accesses")
+    return (np.concatenate([a for a, _ in chunks]),
+            np.concatenate([w for _, w in chunks]))
+
+
+@given(lines=st.lists(_address_line(), min_size=1, max_size=30),
+       block=st.sampled_from([1, 2, 3, 7, 16, 64, 1 << 16]),
+       chunk=st.sampled_from([1, 3, 1000]))
+@settings(max_examples=300, deadline=None)
+def test_block_parser_equals_the_per_line_rule(lines, block, chunk):
+    """Files, gzip files and text parse as the per-line rule does, with
+    lines straddling small blocks."""
+    text = "".join(lines)
+    real = trace_io._BLOCK_BYTES
+    with tempfile.TemporaryDirectory() as tmp:
+        plain = os.path.join(tmp, "t.trc")
+        packed = os.path.join(tmp, "t.trc.gz")
+        with open(plain, "wb") as f:
+            f.write(text.encode("utf-8"))
+        with open(packed, "wb") as f:
+            f.write(gzip.compress(text.encode("utf-8")))
+        with open(plain, encoding="utf-8") as f:  # universal newlines
+            expected = _per_line(list(f))
+        try:
+            trace_io._BLOCK_BYTES = block
+            assert _outcome(lambda: _chunked(plain, chunk)) == expected
+            assert _outcome(lambda: _chunked(packed, chunk)) == expected
+            assert _outcome(lambda: parse_address_trace(text)) == _per_line(
+                text.splitlines()
+            )
+        finally:
+            trace_io._BLOCK_BYTES = real

@@ -157,6 +157,7 @@ class TestAddressTraces:
         ("R W\n", "line 1: no address"),
         ("0x10\nR nope\n", "line 2: no address"),
         ("-4\n", "non-negative"),
+        ("R 0x8000000000000000 4\n", "line 1: address must be below 2"),
     ])
     def test_malformed_address_lines(self, text, match):
         with pytest.raises(TraceFormatError, match=match):
@@ -329,3 +330,18 @@ class TestAddressStreaming:
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             list(iter_address_trace(tmp_path / "nope.trc"))
+
+    @pytest.mark.parametrize("text,from_file,from_text", [
+        ("5 \u0663\n", [3], [3]),  # a non-ASCII digit is a decimal
+        ("0x1\u00a00x2\n", [2], [2]),  # non-ASCII whitespace splits
+        ("7 1_000\n0x10 -4\n", [1000, 16], [1000, 16]),
+        ("12 0x00000000000000001\n", [1], [1]),  # 17 hex digits
+        ("1\r2\n", [1, 2], [1, 2]),
+        ("1\x0b2\n", [2], [1, 2]),  # \v breaks lines in text only
+    ])
+    def test_blocks_the_per_line_rule_decides(self, tmp_path, text,
+                                              from_file, from_text):
+        path = tmp_path / "f.trc"
+        path.write_bytes(text.encode("utf-8"))
+        assert [a for a, _ in iter_address_trace(path)] == from_file
+        assert parse_address_trace(text)[0].tolist() == from_text

@@ -199,6 +199,43 @@ class TestValidation:
             stream_address_trace(trace_file, **kwargs)
 
 
+@pytest.fixture
+def bad_after_one_batch(tmp_path):
+    """65,536 valid lines of varying length, then a malformed one.
+
+    The census reads the file in batches of 65,536 accesses, so the
+    first batch ends exactly before the bad line; varying lengths put
+    that line in the middle of a parse block.
+    """
+    rng = np.random.default_rng(5)
+    n = 65_536
+    lines = [
+        f"{t}: {'W' if w else 'R'} 0x{a:x} {s}\n"
+        for t, w, a, s in zip(
+            rng.integers(1, 10 ** rng.integers(1, 10, n)).tolist(),
+            (rng.random(n) < 0.3).tolist(),
+            rng.integers(1, 1 << rng.integers(4, 40, n)).tolist(),
+            rng.choice([1, 4, 64], n).tolist(),
+        )
+    ]
+    assert len(lines) == n and len({len(line) for line in lines}) > 10
+    path = tmp_path / "late_error.trc"
+    path.write_text("".join(lines) + "R nope\n")
+    return path
+
+
+class TestLimitLaziness:
+    """``limit`` stops a streamed census before it reads a later line."""
+
+    def test_streamed_limit_never_parses_the_bad_line(self, bad_after_one_batch):
+        streamed = stream_address_trace(bad_after_one_batch, chunk=1000, limit=10)
+        assert len(streamed) == 10
+
+    def test_in_memory_limit_still_reads_the_whole_file(self, bad_after_one_batch):
+        with pytest.raises(TraceFormatError, match="line 65537"):
+            read_address_trace(bad_after_one_batch, limit=10)
+
+
 def round_robin_placement(variables, num_dbcs):
     lists = [[] for _ in range(num_dbcs)]
     for code, name in enumerate(variables):
