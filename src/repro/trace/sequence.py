@@ -62,12 +62,16 @@ class AccessSequence:
             dict.fromkeys(accesses) if variables is None else variables
         )
         index = _universe_index(variables)
-        codes = np.empty(len(accesses), dtype=np.int64)
-        for i, a in enumerate(accesses):
-            code = index.get(a)
-            if code is None:
-                raise TraceError(f"access {i} refers to undeclared variable {a!r}")
-            codes[i] = code
+        try:
+            codes = np.fromiter(
+                map(index.__getitem__, accesses), dtype=np.int64,
+                count=len(accesses),
+            )
+        except KeyError:
+            i = next(i for i, a in enumerate(accesses) if a not in index)
+            raise TraceError(
+                f"access {i} refers to undeclared variable {accesses[i]!r}"
+            ) from None
         codes.setflags(write=False)
         self._variables = variables
         self._index = index

@@ -37,6 +37,12 @@ class TestConstruction:
         with pytest.raises(TraceError, match="undeclared"):
             AccessSequence(["a", "x"], variables=["a"])
 
+    def test_undeclared_error_names_the_first_bad_access(self):
+        with pytest.raises(
+            TraceError, match=r"^access 2 refers to undeclared variable 'y'$"
+        ):
+            AccessSequence(["a", "a", "y", "z"], variables=["a"])
+
     def test_rejects_non_string_variable(self):
         with pytest.raises(TraceError):
             AccessSequence([1, 2])  # type: ignore[list-item]
