@@ -4,11 +4,12 @@ Three measurements, each gated as a conservative non-regression floor:
 
 * **ingest** — parse a 200k-line raw address trace and map it to a
   placement trace through the geometry (word grouping, hot/cold
-  filtering, working-set capping). Gate: >= 50k accesses/s (measured
-  ~10x that; the floor flags an accidental per-line quadratic, not
-  machine noise).
+  filtering, working-set capping), best of 5 calls. Gate: >= 250k
+  accesses/s, a floor well below the block parser's 1.0M-1.8M/s on a
+  2-vCPU VM (the per-line parser it replaced read 0.23M-0.31M/s there).
 * **roundtrip** — render the ingested trace to the native format and
-  parse it back, asserting identity. Gate: >= 50k accesses/s.
+  parse it back, asserting identity, best of 5 calls. Gate: >= 50k
+  accesses/s.
 * **resolve** — resolve the smoke suite through the workload registry
   and compare against the direct suite loader, timed interleaved (best
   of 15 calls each). Gates: bit-identical fingerprints, and registry
@@ -25,7 +26,6 @@ import argparse
 import json
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,9 @@ WORDS = 1_024
 SEED = 42
 #: Interleaved calls per side of the resolve comparison.
 RESOLVE_REPEATS = 15
+#: Interleaved calls whose best times give the ingest and round-trip
+#: rates: one call reads the host's load as much as the code.
+REPEATS = 5
 
 
 def _write_address_trace(path: Path, accesses: int) -> None:
@@ -63,7 +66,7 @@ def _write_address_trace(path: Path, accesses: int) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--accesses", type=int, default=ACCESSES)
-    parser.add_argument("--min-ingest-rate", type=float, default=50_000,
+    parser.add_argument("--min-ingest-rate", type=float, default=250_000,
                         help="fail below this many ingested accesses/s "
                              "(0 disables)")
     parser.add_argument("--min-roundtrip-rate", type=float, default=50_000,
@@ -79,20 +82,22 @@ def main(argv=None) -> int:
         trace_path = Path(tmp) / "app.atrc"
         _write_address_trace(trace_path, args.accesses)
 
-        t0 = time.perf_counter()
-        trace = read_address_trace(trace_path, max_vars=512, min_count=2)
-        ingest_s = time.perf_counter() - t0
-        ingest_rate = args.accesses / ingest_s
+        def ingest():
+            return read_address_trace(trace_path, max_vars=512, min_count=2)
 
-        t0 = time.perf_counter()
-        text = render_traces([trace])
-        (back,) = parse_traces(text)
-        roundtrip_s = time.perf_counter() - t0
-        roundtrip_rate = len(trace) / roundtrip_s
-        if back != trace:
+        def roundtrip(trace):
+            return parse_traces(render_traces([trace]))[0]
+
+        trace = ingest()
+        if roundtrip(trace) != trace:
             print("FAIL: render/parse round-trip not identical",
                   file=sys.stderr)
             return 1
+        ingest_s, roundtrip_s = time_pair(
+            ingest, lambda: roundtrip(trace), REPEATS
+        )
+        ingest_rate = args.accesses / ingest_s
+        roundtrip_rate = len(trace) / roundtrip_s
 
     ctx = WorkloadContext.from_profile(SMOKE_PROFILE)
     names = SMOKE_PROFILE.benchmarks
@@ -121,10 +126,12 @@ def main(argv=None) -> int:
         "benchmark": "workload_ingest",
         "provenance": provenance(SEED),
         "accesses": args.accesses,
-        "ingest": {"seconds": ingest_s, "rate_per_s": ingest_rate,
+        "ingest": {"repeats": REPEATS, "seconds": ingest_s,
+                   "rate_per_s": ingest_rate,
                    "kept_vars": trace.sequence.num_variables,
                    "kept_accesses": len(trace)},
-        "roundtrip": {"seconds": roundtrip_s, "rate_per_s": roundtrip_rate},
+        "roundtrip": {"repeats": REPEATS, "seconds": roundtrip_s,
+                      "rate_per_s": roundtrip_rate},
         "resolve": {"suite": list(names), "seed": ctx.seed,
                     "repeats": RESOLVE_REPEATS, "direct_s": direct_s,
                     "registry_s": resolve_s, "overhead_x": overhead,
