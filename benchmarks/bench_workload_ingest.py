@@ -5,7 +5,7 @@ Three measurements, each gated as a conservative non-regression floor:
 * **ingest** — parse a 200k-line raw address trace and map it to a
   placement trace through the geometry (word grouping, hot/cold
   filtering, working-set capping), best of 5 calls. Gate: >= 250k
-  accesses/s, a floor well below the block parser's 1.0M-1.8M/s on a
+  accesses/s, a floor well below the block parser's 1.0M-1.9M/s on a
   2-vCPU VM (the per-line parser it replaced read 0.23M-0.31M/s there).
 * **roundtrip** — render the ingested trace to the native format and
   parse it back, asserting identity, best of 5 calls. Gate: >= 50k

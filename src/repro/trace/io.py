@@ -310,10 +310,10 @@ def _parse_address_line(raw: str, line_no: int) -> tuple[int, bool] | None:
 
 
 #: Bytes read per parse block. A block is cut after its last line break,
-#: so it is shorter unless a single line is longer. The parser's per-byte
-#: temporaries are several times a block's size: 1 MiB blocks raised the
-#: peak RSS of resolving a 300k-line trace by a third, and parsed no
-#: faster than 64 KiB ones.
+#: so it is shorter unless a single line is longer. The bound is memory:
+#: the parser's temporaries are several times a block's size, and 1 MiB
+#: blocks raised the peak RSS of resolving a 300k-line trace from 62 to
+#: 71 MiB while parsing no faster than 64 KiB ones.
 _BLOCK_BYTES = 1 << 16
 
 #: Byte codes of the block parser: a hex digit's value (0-15), then the
@@ -449,7 +449,7 @@ def _universal_lines(data: bytes) -> list[str]:
 def _file_blocks(f) -> Iterator[tuple[bytes, Callable[[], list[str]]]]:
     """Cut a binary file into whole-line blocks of at most _BLOCK_BYTES.
 
-    Yields ``(data, lines)``: the block, ending in ``\\n`` unless it
+    Yields ``(data, split)``: the block, ending in ``\\n`` unless it
     ends in a lone ``\\r``, and a callable splitting it into lines. A
     ``\\r`` is a cut point only once the next byte is known not to be
     ``\\n``, so no ``\\r\\n`` is split across blocks.
@@ -461,7 +461,8 @@ def _file_blocks(f) -> Iterator[tuple[bytes, Callable[[], list[str]]]]:
         data = rest + data
         cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
         if cut:
-            yield data[:cut], partial(_universal_lines, data[:cut])
+            block = data[:cut]
+            yield block, partial(_universal_lines, block)
         rest = data[cut:]
     if rest:
         rest += b"\n"
@@ -473,7 +474,7 @@ def _line_blocks(
 ) -> Iterator[tuple[bytes | None, Callable[[], list[str]]]]:
     """Group an iterable of lines into blocks of about _BLOCK_BYTES.
 
-    Yields ``(data, lines)`` like :func:`_file_blocks`; ``data`` is
+    Yields ``(data, split)`` like :func:`_file_blocks`; ``data`` is
     ``None`` when a line holds a ``\\n`` of its own, which would split
     it in the joined block.
     """
@@ -493,6 +494,7 @@ def _line_blocks(
 def _joined_lines(
     batch: list[str],
 ) -> tuple[bytes | None, Callable[[], list[str]]]:
+    """One block of :func:`_line_blocks`: the lines joined by ``\\n``."""
     text = "\n".join(batch) + "\n"
     data = (text.encode("utf-8", "surrogatepass")
             if text.count("\n") == len(batch) else None)
@@ -532,13 +534,13 @@ def _parsed_blocks(
         else:
             blocks = _line_blocks(source)
         line_no = 1
-        for data, lines in blocks:
+        for data, split in blocks:
             parsed = None if data is None else _parse_block(data)
             if parsed is not None:
                 yield parsed
                 line_no += data.count(b"\n")
             else:
-                lines = lines()
+                lines = split()
                 yield from _parse_lines(lines, line_no)
                 line_no += len(lines)
 
@@ -811,8 +813,9 @@ def read_address_trace(
     """Read a raw address-trace file and map it to a placement trace.
 
     The file is parsed block by block (gzip-transparently, see
-    :func:`iter_address_chunks`); keyword arguments are forwarded to :func:`addresses_to_trace` and the trace
-    name defaults to the file's stem.
+    :func:`iter_address_chunks`); keyword arguments are forwarded to
+    :func:`addresses_to_trace` and the trace name defaults to the
+    file's stem.
     """
     addrs, writes = _collect_address_stream(path)
     if name is None:

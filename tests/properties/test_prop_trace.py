@@ -257,6 +257,7 @@ def _outcome(parse):
 def _chunked(path, chunk):
     chunks = list(iter_address_chunks(path, chunk))
     assert all(a.size == chunk for a, _ in chunks[:-1])
+    assert all(a.dtype == np.int64 and w.dtype == bool for a, w in chunks)
     if not chunks:
         raise TraceFormatError("address trace contains no accesses")
     return (np.concatenate([a for a, _ in chunks]),
