@@ -44,11 +44,12 @@ class ShiftCursor:
     With a ``fault`` model attached, the cursor also carries the
     per-DBC physical-minus-believed drift across chunks and threads the
     absolute access index (``access_base`` plus the accesses replayed
-    so far) into each chunk's request — the counter-based fault RNG is
-    keyed on that index, so chunked faulted replay stays bit-identical
-    to monolithic faulted replay at any chunk size. :meth:`scrub`
-    implements the position-error scrubbing primitive on top of the
-    drift state.
+    so far) into each chunk's request — the counter-based fault RNG and
+    the model's scrub boundaries are keyed on that index, so chunked
+    faulted replay stays bit-identical to monolithic faulted replay at
+    any chunk size. The backends scrub inside each chunk; the cursor
+    adds up the scrubs and their corrective shifts as
+    :attr:`scrub_events` and :attr:`scrub_shifts`.
     """
 
     def __init__(
@@ -144,29 +145,9 @@ class ShiftCursor:
             self._fault_injected += result.faults.injected
             self._fault_misaligned += result.faults.misaligned
             self._corrupted = self._corrupted or result.faults.corrupted
+            self._scrub_shifts += result.faults.corrective_shifts
+            self._scrub_events += result.faults.scrubs
         return result
-
-    def scrub(self) -> int:
-        """Realign every drifted track, charging the corrective shifts.
-
-        The scrubbing primitive of the coding layer: a position-error
-        scrub reads each track's alignment mark and issues ``|drift|``
-        corrective shifts to cancel the accumulated drift. Returns the
-        shifts charged (also accumulated separately as
-        :attr:`scrub_shifts`, so callers can price scrub traffic apart
-        from placement traffic). Requires an attached fault model —
-        without one there is no drift to scrub.
-        """
-        if self.fault is None:
-            raise SimulationError(
-                "scrub() requires a fault model: a clean cursor has no "
-                "position drift to correct"
-            )
-        shifts = int(np.abs(self._drifts).sum())
-        self._drifts = np.zeros(self.num_dbcs, dtype=np.int64)
-        self._scrub_shifts += shifts
-        self._scrub_events += 1
-        return shifts
 
     def result(self) -> ShiftResult:
         """The accumulated totals as one :class:`ShiftResult`.
@@ -183,6 +164,7 @@ class ShiftCursor:
                 final_drifts=self._drifts.copy(),
                 corrupted=self._corrupted,
                 corrective_shifts=self._scrub_shifts,
+                scrubs=self._scrub_events,
             )
         return ShiftResult(
             accesses=self._accesses,

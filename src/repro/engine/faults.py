@@ -35,7 +35,8 @@ same precomputed per-access draw array from :meth:`FaultModel.pending`,
 and a :class:`~repro.engine.cursor.ShiftCursor` passes the running
 access count as ``access_base`` per chunk, so faulted replay is
 bit-identical across backends *and* across any chunking of the trace.
-See ``docs/faults.md``.
+The model's scrub boundaries key on the same index. See
+``docs/faults.md``.
 
 A null model (effective rate 0 everywhere) is normalized away at
 request construction: ``fault_rate=0`` runs the exact clean code path
@@ -84,11 +85,17 @@ class FaultModel:
         Optional per-DBC rate multipliers, cycled over the DBC index
         (``effective_rate(d) = min(1, rate * dbc_skew[d % len])``) —
         models tracks with uneven shift reliability.
+    scrub_interval:
+        Optional scrubbing cadence S >= 1: after every access whose
+        absolute index + 1 is a multiple of S, each drifted track is
+        realigned and its ``|drift|`` charged as corrective shifts. A
+        null model cannot carry one: it has no drift to correct.
     """
 
     rate: float
     seed: int = 0
     dbc_skew: tuple[float, ...] | None = None
+    scrub_interval: int | None = None
 
     def __post_init__(self) -> None:
         rate = float(self.rate)
@@ -107,6 +114,13 @@ class FaultModel:
                     f"dbc_skew entries must be finite and >= 0, got {skew}"
                 )
             object.__setattr__(self, "dbc_skew", skew)
+        if self.scrub_interval is not None:
+            if self.is_null or int(self.scrub_interval) < 1:
+                raise SimulationError(
+                    "scrub_interval must be >= 1 on a model with a nonzero "
+                    f"fault rate, got {self.scrub_interval} at rate {rate}"
+                )
+            object.__setattr__(self, "scrub_interval", int(self.scrub_interval))
 
     @property
     def is_null(self) -> bool:
@@ -116,7 +130,7 @@ class FaultModel:
         return self.dbc_skew is not None and max(self.dbc_skew) == 0.0
 
     def key_payload(self) -> list:
-        """Canonical JSON-ready content for cache/store key hashing."""
+        """Canonical key content; cell keys hash ``scrub_interval`` after it."""
         skew = list(self.dbc_skew) if self.dbc_skew is not None else None
         return [self.rate, self.seed, skew]
 
@@ -161,9 +175,10 @@ class FaultObservation:
     """What the faults did during one replay (or one accumulated cursor).
 
     ``final_drifts`` is the per-DBC physical-minus-believed offset at
-    the end of the replay; ``corrective_shifts`` counts shifts charged
-    by scrubbing realigns (always 0 at the raw engine level — only the
-    cursor/controller scrubbing layer issues them).
+    the end of the replay (all zero when it ends on a scrub boundary);
+    ``scrubs`` counts the scrub boundaries the replay crossed and
+    ``corrective_shifts`` the ``|drift|`` those scrubs charged. Both
+    stay 0 for a model without a ``scrub_interval``.
     """
 
     injected: int
@@ -171,6 +186,7 @@ class FaultObservation:
     final_drifts: np.ndarray
     corrupted: bool
     corrective_shifts: int = 0
+    scrubs: int = 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FaultObservation):
@@ -180,6 +196,7 @@ class FaultObservation:
             and self.misaligned == other.misaligned
             and self.corrupted == other.corrupted
             and self.corrective_shifts == other.corrective_shifts
+            and self.scrubs == other.scrubs
             and np.array_equal(self.final_drifts, other.final_drifts)
         )
 
@@ -209,32 +226,53 @@ def observe_faults_sorted(
     delta: np.ndarray,
     offset_after: np.ndarray,
     run_first: np.ndarray,
-    first_idx: np.ndarray,
-    first_dbc: np.ndarray,
-    last_idx: np.ndarray,
     domains: int,
     access_base: int,
     init_drifts: np.ndarray,
 ) -> FaultObservation:
     """Vectorized fault post-pass over a clean replay's signed deltas.
 
-    Inputs follow the numpy backend's run-sorted layout: ``order`` is
-    the stable sort by DBC, ``delta``/``offset_after`` the per-access
-    signed believed-offset change and believed offset after the access
-    (both in sorted order), ``run_first``/``first_idx``/``first_dbc``/
-    ``last_idx`` the run structure. Because faults never feed back into
-    the believed dynamics, the drift of access ``i`` is simply the
-    run-local prefix sum of its fault events plus the carried drift —
-    one global ``cumsum`` with a per-run base correction.
+    Inputs follow the numpy backend's run-sorted layout: ``dbc`` is in
+    trace order, ``order`` the stable sort by DBC, ``delta``/
+    ``offset_after`` the per-access signed believed-offset change and
+    believed offset after the access (both in sorted order) and
+    ``run_first`` marks each DBC run's first access. Because faults
+    never feed back into the believed dynamics, the drift after an
+    access is the prefix sum of the fault events of its *segment* — one
+    DBC's accesses within one scrub window — plus the drift the segment
+    starts with: the carried drift in the request's first window, zero
+    after a scrub. One global ``cumsum`` with a per-segment base
+    correction computes every drift. A model without a
+    ``scrub_interval`` is one window, whose segments are the DBC runs.
     """
+    n = order.size
+    # Without an interval: one window, longer than the request.
+    interval = model.scrub_interval or access_base + n + 1
+    first_window = access_base // interval
+    open_window = (access_base + n) // interval  # not scrubbed in here
+    window = (order + access_base) // interval
+    seg_first = run_first.copy()
+    seg_first[1:] |= window[1:] != window[:-1]
+    seg_idx = np.flatnonzero(seg_first)
+    seg_last = np.append(seg_idx[1:] - 1, n - 1)
+    seg_dbc = dbc[order[seg_idx]]
+    seg_window = window[seg_idx]
+    carried = np.where(seg_window == first_window, init_drifts[seg_dbc], 0)
     pending = model.pending(dbc, access_base)[order].astype(np.int64)
     events = pending * np.sign(delta)
     csum = np.cumsum(events)
-    run_id = np.cumsum(run_first) - 1
-    base = (csum[first_idx] - events[first_idx]) - init_drifts[first_dbc]
-    drift_after = csum - base[run_id]
-    final = np.asarray(init_drifts, dtype=np.int64).copy()
-    final[first_dbc] = drift_after[last_idx]
+    base = csum[seg_idx] - events[seg_idx] - carried
+    drift_after = csum - base[np.cumsum(seg_first) - 1]
+    open_seg = seg_window == open_window
+    corrective = int(np.abs(drift_after[seg_last[~open_seg]]).sum())
+    scrubs = open_window - first_window
+    if scrubs:
+        # The first scrub also realigns DBCs the first window never touched.
+        corrective += int(np.abs(init_drifts).sum() - np.abs(carried).sum())
+        final = np.zeros_like(init_drifts)
+    else:
+        final = init_drifts.copy()
+    final[seg_dbc[open_seg]] = drift_after[seg_last[open_seg]]
     return FaultObservation(
         injected=int(np.count_nonzero(events)),
         misaligned=int(np.count_nonzero(drift_after)),
@@ -242,6 +280,8 @@ def observe_faults_sorted(
         corrupted=bool(
             np.any(np.abs(offset_after + drift_after) > domains - 1)
         ),
+        corrective_shifts=corrective,
+        scrubs=scrubs,
     )
 
 

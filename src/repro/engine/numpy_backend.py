@@ -158,9 +158,6 @@ class NumpyBackend:
                 delta=delta,
                 offset_after=offset_after,
                 run_first=run_first,
-                first_idx=first_idx,
-                first_dbc=first_dbc,
-                last_idx=last_idx,
                 domains=request.domains,
                 access_base=request.access_base,
                 init_drifts=request.resolved_init_drifts(),

@@ -53,15 +53,20 @@ class ReferenceBackend:
         a fault only moves the physical track one extra/one fewer
         domain in the shift direction, tracked as ``drift = physical -
         believed``. An access that charges no shifts (zero delta, or a
-        warm-start free first alignment) cannot fault.
+        warm-start free first alignment) cannot fault. After an access
+        whose absolute index + 1 is a multiple of the model's
+        ``scrub_interval``, every drift is charged and reset.
         """
         pending = request.fault.pending(
             request.dbc, request.access_base
         ).tolist()
+        interval = request.fault.scrub_interval
         drifts = request.resolved_init_drifts().tolist()
         injected = 0
         misaligned = 0
         corrupted = False
+        corrective = 0
+        scrubs = 0
         envelope = request.domains - 1
         for i, (d, s) in enumerate(
             zip(request.dbc.tolist(), request.slot.tolist())
@@ -83,6 +88,10 @@ class ReferenceBackend:
                 misaligned += 1
                 if abs(offsets[d] + drifts[d]) > envelope:
                     corrupted = True
+            if interval and (request.access_base + i + 1) % interval == 0:
+                corrective += sum(abs(x) for x in drifts)
+                drifts = [0] * request.num_dbcs
+                scrubs += 1
         return ShiftResult(
             accesses=request.accesses,
             shifts=sum(per_dbc),
@@ -94,5 +103,7 @@ class ReferenceBackend:
                 misaligned=misaligned,
                 final_drifts=np.asarray(drifts, dtype=np.int64),
                 corrupted=corrupted,
+                corrective_shifts=corrective,
+                scrubs=scrubs,
             ),
         )

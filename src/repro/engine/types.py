@@ -47,8 +47,8 @@ class ShiftRequest:
         requests run the exact clean code path.
     access_base:
         Absolute index of this batch's first access in its trace; the
-        fault RNG is keyed on ``access_base + i`` so chunked replay
-        draws the same faults as monolithic replay.
+        fault RNG and the model's scrub boundaries key on
+        ``access_base + i``, so chunked replay matches monolithic replay.
     init_drifts:
         Optional per-DBC starting physical-minus-believed drift (from a
         previous faulted batch). Only meaningful with ``fault`` set.

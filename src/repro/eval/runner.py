@@ -173,7 +173,6 @@ def run_policy_on_program(
     rng=None,
     backend: object = None,
     fault: FaultModel | None = None,
-    scrub_interval: int | None = None,
 ) -> CellResult:
     """Place and simulate every sequence of ``program`` independently.
 
@@ -190,10 +189,10 @@ def run_policy_on_program(
     placement window, a streamed cell is bit-identical to its in-memory
     twin.
 
-    ``fault``/``scrub_interval`` inject the engine's deterministic
-    shift-fault model into every simulated trace (fresh per-trace
-    controllers, so fault draws are a pure function of the model seed
-    and each trace's own access indices). Because faults never perturb
+    ``fault`` injects the engine's deterministic shift-fault model,
+    scrubbing included, into every simulated trace (fresh per-trace
+    controllers, so fault draws and scrubs are a pure function of the
+    model and each trace's own access indices). Because faults never perturb
     the *believed* dynamics, the charged ``shifts`` column is identical
     to the clean run's — the single-port reuse below stays exact — and
     only the report's fault observability columns change.
@@ -210,8 +209,7 @@ def run_policy_on_program(
         placement.validate_for(seq, num_dbcs=config.dbcs, capacity=capacity)
         del seq  # a streamed trace's codes are only needed for placement
         controller = RTMController(
-            config, placement, params=params, backend=backend,
-            fault=fault, scrub_interval=scrub_interval,
+            config, placement, params=params, backend=backend, fault=fault,
         )
         if single_port:
             # Analytic model and simulator are the same engine kernel on
@@ -322,7 +320,6 @@ class CellRecipe:
     seed: int
     backend: str | None = None
     fault: FaultModel | None = None
-    scrub_interval: int | None = None
     workload: str | None = None
     context: WorkloadContext | None = None
 
@@ -368,13 +365,14 @@ class CellRecipe:
             # cell keeps its historical key (existing stores stay warm) and
             # faulted/clean cells coexist under distinct keys in one store.
             h.update(json.dumps(
-                ["fault", self.fault.key_payload(), self.scrub_interval]
+                ["fault", self.fault.key_payload(), self.fault.scrub_interval]
             ).encode())
         return h.hexdigest()
 
     def to_json(self) -> dict:
         """The queue payload; stable under ``json.dumps(sort_keys=True)``."""
         name, options = self.policy
+        fault = self.fault
         return {
             "workload": self.workload,
             "context": asdict(self.context),
@@ -382,22 +380,28 @@ class CellRecipe:
             "config": {f: getattr(self.config, f) for f in _GEOMETRY},
             "seed": self.seed,
             "backend": self.backend,
-            "fault": asdict(self.fault) if self.fault is not None else None,
-            "scrub_interval": self.scrub_interval,
+            # Queue payloads are pinned byte for byte, so the scrub cadence
+            # keeps its own top-level field beside the model's other three.
+            "fault": None if fault is None else {
+                "rate": fault.rate, "seed": fault.seed,
+                "dbc_skew": fault.dbc_skew,
+            },
+            "scrub_interval": None if fault is None else fault.scrub_interval,
         }
 
     @classmethod
     def from_json(cls, job: dict) -> CellRecipe:
         """Rebuild a recipe from its queue payload."""
         name, options = job["policy"]
-        fault = job.get("fault")
+        fault = job.get("fault") or None
+        if fault is not None:
+            fault = FaultModel(**fault, scrub_interval=job.get("scrub_interval"))
         return cls(
             policy=(name, options),
             config=RTMConfig(**job["config"]),
             seed=job["seed"],
             backend=job.get("backend"),
-            fault=FaultModel(**fault) if fault else None,
-            scrub_interval=job.get("scrub_interval"),
+            fault=fault,
             workload=job["workload"],
             context=WorkloadContext(**job["context"]),
         )
@@ -407,7 +411,6 @@ class CellRecipe:
         return run_policy_on_program(
             program, self.build_policy(), self.config, rng=self.seed,
             backend=self.backend, fault=self.fault,
-            scrub_interval=self.scrub_interval,
         )
 
 
@@ -599,10 +602,10 @@ def run_matrix(
     specs = policy_specs(policy_names, profile)
     backend = profile.engine_backend
     fault = (
-        FaultModel(rate=profile.fault_rate, seed=profile.seed)
+        FaultModel(rate=profile.fault_rate, seed=profile.seed,
+                   scrub_interval=profile.scrub_interval)
         if profile.fault_rate else None
     )
-    scrub_interval = profile.scrub_interval
     if isinstance(shard, str):
         shard = parse_shard(shard)
     workers = profile.workers or (os.cpu_count() or 1)
@@ -641,7 +644,7 @@ def run_matrix(
                 for spec in specs:
                     recipe = CellRecipe(
                         spec, config, next(seeds), backend, fault,
-                        scrub_interval, workloads[pi], context,
+                        workloads[pi], context,
                     )
                     key = recipe.key(program)
                     if not _in_shard(key, shard):

@@ -82,14 +82,11 @@ class RTMController:
         seed-deterministic off-by-one shift faults; the controller then
         tracks per-DBC position drift, misaligned accesses and the
         undetected-corruption flag across ``execute`` calls. A null
-        model (rate 0) is normalized away and runs the clean path.
-    scrub_interval:
-        Optional scrubbing cadence S (requires ``fault``): after every
-        S accesses — counted across the controller's lifetime, so the
-        cadence is invariant to how traces are chunked — drifted tracks
-        are realigned, charging the corrective shifts as explicit scrub
-        traffic (priced into runtime and shift energy, reported apart
-        from placement shifts).
+        model (rate 0) is normalized away and runs the clean path. The
+        model's ``scrub_interval`` counts accesses over the controller's
+        lifetime, so the scrubs fall on the same accesses however traces
+        are chunked; their corrective shifts are priced into runtime and
+        shift energy and reported apart from placement shifts.
     """
 
     def __init__(
@@ -100,7 +97,6 @@ class RTMController:
         warm_start: bool = True,
         backend: object = None,
         fault: FaultModel | None = None,
-        scrub_interval: int | None = None,
     ) -> None:
         self._location = placement_locations(placement, config)
         self.config = config
@@ -110,18 +106,6 @@ class RTMController:
         if fault is not None and fault.is_null:
             fault = None  # rate 0 is the clean path (zero-cost-when-off)
         self.fault = fault
-        if scrub_interval is not None:
-            if fault is None:
-                raise SimulationError(
-                    "scrub_interval requires a fault model: scrubbing a "
-                    "clean controller would only charge useless shifts"
-                )
-            if int(scrub_interval) < 1:
-                raise SimulationError(
-                    f"scrub_interval must be >= 1, got {scrub_interval}"
-                )
-            scrub_interval = int(scrub_interval)
-        self.scrub_interval = scrub_interval
         self.reset()
 
     # -- execution -----------------------------------------------------------
@@ -179,31 +163,6 @@ class RTMController:
             drift_histogram=drift_histogram(cursor.drifts),  # () fault-free
         )
 
-    def _replay_scrubbed(
-        self, cursor: ShiftCursor, dbc: np.ndarray, slot: np.ndarray
-    ) -> None:
-        """Replay one compiled chunk, scrubbing at absolute S-boundaries.
-
-        The cadence counts *lifetime* accesses (``cursor.access_base +
-        cursor.accesses``), so splitting a trace into chunks — or across
-        ``execute`` calls — scrubs at exactly the same access indices as
-        one monolithic run: the scrubbed replay stays chunk-size
-        invariant like everything else in the engine.
-        """
-        interval = self.scrub_interval
-        if interval is None:
-            cursor.replay_chunk(dbc, slot)
-            return
-        n = int(dbc.size)
-        pos = 0
-        while pos < n:
-            done = cursor.access_base + cursor.accesses
-            take = min(n - pos, interval - done % interval)
-            cursor.replay_chunk(dbc[pos:pos + take], slot[pos:pos + take])
-            pos += take
-            if (cursor.access_base + cursor.accesses) % interval == 0:
-                cursor.scrub()
-
     def execute(self, trace: MemoryTrace) -> SimReport:
         """Run one trace to completion and report counters and energy."""
         return self.execute_stream(trace)
@@ -244,7 +203,7 @@ class RTMController:
                     name = variables[int(codes[np.argmax(hit)])]
                     raise SimulationError(f"variable {name!r} has no location")
             dbc, slot = var_dbc[codes], var_slot[codes]
-            self._replay_scrubbed(cursor, dbc, slot)
+            cursor.replay_chunk(dbc, slot)
             w = int(np.count_nonzero(chunk.writes))
             writes += w
             reads += int(codes.size) - w

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import SimulationError
+
 
 @dataclass(frozen=True)
 class SimReport:
@@ -74,11 +76,11 @@ class SimReport:
         if not isinstance(other, SimReport):
             return NotImplemented
         if self.dbcs != other.dbcs:
-            raise ValueError(
+            raise SimulationError(
                 f"cannot combine reports for {self.dbcs} and {other.dbcs} DBCs"
             )
         if self.area_mm2 and other.area_mm2 and self.area_mm2 != other.area_mm2:
-            raise ValueError("cannot combine reports with different areas")
+            raise SimulationError("cannot combine reports with different areas")
         per_dbc: tuple[int, ...] = ()
         if self.per_dbc_shifts and other.per_dbc_shifts:
             per_dbc = tuple(

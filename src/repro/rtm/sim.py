@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.engine import FaultModel
+from repro.errors import SimulationError
 from repro.rtm.controller import RTMController
 from repro.rtm.geometry import RTMConfig
 from repro.rtm.report import SimReport
@@ -30,12 +31,11 @@ def simulate(
     warm_start: bool = True,
     backend: object = None,
     fault: FaultModel | None = None,
-    scrub_interval: int | None = None,
 ) -> SimReport:
     """Simulate a single trace; see :class:`RTMController` for semantics."""
     controller = RTMController(
         config, placement, params=params, warm_start=warm_start,
-        backend=backend, fault=fault, scrub_interval=scrub_interval,
+        backend=backend, fault=fault,
     )
     return controller.execute(trace)
 
@@ -47,7 +47,6 @@ def simulate_program(
     warm_start: bool = True,
     backend: object = None,
     fault: FaultModel | None = None,
-    scrub_interval: int | None = None,
 ) -> SimReport:
     """Simulate ``(trace, placement)`` pairs independently and sum reports.
 
@@ -59,9 +58,11 @@ def simulate_program(
     for trace, placement in pairs:
         report = simulate(
             trace, placement, config, params=params, warm_start=warm_start,
-            backend=backend, fault=fault, scrub_interval=scrub_interval,
+            backend=backend, fault=fault,
         )
         total = report if total is None else total + report
     if total is None:
-        raise ValueError("simulate_program needs at least one (trace, placement)")
+        raise SimulationError(
+            "simulate_program needs at least one (trace, placement)"
+        )
     return total

@@ -25,13 +25,18 @@ CHUNK_SIZES = (1, 7, 4096)
 
 #: Fault configurations the oracle matrix sweeps: clean, the rate-0
 #: model (must normalize to the clean path), light and heavy uniform
-#: rates, and a per-DBC skew including a fault-immune DBC.
+#: rates, a per-DBC skew including a fault-immune DBC, and scrubbing
+#: every access, at an interval prime to the chunk sizes and at a long
+#: interval.
 FAULT_MODELS = (
     None,
     FaultModel(rate=0.0, seed=3),
     FaultModel(rate=0.01, seed=3),
     FaultModel(rate=0.1, seed=3),
     FaultModel(rate=0.05, seed=9, dbc_skew=(0.5, 2.0, 0.0)),
+    FaultModel(rate=0.1, seed=3, scrub_interval=1),
+    FaultModel(rate=0.05, seed=9, dbc_skew=(0.5, 2.0, 0.0), scrub_interval=7),
+    FaultModel(rate=0.1, seed=3, scrub_interval=64),
 )
 
 
@@ -39,7 +44,8 @@ def _fault_id(model):
     if model is None:
         return "clean"
     skew = "+skew" if model.dbc_skew is not None else ""
-    return f"rate{model.rate:g}{skew}"
+    scrub = f"+scrub{model.scrub_interval}" if model.scrub_interval else ""
+    return f"rate{model.rate:g}{skew}{scrub}"
 
 
 @pytest.fixture(params=available_backends())
@@ -193,6 +199,11 @@ def test_faulted_cursor_chunk_size_invariance(backend, chunk, fault):
         assert cursor.fault_injected == monolithic.faults.injected
         assert cursor.fault_misaligned == monolithic.faults.misaligned
         assert np.array_equal(cursor.drifts, monolithic.faults.final_drifts)
+        assert cursor.scrub_shifts == monolithic.faults.corrective_shifts
+        assert cursor.scrub_events == monolithic.faults.scrubs
+        if fault.scrub_interval:
+            assert cursor.scrub_events == request.accesses // fault.scrub_interval
+            assert cursor.scrub_shifts > 0
 
 
 def test_rate_zero_model_is_clean_path(backend):

@@ -3,13 +3,15 @@
 The cross-backend bit-identity matrix lives in
 ``test_backend_oracle.py``; here the :class:`FaultModel` itself is
 pinned — validation, the counter-RNG determinism contract, null
-normalization, drift/corruption semantics and cursor scrubbing.
+normalization, drift/corruption semantics and scrubbing.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.engine import FaultModel, ShiftCursor, ShiftRequest, get_backend
+from repro.engine import FaultModel, ShiftRequest, get_backend
 from repro.errors import SimulationError
 
 
@@ -42,6 +44,16 @@ def test_invalid_skew_rejected():
         FaultModel(rate=0.1, dbc_skew=(1.0, -2.0))
     with pytest.raises(SimulationError, match="finite"):
         FaultModel(rate=0.1, dbc_skew=(float("nan"),))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rate": 0.0, "scrub_interval": 5},
+    {"rate": 0.5, "dbc_skew": (0.0,), "scrub_interval": 5},
+    {"rate": 0.1, "scrub_interval": 0},
+], ids=["null-model", "null-skew", "zero-interval"])
+def test_invalid_scrub_interval_rejected(kwargs):
+    with pytest.raises(SimulationError, match="scrub_interval"):
+        FaultModel(**kwargs)
 
 
 def test_is_null():
@@ -148,27 +160,54 @@ def test_drift_histogram():
     assert drift_histogram(np.zeros(3, dtype=np.int64)) == ()
 
 
-# -- cursor scrubbing --------------------------------------------------------
+# -- scrubbing ----------------------------------------------------------------
 
-def test_cursor_scrub_charges_and_realigns():
-    fault = FaultModel(rate=0.2, seed=3)
-    request = _request(fault=fault, accesses=400, seed=4)
-    cursor = ShiftCursor(num_dbcs=4, domains=32, fault=fault)
-    cursor.replay_chunk(request.dbc, request.slot)
-    drift_cost = int(np.abs(cursor.drifts).sum())
-    assert drift_cost > 0  # rate 0.2 over 400 accesses: drift is certain
-    charged = cursor.scrub()
-    assert charged == drift_cost
-    assert not np.any(cursor.drifts)
-    assert cursor.scrub_shifts == drift_cost
-    assert cursor.scrub_events == 1
-    assert cursor.scrub() == 0  # already aligned: free
-    assert cursor.scrub_events == 2
-    result = cursor.result()
-    assert result.faults.corrective_shifts == drift_cost
+#: A worked request: 12 accesses from absolute index 3, scrubbed every 5,
+#: so scrubs fall after request accesses 1, 6 and 11. DBC 1 carries drift
+#: in but is first touched after the first scrub.
+SCRUB_DBC = np.array([0, 0, 1, 2, 1, 0, 2, 1, 1, 0, 2, 2])
+SCRUB_SLOT = np.array([3, 9, 1, 7, 12, 0, 2, 5, 14, 6, 11, 4])
+SCRUB_INIT = np.array([2, -1, 0])
 
 
-def test_cursor_scrub_without_fault_rejected():
-    cursor = ShiftCursor(num_dbcs=4, domains=32)
-    with pytest.raises(SimulationError, match="fault"):
-        cursor.scrub()
+@pytest.mark.parametrize("backend", ["reference", "numpy"])
+@pytest.mark.parametrize("accesses,windows", [
+    (12, ((0, 2), (2, 7), (7, 12))),   # ends on a scrub boundary
+    (10, ((0, 2), (2, 7), (7, 10))),   # ends inside an open window
+], ids=["on-boundary", "open-window"])
+def test_scrubs_charge_each_window_drift(backend, accesses, windows):
+    """Each scrub charges the |drift| an unscrubbed replay of its window
+    leaves on every DBC, then the next window starts realigned."""
+    engine = get_backend(backend)
+    model = FaultModel(rate=0.5, seed=26)
+    common = dict(num_dbcs=3, domains=16, warm_start=False)
+    offsets = aligned = None
+    drifts = SCRUB_INIT
+    charges = []
+    pieces = []
+    for lo, hi in windows:
+        piece = engine.run(ShiftRequest(
+            dbc=SCRUB_DBC[lo:hi], slot=SCRUB_SLOT[lo:hi], fault=model,
+            access_base=3 + lo, init_offsets=offsets, init_aligned=aligned,
+            init_drifts=drifts, **common,
+        ))
+        pieces.append(piece)
+        charges.append(int(np.abs(piece.faults.final_drifts).sum()))
+        offsets, aligned = piece.final_offsets, piece.final_aligned
+        drifts = np.zeros(3, dtype=np.int64)
+    closed = [(3 + hi) % 5 == 0 for _lo, hi in windows]
+    scrubbed = engine.run(ShiftRequest(
+        dbc=SCRUB_DBC[:accesses], slot=SCRUB_SLOT[:accesses],
+        fault=replace(model, scrub_interval=5), access_base=3,
+        init_drifts=SCRUB_INIT, **common,
+    )).faults
+    assert charges[0] > 0 and sum(charges) > charges[0]
+    assert scrubbed.scrubs == sum(closed)
+    assert scrubbed.corrective_shifts == sum(
+        c for c, done in zip(charges, closed) if done
+    )
+    assert scrubbed.injected == sum(p.faults.injected for p in pieces)
+    assert scrubbed.misaligned == sum(p.faults.misaligned for p in pieces)
+    expected_final = (np.zeros(3, dtype=np.int64) if closed[-1]
+                      else pieces[-1].faults.final_drifts)
+    assert np.array_equal(scrubbed.final_drifts, expected_final)

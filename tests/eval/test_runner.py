@@ -321,7 +321,7 @@ class TestCellRecipe:
         """A faulted, scrubbed GA recipe for the 4-DBC geometry."""
         base = CellRecipe(
             self.GA, self.CONFIGS[1], 11, "numpy",
-            FaultModel(rate=0.01, seed=7), 64,
+            FaultModel(rate=0.01, seed=7, scrub_interval=64),
             "adpcm", WorkloadContext.from_profile(TINY),
         )
         return replace(base, **changes)
@@ -347,10 +347,10 @@ class TestCellRecipe:
         {"seed": 12},
         {"backend": "reference"},
         {"backend": None},
-        {"fault": FaultModel(rate=0.02, seed=7)},
-        {"fault": FaultModel(rate=0.01, seed=8)},
-        {"scrub_interval": 32},
-        {"fault": None, "scrub_interval": None},
+        {"fault": FaultModel(rate=0.02, seed=7, scrub_interval=64)},
+        {"fault": FaultModel(rate=0.01, seed=8, scrub_interval=64)},
+        {"fault": FaultModel(rate=0.01, seed=7, scrub_interval=32)},
+        {"fault": None},
     ], ids=["policy-options", "geometry", "seed", "backend", "no-backend",
             "fault-rate", "fault-seed", "scrub-interval", "clean"])
     def test_every_recipe_field_moves_the_key(self, adpcm, change):
@@ -367,11 +367,10 @@ class TestCellRecipe:
     def test_compute_is_run_policy_on_program(self, adpcm, faulted):
         recipe = self.recipe()
         if not faulted:
-            recipe = replace(recipe, fault=None, scrub_interval=None)
+            recipe = replace(recipe, fault=None)
         direct = run_policy_on_program(
             adpcm, get_policy(self.GA[0], **self.GA[1]), recipe.config,
             rng=recipe.seed, backend="numpy", fault=recipe.fault,
-            scrub_interval=recipe.scrub_interval,
         )
         assert recipe.compute(adpcm) == direct
 
@@ -387,10 +386,8 @@ class TestCellRecipe:
         for field in ("backend", "fault", "scrub_interval"):
             del payload[field]
         recipe = CellRecipe.from_json(payload)
-        assert (recipe.backend, recipe.fault, recipe.scrub_interval) == (
-            None, None, None)
-        assert recipe == self.recipe(backend=None, fault=None,
-                                     scrub_interval=None)
+        assert (recipe.backend, recipe.fault) == (None, None)
+        assert recipe == self.recipe(backend=None, fault=None)
 
     def test_worker_computes_the_recipe_cell(self):
         from repro.eval.service import compute_job

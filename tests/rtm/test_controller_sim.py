@@ -1,5 +1,7 @@
 """Unit tests for the controller, simulator and reports."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.placement import Placement
@@ -198,8 +200,10 @@ class TestSimReport:
         assert total.shifts == 3 * r.shifts
 
     def test_mismatched_dbcs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError, match="DBCs"):
             SimReport(dbcs=2) + SimReport(dbcs=4)
+        with pytest.raises(SimulationError, match="areas"):
+            SimReport(dbcs=2, area_mm2=1.0) + SimReport(dbcs=2, area_mm2=2.0)
 
     def test_shifts_per_access(self):
         r = SimReport(dbcs=2, accesses=10, shifts=25)
@@ -218,7 +222,7 @@ class TestSimReport:
         assert double.shifts == 2 * single.shifts
 
     def test_simulate_program_empty_rejected(self, config):
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError):
             simulate_program([], config)
 
 
@@ -266,18 +270,14 @@ class TestFaultedSimulation:
         self, config, fig3_trace, fig3_placement, fault
     ):
         plain = simulate(fig3_trace, fig3_placement, config, fault=fault)
-        scrubbed = simulate(fig3_trace, fig3_placement, config, fault=fault,
-                            scrub_interval=5)
+        scrubbed = simulate(fig3_trace, fig3_placement, config,
+                            fault=replace(fault, scrub_interval=5))
         # Placement traffic is untouched; the scrubs are priced on top.
         assert scrubbed.shifts == plain.shifts
-        assert scrubbed.scrub_events > 0
+        assert scrubbed.scrub_events == len(fig3_trace) // 5
         assert scrubbed.scrub_shifts > 0
         assert scrubbed.runtime_ns > plain.runtime_ns
         assert scrubbed.shift_energy_pj > plain.shift_energy_pj
-
-    def test_scrub_without_fault_rejected(self, config, fig3_placement):
-        with pytest.raises(SimulationError, match="fault"):
-            RTMController(config, fig3_placement, scrub_interval=10)
 
     def test_report_surfaces_drift_histogram(
         self, config, fig3_trace, fig3_placement, fault
@@ -334,8 +334,7 @@ class TestUnplacedVariables:
         monkeypatch.setattr(trace_module, "REPLAY_CHUNK", 2)
         kwargs = {}
         if faulted:
-            kwargs = {"fault": FaultModel(rate=0.2, seed=3),
-                      "scrub_interval": 5}
+            kwargs = {"fault": FaultModel(rate=0.2, seed=3, scrub_interval=5)}
         ctrl = RTMController(config, partial, **kwargs)
         with pytest.raises(SimulationError, match="'f'"):
             ctrl.execute(fig3_trace)
@@ -361,8 +360,7 @@ class TestReplayChunkSize:
         trace = MemoryTrace.with_write_ratio(small_sequence, 0.3, rng=5)
         kwargs = {"backend": backend}
         if faulted:
-            kwargs.update(fault=FaultModel(rate=0.2, seed=3),
-                          scrub_interval=7)
+            kwargs.update(fault=FaultModel(rate=0.2, seed=3, scrub_interval=7))
         expected = simulate(trace, placement, config, **kwargs)
         for chunk in (1, 7):
             monkeypatch.setattr(trace_module, "REPLAY_CHUNK", chunk)
