@@ -6,7 +6,10 @@ placement bit-identical, or the Fig. 3/4 comparisons and the stored
 cells they feed silently change. This file pins literal SHA-256 digests
 of the placements each subject returns over the smoke benchmarks at the
 four iso-capacity geometries, plus the tight capacities ``ceil(V/q)`` at
-q = 2, 4, 8, where the deal runs out of room and spills.
+q = 2, 4, 8, where the deal runs out of room and spills. Those DBCs hold
+at most a few dozen variables; the large-DBC pins below place a
+512-variable zipf trace into DBCs of 64 to 256 variables, the size the
+address-trace workloads reach.
 """
 
 import hashlib
@@ -22,6 +25,7 @@ from repro.core.policies import available_policies, get_policy
 from repro.eval.profiles import SMOKE_PROFILE
 from repro.rtm.geometry import iso_capacity_sweep
 from repro.trace.generators.offsetstone import offsetstone_suite
+from repro.trace.generators.synthetic import sliding_window_sequence, zipf_sequence
 
 
 def _ga_seeds(seq, q, cap):
@@ -95,3 +99,38 @@ def test_placements_match_pinned_digest(cases, subject):
     for seq, q, cap in cases:
         digest.update(repr(place(seq, q, cap)).encode())
     assert digest.hexdigest() == PINNED[subject]
+
+
+#: Policy -> SHA-256 of ``repr`` of its placements over
+#: :func:`large_cases`, in case order. Recorded at release 1.23.0.
+PINNED_LARGE = {
+    "AFD-OFU": "5ec2697c74efeed52e79bab99fa84c64a16f7ac6c861ee857d0dc3c4f74f7afc",
+    "DMA-OFU": "3f0b41adef700116266222948c76af6bbcb3d32342e71ef24cefa69314ca45a8",
+    "DMA-Chen": "bcbf5aa401ef65b0c91d376accacc17ea065f29c7fd60aeaddf7195b081faee9",
+    "DMA-SR": "54d638b0f8809884f7df1f4c0f6017610e3291c7f9eaa2558ad74a56ca975ab2",
+    "AFD-SR": "a987fcebca915ac5d3acf7ff65b05ab628acfaaa783dc3ac03118a50fc580fbe",
+    "MDMA-SR": "ba05261e8655cd084e44b5136efde350dd16254c48679042198c07f40adec3f4",
+}
+
+
+@pytest.fixture(scope="module")
+def large_cases():
+    """Two 512-variable traces at 2, 4 and 8 DBCs of 256, 128 and 64
+    locations. The zipf trace has frequency ties and unaccessed
+    variables; the sliding-window trace has the short staggered
+    lifespans that give DMA and multi-set DMA a chain DBC at q = 8."""
+    traces = (
+        zipf_sequence(512, 20000, rng=2027),
+        sliding_window_sequence(504, 20000, window=6, shared_vars=8,
+                                revisit=0.1, rng=2027),
+    )
+    return [(seq, q, 512 // q) for seq in traces for q in (2, 4, 8)]
+
+
+@pytest.mark.parametrize("policy", sorted(PINNED_LARGE))
+def test_large_dbc_placements_match_pinned_digest(large_cases, policy):
+    place = _policy(policy)
+    digest = hashlib.sha256()
+    for seq, q, cap in large_cases:
+        digest.update(repr(place(seq, q, cap)).encode())
+    assert digest.hexdigest() == PINNED_LARGE[policy]
