@@ -69,7 +69,7 @@ from repro.workloads import (
     resolve_workloads,
 )
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 __all__ = [
     "__version__",

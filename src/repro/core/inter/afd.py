@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.core.placement import Placement, check_room
 from repro.trace.sequence import AccessSequence
 
@@ -25,12 +27,10 @@ def afd_order(
 ) -> list[str]:
     """``variables`` (default: all of them) by descending access
     frequency, stable by declaration."""
-    freq = sequence.frequencies
-    index = sequence.index_of
-    return sorted(
-        sequence.variables if variables is None else variables,
-        key=lambda v: (-int(freq[index(v)]), index(v)),
-    )
+    names = sequence.variables
+    codes = sequence.codes_of(names if variables is None else variables)
+    codes = codes[np.lexsort((codes, -sequence.frequencies[codes]))]
+    return [names[c] for c in codes.tolist()]
 
 
 def frequency_deal(

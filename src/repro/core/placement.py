@@ -165,11 +165,14 @@ class Placement:
         return cls(dbcs)
 
     def padded(self, num_dbcs: int) -> "Placement":
-        """Extend with empty DBCs up to ``num_dbcs`` (device width)."""
+        """Extend with empty DBCs up to ``num_dbcs`` (device width); the
+        placement itself when it already has that many."""
         if num_dbcs < self.num_dbcs:
             raise PlacementError(
                 f"cannot pad {self.num_dbcs} DBCs down to {num_dbcs}"
             )
+        if num_dbcs == self.num_dbcs:
+            return self
         return Placement(self._dbcs + ((),) * (num_dbcs - self.num_dbcs))
 
 

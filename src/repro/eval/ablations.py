@@ -198,7 +198,6 @@ def ablation_faults(
     benchmarks: tuple[str, ...] | None = None,
     rates: tuple[float, ...] | None = None,
     num_dbcs: int = 4,
-    scrub_interval: int | None = None,
 ) -> ExperimentResult:
     """Placement robustness under deterministic shift-fault injection.
 
@@ -211,8 +210,8 @@ def ablation_faults(
 
     Each (rate, policy) cell is an ordinary matrix cell: faulted cells
     are content-addressed apart from clean ones, so repeated sweeps
-    resume warm from the same store. The scrub cadence defaults to the
-    profile's ``scrub_interval`` and applies only to faulted rows.
+    resume warm from the same store. The scrub cadence is the profile's
+    ``scrub_interval`` and applies only to faulted rows.
     """
     from repro.eval.runner import run_matrix
 
@@ -222,8 +221,7 @@ def ablation_faults(
         rates = (0.0, 0.002, 0.01, 0.05)
         if profile.fault_rate and profile.fault_rate not in rates:
             rates = tuple(sorted((*rates, profile.fault_rate)))
-    if scrub_interval is None:
-        scrub_interval = profile.scrub_interval
+    scrub_interval = profile.scrub_interval
     policies = ("AFD-OFU", "DMA-OFU", "DMA-SR")
     config = [c for c in iso_capacity_sweep() if c.dbcs == num_dbcs][0]
     programs = resolve_workloads(benchmarks, WorkloadContext.from_profile(profile))

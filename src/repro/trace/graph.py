@@ -6,11 +6,18 @@ placement heuristics (Chen, ShiftsReduce, the TSP-style heuristic) operate
 on this summary. Self-transitions (``u`` followed by ``u``) cost no shifts
 and are therefore not edges, but they are tallied separately because the
 DMA heuristic's benefit comes precisely from maximizing them.
+
+:class:`AccessGraph` is the name-keyed map of a whole sequence;
+:func:`local_graph` builds one DBC's graph as arrays, for the greedy
+heuristics that only read rows of it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import TraceError
 from repro.trace.sequence import AccessSequence
@@ -85,3 +92,69 @@ class AccessGraph:
     def total_weight(self) -> int:
         """Sum of all edge weights; plus self transitions this is |S|-1."""
         return sum(w for _, _, w in self.edges())
+
+
+@dataclass(frozen=True)
+class LocalGraph:
+    """The access graph of one DBC's local subsequence, as arrays.
+
+    Vertex ``i`` is the ``i``-th variable of the DBC's list. Each edge
+    appears once per direction, sorted by ``(row, col)``: edge ``e``
+    joins ``rows[e]`` to ``cols[e]`` with weight ``weights[e]``, and
+    vertex ``u``'s neighbours are ``cols[indptr[u]:indptr[u + 1]]``,
+    ascending. ``degree`` is each vertex's weighted degree. ``tie`` ranks
+    the vertices for tie-breaks: ``n - 1`` for the most accessed vertex,
+    the one listed first among equals, down to ``0``; so ``w * n + tie``
+    orders vertices by a weight ``w``, then by access frequency, then by
+    list position.
+    """
+
+    indptr: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    degree: np.ndarray
+    tie: np.ndarray
+
+
+def local_graph(sequence: AccessSequence, variables: Sequence[str]) -> LocalGraph:
+    """The :class:`LocalGraph` of ``variables`` (distinct names) over the
+    accesses of ``sequence`` that touch them.
+
+    A few vectorized passes over the sequence's codes; memory is linear in
+    the accesses, the variables and the distinct edges.
+    """
+    n = len(variables)
+    members = sequence.codes_of(variables)
+    local = np.full(sequence.num_variables, n, dtype=np.int64)
+    local[members] = np.arange(n)
+    codes = local[sequence.codes]
+    # take(nonzero) instead of a boolean mask: several times faster on
+    # long sequences.
+    codes = codes.take((codes < n).nonzero()[0])
+    # Drop repeats: then every pair of neighbouring accesses is one move.
+    moves = np.empty(codes.size, dtype=bool)
+    moves[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=moves[1:])
+    codes = codes.take(moves.nonzero()[0])
+    a, b = codes[:-1], codes[1:]
+    keys = np.concatenate((a * n + b, b * n + a))
+    keys.sort()
+    # Each run of equal keys is one directed edge; its length the weight.
+    bounds = np.empty(keys.size + 1, dtype=bool)
+    bounds[0] = bounds[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=bounds[1:-1])
+    starts = bounds.nonzero()[0]
+    rows, cols = np.divmod(keys.take(starts[:-1]), n)
+    weights = starts[1:] - starts[:-1]
+    order = (-sequence.frequencies[members]).argsort(kind="stable")
+    tie = np.empty(n, dtype=np.int64)
+    tie[order] = np.arange(n - 1, -1, -1)
+    return LocalGraph(
+        indptr=rows.searchsorted(np.arange(n + 1)),
+        rows=rows,
+        cols=cols,
+        weights=weights,
+        degree=np.bincount(rows, weights, minlength=n).astype(np.int64),
+        tie=tie,
+    )

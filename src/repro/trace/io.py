@@ -785,13 +785,19 @@ def addresses_to_trace(
         addrs = addrs[:limit]
         mask = mask[:limit] if mask is not None else None
     words = addrs // word_bytes
-    uniq, first, counts = np.unique(
-        words, return_index=True, return_counts=True
+    uniq, first, rank, counts = np.unique(
+        words, return_index=True, return_inverse=True, return_counts=True
     )
     keep, code_of_keep, variables = _word_codes(
         uniq, counts, first, min_count=min_count, max_vars=max_vars
     )
-    codes, selected = _encode_words(words, keep, code_of_keep)
+    # Each word's rank in uniq comes from the same sort: one gather maps
+    # ranks to codes, -1 for the words dropped.
+    code_of_rank = np.full(uniq.size, -1, dtype=np.int64)
+    code_of_rank[np.searchsorted(uniq, keep)] = code_of_keep
+    codes = code_of_rank[rank]
+    selected = codes >= 0
+    codes = codes[selected]
     codes.setflags(write=False)  # adopted by the sequence without a copy
     if mask is not None:
         mask = mask[selected]

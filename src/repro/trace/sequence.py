@@ -139,6 +139,16 @@ class AccessSequence:
         except KeyError:
             raise TraceError(f"unknown variable {variable!r}") from None
 
+    def codes_of(self, variables: Iterable[str]) -> np.ndarray:
+        """Declaration indices of ``variables``, in their order (raises
+        for unknown names)."""
+        try:
+            return np.fromiter(
+                map(self._index.__getitem__, variables), dtype=np.int64
+            )
+        except KeyError as exc:
+            raise TraceError(f"unknown variable {exc.args[0]!r}") from None
+
     def __contains__(self, variable: str) -> bool:
         return variable in self._index
 

@@ -103,6 +103,9 @@ class TestConversions:
         assert wide.num_dbcs == 5
         assert wide.dbc_lists()[3] == ()
 
+    def test_padded_to_own_width_is_itself(self, placement):
+        assert placement.padded(placement.num_dbcs) is placement
+
     def test_padded_cannot_shrink(self, placement):
         with pytest.raises(PlacementError):
             placement.padded(2)

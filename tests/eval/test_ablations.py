@@ -119,8 +119,8 @@ class TestFaults:
             assert len(shift_counts) == 1, policy
 
     def test_scrubbing_charges_extra_shifts(self):
-        result = ablation_faults(TINY, benchmarks=("cc65",),
-                                 rates=(0.05,), scrub_interval=25)
+        profile = replace(TINY, fault_rate=0.05, scrub_interval=25)
+        result = ablation_faults(profile, benchmarks=("cc65",), rates=(0.05,))
         assert any(row[3] > 0 for row in result.rows)  # scrub shifts
         assert "scrub every 25" in result.title
 

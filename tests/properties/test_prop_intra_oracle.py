@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.inter.afd import afd_order
 from repro.core.intra import chen_order, ofu_order, shifts_reduce_order
 from repro.errors import TraceError
-from repro.trace.graph import AccessGraph
+from repro.trace.graph import AccessGraph, local_graph
 from repro.trace.liveness import Liveness
 from repro.trace.sequence import AccessSequence
 
@@ -156,6 +156,22 @@ def test_afd_order_matches_oracle(case):
     seq, variables = case
     assert afd_order(seq, variables) == oracle_afd(seq, variables)
     assert afd_order(seq) == oracle_afd(seq, seq.variables)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=dbc_subsets())
+def test_local_graph_matches_access_graph(case):
+    seq, variables = case
+    if not variables:
+        return
+    graph = local_graph(seq, variables)
+    ref = AccessGraph(seq.restricted_to(variables))
+    for u, name in enumerate(variables):
+        lo, hi = graph.indptr[u], graph.indptr[u + 1]
+        row = {variables[c]: w for c, w in zip(graph.cols[lo:hi].tolist(),
+                                                graph.weights[lo:hi].tolist())}
+        assert row == ref.neighbors(name)
+        assert graph.degree[u] == ref.weighted_degree(name)
 
 
 @pytest.mark.parametrize("heuristic", [ofu_order, chen_order, shifts_reduce_order, afd_order])

@@ -1,10 +1,10 @@
-"""Unit tests for repro.trace.graph.AccessGraph."""
+"""Unit tests for repro.trace.graph: AccessGraph and local_graph."""
 
 import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.trace.graph import AccessGraph
+from repro.trace.graph import AccessGraph, local_graph
 from repro.trace.sequence import AccessSequence
 
 
@@ -130,3 +130,28 @@ def test_graph_matches_brute_force_pair_count(case):
             if u != v:
                 assert graph.weight(u, v) == weights.get(frozenset((u, v)), 0)
     assert graph.total_weight() + self_transitions == max(len(sequence) - 1, 0)
+
+
+class TestLocalGraph:
+    def test_tie_ranks_frequency_then_list_position(self):
+        seq = AccessSequence(list("abcab"), variables=list("abcz"))
+        # Frequencies z 0, c 1, b 2, a 2: b first (listed before a), then
+        # a, c, z.
+        graph = local_graph(seq, ["z", "c", "b", "a"])
+        assert graph.tie.tolist() == [0, 1, 3, 2]
+
+    def test_rows_sorted_and_symmetric(self, fig3_sequence):
+        graph = local_graph(fig3_sequence, list("hgfedcba"))
+        keys = graph.rows * 8 + graph.cols
+        assert (np.diff(keys) > 0).all()
+        mirrored = np.sort(graph.cols * 8 + graph.rows)
+        assert np.array_equal(mirrored, keys)
+        assert graph.indptr.tolist() == np.searchsorted(
+            graph.rows, np.arange(9)).tolist()
+
+    def test_no_accesses_no_edges(self):
+        seq = AccessSequence(list("aab"), variables=list("abz"))
+        graph = local_graph(seq, ["z", "a"])
+        assert graph.cols.size == 0
+        assert graph.indptr.tolist() == [0, 0, 0]
+        assert graph.degree.tolist() == [0, 0]

@@ -101,6 +101,16 @@ class TestDerivedData:
         with pytest.raises(TraceError):
             fig3_sequence.index_of("nope")
 
+    def test_codes_of_keeps_the_given_order(self, fig3_sequence):
+        codes = fig3_sequence.codes_of(["i", "a", "e"])
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [8, 0, 4]
+        assert fig3_sequence.codes_of([]).tolist() == []
+
+    def test_codes_of_unknown_raises(self, fig3_sequence):
+        with pytest.raises(TraceError, match="nope"):
+            fig3_sequence.codes_of(["a", "nope"])
+
     def test_accesses_roundtrip(self, fig3_sequence):
         rebuilt = AccessSequence(
             fig3_sequence.accesses, variables=fig3_sequence.variables
